@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft, ndimage
 
 from .core_model import PhysParams
 from .gaussian_engine import (
@@ -185,10 +186,21 @@ def density_matrix_from_state(
     Gaussian-times-coherence-envelope form.
     """
     x = axis.points
+    return DensityMatrixGrid(axis, _density_block(state, x, x), state.hbar)
+
+
+def _density_block(
+    state: GaussianMixtureState, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """rho(rows[i], cols[j]) of a Gaussian mixture; see density_matrix_from_state.
+
+    Sampling a sub-block (e.g. only the rows a projector keeps) costs only
+    that block's points and gives the same values entry by entry.
+    """
     hbar = state.hbar
-    xb = 0.5 * (x[:, None] + x[None, :])
-    xi = x[:, None] - x[None, :]
-    out = np.zeros((axis.n, axis.n), dtype=complex)
+    xb = 0.5 * (rows[:, None] + cols[None, :])
+    xi = rows[:, None] - cols[None, :]
+    out = np.zeros(xb.shape, dtype=complex)
     for term in state.terms:
         c = term.cov
         cp, cq = term.center
@@ -207,7 +219,7 @@ def density_matrix_from_state(
             out += 0.5 * envelope * np.exp(
                 1j * eta * (kq * xb + term.phase) + 1j * mu * u - 0.5 * v * u * u
             )
-    return DensityMatrixGrid(axis, out, hbar)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +613,10 @@ def propagate_density_split(
     noise is diagonal in momentum space as exp(-v_q (k_x + k_y)^2 / 2),
     with v_p = 2 D t and v_q = D t^3 / 6 m^2.  No splitting error — the
     factorisation is algebraically exact — only periodic wrap-around,
-    which is checked for.
+    which is checked for.  Every factor is applied in place from a 1-D
+    table (see :func:`_propagate_density_split_raw`), so besides its input
+    a step allocates one complex n x n work array and the wrap check's
+    magnitudes.
 
     Complements :func:`propagate_density_qbm`: that one is the literal
     kernel quadrature (auditable, slow), this one handles the long masked
@@ -611,10 +626,37 @@ def propagate_density_split(
     return DensityMatrixGrid(rho.axis, vals, rho.hbar)
 
 
+def _apply_sum_kernel(spec: np.ndarray, table: np.ndarray) -> None:
+    """spec[i, j] *= table[f_i + f_j + 2 (n // 2)] in place, f = n * fftfreq(n).
+
+    In fftshift order the factor is the Hankel view table[i' + j']; the
+    unshifted spectrum splits into four blocks that each map onto a
+    contiguous window of that view, so no n x n factor is materialised.
+    """
+    n = spec.shape[0]
+    h = n // 2
+    hankel = sliding_window_view(table, n)
+    # (unshifted slice, the same indices in fftshift order)
+    blocks = ((slice(0, n - h), slice(h, n)), (slice(n - h, n), slice(0, h)))
+    for rows, rows_shifted in blocks:
+        for cols, cols_shifted in blocks:
+            spec[rows, cols] *= hankel[rows_shifted, cols_shifted]
+
+
 def _propagate_density_split_raw(
     values: np.ndarray, axis: Axis, t: float, params: PhysParams,
     wrap_check: bool = True,
 ) -> np.ndarray:
+    """One split-step of a raw (possibly one-sidedly projected) pair state.
+
+    ``values`` is left untouched: the first FFT writes a fresh array and
+    every later FFT and factor works in place on it.  The free half-step
+    is the outer product of a 1-D phase and its conjugate; the noise
+    factors come from 1-D tables, because the position factor depends only
+    on i - j and the momentum factor only on f_i + f_j.  With
+    ``wrap_check`` the step raises "grid too small" when the result's two
+    outermost rows or columns exceed 2e-3 of its peak magnitude.
+    """
     if t < 0.0:
         raise ValueError(f"propagation time must be non-negative, got {t}")
     if params.gamma != 0.0:
@@ -622,22 +664,31 @@ def _propagate_density_split_raw(
     if t == 0.0:
         return values.astype(complex, copy=True)
     hbar, m, d = params.hbar, params.mass, params.D
-    k = 2.0 * math.pi * np.fft.fftfreq(axis.n, d=axis.step)
-    half = np.exp(-1j * hbar * (0.5 * t) * (k[:, None] ** 2 - k[None, :] ** 2) / (2.0 * m))
-    spec = np.fft.fft2(values)
-    spec *= half
+    n, dx = axis.n, axis.step
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    # exp(-i hbar (t/2) (k_x^2 - k_y^2) / 2m) = half[i] * conj(half[j])
+    half = np.exp(-0.25j * hbar * t * k * k / m)
+    half_bra = half.conj()
+    out = fft.fft2(values)
+    out *= half[:, None]
+    out *= half_bra[None, :]
     if d > 0.0:
         v_q = d * t ** 3 / (6.0 * m * m)
-        spec *= np.exp(-0.5 * v_q * (k[:, None] + k[None, :]) ** 2)
-    mid = np.fft.ifft2(spec)
+        # every value of k_i + k_j, from 2 min(f) to 2 max(f)
+        f_sum = np.arange(-2 * (n // 2), 2 * ((n - 1) // 2) + 1)
+        k_sum = (2.0 * math.pi / (n * dx)) * f_sum
+        _apply_sum_kernel(out, np.exp(-0.5 * v_q * k_sum * k_sum))
+    out = fft.ifft2(out, overwrite_x=True)
     if d > 0.0:
         v_p = 2.0 * d * t
-        x = axis.points
-        xi = x[:, None] - x[None, :]
-        mid *= np.exp(-0.5 * v_p * (xi / hbar) ** 2)
-    spec = np.fft.fft2(mid)
-    spec *= half
-    out = np.fft.ifft2(spec)
+        xi = (dx / hbar) * np.arange(-(n - 1), n)
+        # read-only n x n view K[i, j] = table[n - 1 + j - i]; the table is
+        # even in xi, so this is exp(-v_p (x_i - x_j)^2 / 2 hbar^2)
+        out *= sliding_window_view(np.exp(-0.5 * v_p * xi * xi), n)[::-1]
+    out = fft.fft2(out, overwrite_x=True)
+    out *= half[:, None]
+    out *= half_bra[None, :]
+    out = fft.ifft2(out, overwrite_x=True)
     if wrap_check:
         peak = np.abs(out).max()
         border = max(

@@ -45,7 +45,7 @@ from .gaussian_engine import (
 )
 from .grid_engine import (
     axis_straddling_zero,
-    density_matrix_from_state,
+    _density_block,
     _propagate_density_split_raw,
 )
 
@@ -367,12 +367,13 @@ def _delta_exact_grid(
     if n_use > 4096:
         raise ValueError("state too broad for the grid route (needs > 4096 points)")
     axis = axis_straddling_zero(lo, hi, n_use)
-    rho = density_matrix_from_state(st, axis)
-    keep = axis.points < 0.0
-    masked = rho.values * np.outer(keep, keep)
+    x = axis.points
+    cut = int(np.count_nonzero(x < 0.0))
+    masked = np.zeros((n_use, n_use), dtype=complex)
+    masked[:cut, :cut] = _density_block(st, x[:cut], x[:cut])
     out = _propagate_density_split_raw(masked, axis, window.width, params)
-    right = axis.points > 0.0
-    return float(np.trapezoid(np.real(np.diagonal(out)) * right, axis.points))
+    right = x > 0.0
+    return float(np.trapezoid(np.real(np.diagonal(out)) * right, x))
 
 
 # ---------------------------------------------------------------------------
@@ -733,34 +734,41 @@ def _class_matrix(state, windows, params, axis, threads=1):
     Ket-side projections run along each row's own class times; the
     unprojected backbone rho(open_k) is re-sampled from the exact Gaussian
     engine per class, so grid error never accumulates along the schedule.
+    The axis puts the origin mid-cell, so the projectors are the index
+    split ``[:cut]`` (left) and ``[cut:]`` (right): the backbone is sampled
+    only on the rows P_right keeps (only its right-right block for the
+    last class), and every later mask zeroes a block in place.
     Rows are mutually independent and run on a thread pool when asked —
     each writes a disjoint slice of the matrix, and the FFT work releases
     the interpreter lock.
     """
-    left = axis.points < 0.0
-    right = ~left
+    x = axis.points
+    left = x < 0.0
+    cut = int(np.count_nonzero(left))
     wrap = params.D > 0.0
     n_classes = len(windows)
     mat = np.zeros((n_classes, n_classes), dtype=complex)
 
     def _row(k):
         a_k, b_k = windows[k]
-        base = density_matrix_from_state(
-            propagate_mixture(state, a_k, params), axis
-        ).values
+        st = propagate_mixture(state, a_k, params)
+        projected = np.zeros((axis.n, axis.n), dtype=complex)
+        projected[cut:, cut:] = _density_block(st, x[cut:], x[cut:])
         sym = _propagate_density_split_raw(
-            base * np.outer(right, right), axis, b_k - a_k, params, wrap_check=wrap
+            projected, axis, b_k - a_k, params, wrap_check=wrap
         )
         # Tr[(P_< U P_>) rho (P_< U P_>)^dag] is real by construction; the
         # grid trace leaves a phantom imaginary part at discretisation level.
-        mat[k, k] = np.trapezoid(np.diagonal(sym) * left, axis.points).real
+        mat[k, k] = np.trapezoid(np.diagonal(sym) * left, x).real
         del sym
         if k + 1 == n_classes:
             return
+        projected[cut:, :cut] = _density_block(st, x[cut:], x[:cut])
         chain = _propagate_density_split_raw(
-            base * right[:, None], axis, b_k - a_k, params, wrap_check=wrap
-        ) * left[:, None]
-        del base
+            projected, axis, b_k - a_k, params, wrap_check=wrap
+        )
+        del projected
+        chain[cut:, :] = 0.0
         reached = b_k
         for j in range(k + 1, n_classes):
             a_j, b_j = windows[j]
@@ -769,10 +777,15 @@ def _class_matrix(state, windows, params, axis, threads=1):
                     chain, axis, a_j - reached, params, wrap_check=wrap
                 )
             reached = a_j
+            # chain's right rows are zero, so P_right on the bra side leaves
+            # only its left-right block
+            forked = np.zeros_like(chain)
+            forked[:cut, cut:] = chain[:cut, cut:]
             fork = _propagate_density_split_raw(
-                chain * right[None, :], axis, b_j - a_j, params, wrap_check=wrap
-            ) * left[None, :]
-            mat[k, j] = np.trapezoid(np.diagonal(fork), axis.points)
+                forked, axis, b_j - a_j, params, wrap_check=wrap
+            )
+            del forked
+            mat[k, j] = np.trapezoid(np.diagonal(fork) * left, x)
             mat[j, k] = np.conjugate(mat[k, j])
             del fork
 

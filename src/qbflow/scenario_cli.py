@@ -163,6 +163,9 @@ def _num(tree, path, diags, required=True, positive=False, nonneg=False):
         diags.append(f"{path} must be a number, got {val!r}")
         return None
     val = float(val)
+    if not math.isfinite(val):
+        diags.append(f"{path} must be finite, got {val!r}")
+        return None
     if positive and val <= 0.0:
         diags.append(f"{path} must be positive, got {val!r}")
         return None
@@ -203,6 +206,12 @@ def _validate_tree(tree) -> list:
                     f"physical: D={d_val!r} inconsistent with "
                     f"2*m*gamma*kT={product!r}"
                 )
+        # PhysParams' rule: b = gamma / sqrt(2 D) needs noise to exist
+        d_bath = d_val if has_d else (
+            2.0 * mass * gamma * kt if None not in (gamma, kt, mass) else None
+        )
+        if gamma and d_bath == 0.0:
+            diags.append(f"physical: gamma={gamma!r} > 0 requires D > 0")
     elif not has_d:
         diags.append("physical.D (or physical.gamma with physical.kT) required")
 

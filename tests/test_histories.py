@@ -405,6 +405,22 @@ class TestCrossingChain:
             for m in range(k + 1, len(diag)):
                 assert abs(mat[k, m]) ** 2 <= diag[k] * diag[m] * (1 + 1e-9) + 1e-15
 
+    def test_row_pool_matches_serial(self):
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        serial = hi.crossing_class_matrix(st, [2.0, 2.2, 2.4], NOISY, n=1024)
+        pooled = hi.crossing_class_matrix(st, [2.0, 2.2, 2.4], NOISY, n=1024, threads=2)
+        np.testing.assert_array_equal(pooled, serial)
+
+    def test_wrap_sentinel_fires_on_fork_step(self):
+        # Only the terminal fork step of class 0 against class 1 reaches the
+        # box edge (border/peak ~5e-3 > 2e-3); every other step stays at or
+        # below 1e-3, so dropping or skipping the fork loses the check.
+        st = ge.make_gaussian_state(p0=-3.0, q0=6.0, sigma=1.0)
+        par = PhysParams(D=0.5)
+        with pytest.raises(ValueError, match="grid too small"):
+            hi.crossing_class_matrix(st, [1.0, 2.0, 3.0], par, n=512)
+        hi.crossing_class_matrix(st, [1.0, 2.0], par, n=512)
+
     def test_linear_probabilities_from_survival(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         ivs = [Interval(2.0, 2.1), Interval(2.3, 2.4)]

@@ -148,6 +148,24 @@ class TestValidation:
         diags = validate_config(_write(tmp_path, tree))
         assert any("gamma = 0" in d for d in diags)
 
+    @pytest.mark.parametrize("key, value", [("physical.D", math.nan), ("time.t2", math.inf)])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
+        # json accepts NaN and Infinity literals; neither may pass as "config ok"
+        path = _write(tmp_path, _variant(**{key: value}))
+        assert main(["validate", path]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_value", [0.0, None])
+    def test_dissipation_without_noise_rejected(self, tmp_path, capsys, d_value):
+        # PhysParams refuses gamma > 0 with D = 0; the config layer must say
+        # so as a diagnostic (exit 2), not let the constructor raise
+        tree = _variant(**{"physical.D": d_value, "physical.gamma": 0.5, "physical.kT": 0.0})
+        path = _write(tmp_path, tree)
+        assert main(["validate", path]) == 2
+        assert "gamma=0.5 > 0 requires D > 0" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_file(self, tmp_path):
         diags = validate_config(str(tmp_path / "nope.json"))
         assert any("cannot read" in d for d in diags)
