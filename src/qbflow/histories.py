@@ -737,7 +737,10 @@ def _class_matrix(state, windows, params, axis, threads=1):
     The axis puts the origin mid-cell, so the projectors are the index
     split ``[:cut]`` (left) and ``[cut:]`` (right): the backbone is sampled
     only on the rows P_right keeps (only its right-right block for the
-    last class), and every later mask zeroes a block in place.
+    last class), and every later mask zeroes a block in place.  A fork
+    zeroes the left columns of a copy of the whole chain: once the chain
+    runs past a class or across a gap its right rows refill, and they
+    belong in the entry.
     Rows are mutually independent and run on a thread pool when asked —
     each writes a disjoint slice of the matrix, and the FFT work releases
     the interpreter lock.
@@ -777,10 +780,8 @@ def _class_matrix(state, windows, params, axis, threads=1):
                     chain, axis, a_j - reached, params, wrap_check=wrap
                 )
             reached = a_j
-            # chain's right rows are zero, so P_right on the bra side leaves
-            # only its left-right block
-            forked = np.zeros_like(chain)
-            forked[:cut, cut:] = chain[:cut, cut:]
+            forked = chain.copy()
+            forked[:, :cut] = 0.0
             fork = _propagate_density_split_raw(
                 forked, axis, b_j - a_j, params, wrap_check=wrap
             )

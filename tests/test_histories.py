@@ -25,6 +25,7 @@ from scipy.special import sici
 
 from qbflow.core_model import Interval, PhysParams
 from qbflow import gaussian_engine as ge
+from qbflow import grid_engine as gr
 from qbflow import histories as hi
 
 
@@ -36,6 +37,42 @@ NOISY = PhysParams(D=2.0)
 # for a Gaussian with p0 = -6, q0 = 10, sigma = 1 over the window
 # (2.0, 2.4).  Independent of every code path under test.
 WAVEFUNCTION_ARBITER = 3.01269e-3
+
+def _reference_class_matrix(state, windows, params, axis):
+    """Full-matrix decoherence functional with every projector an explicit mask.
+
+    Samples the whole backbone density matrix per class and multiplies by
+    full n x n masks, so no block or index-split shortcut is involved.
+    """
+    x = axis.points
+    left = (x < 0.0).astype(float)
+    right = 1.0 - left
+    ones = np.ones_like(x)
+
+    def prop(values, t):
+        return gr._propagate_density_split_raw(
+            values, axis, t, params, wrap_check=params.D > 0.0
+        )
+
+    mat = np.zeros((len(windows), len(windows)), dtype=complex)
+    for k, (a_k, b_k) in enumerate(windows):
+        base = gr.density_matrix_from_state(
+            ge.propagate_mixture(state, a_k, params), axis
+        ).values
+        sym = prop(base * np.outer(right, right), b_k - a_k) * np.outer(left, left)
+        mat[k, k] = np.trapezoid(np.diagonal(sym), x).real
+        chain = prop(base * np.outer(right, ones), b_k - a_k) * np.outer(left, ones)
+        reached = b_k
+        for j in range(k + 1, len(windows)):
+            a_j, b_j = windows[j]
+            if a_j > reached:
+                chain = prop(chain, a_j - reached)
+            reached = a_j
+            fork = prop(chain * np.outer(ones, right), b_j - a_j) * np.outer(ones, left)
+            mat[k, j] = np.trapezoid(np.diagonal(fork), x)
+            mat[j, k] = np.conjugate(mat[k, j])
+    return mat
+
 
 # Frozen adaptive-quadrature value of the delta_free integrand itself
 # (scipy.integrate.quad over X, graded p bands) at p0 = -10, q0 = 50,
@@ -404,6 +441,33 @@ class TestCrossingChain:
         for k in range(len(diag)):
             for m in range(k + 1, len(diag)):
                 assert abs(mat[k, m]) ** 2 <= diag[k] * diag[m] * (1 + 1e-9) + 1e-15
+
+    def test_matrix_matches_explicit_mask_reference(self):
+        # Three contiguous classes: entry (0, 2) carries the chain
+        # propagated through class 1, right rows included.
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        bounds = [2.0, 2.2, 2.4, 2.6]
+        mat = hi.crossing_class_matrix(st, bounds, NOISY, n=1024)
+        axis, _ = hi._chain_axis(st, bounds, NOISY, 1024)
+        windows = list(zip(bounds, bounds[1:]))
+        ref = _reference_class_matrix(st, windows, NOISY, axis)
+        assert np.max(np.abs(ref[0, 2:])) > 1e-6
+        np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-12)
+
+    def test_gapped_intervals_match_explicit_mask_reference(self):
+        # Gaps between windows propagate the chain between classes, so every
+        # off-diagonal entry sees a chain whose right rows are refilled.
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        ivs = [Interval(2.0, 2.1), Interval(2.2, 2.3), Interval(2.4, 2.5)]
+        windows = [(iv.t1, iv.t2) for iv in ivs]
+        axis, _ = hi._chain_axis(st, [t for w in windows for t in w], NOISY, 1024)
+        ref = _reference_class_matrix(st, windows, NOISY, axis)
+        mat = hi._class_matrix(st, windows, NOISY, axis)
+        np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-12)
+        _, p_sq, off = hi.class_operator_probability(st, ivs, NOISY, eps=0.05, n=1024)
+        np.testing.assert_allclose(p_sq, np.diag(ref).real, rtol=0.0, atol=1e-12)
+        offdiag = np.abs(ref - np.diag(np.diag(ref)))
+        assert abs(off - offdiag.max()) < 1e-12
 
     def test_row_pool_matches_serial(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
