@@ -17,7 +17,6 @@ oracles.  `scenario_cli` drives full scenarios from JSON configs.
 
 from .core_model import (
     Interval,
-    PhaseSpacePoint,
     PhysParams,
     TimeScales,
     derive_timescales,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Interval",
-    "PhaseSpacePoint",
     "PhysParams",
     "TimeScales",
     "derive_timescales",

@@ -24,7 +24,6 @@ __all__ = [
     "MUCH_GREATER",
     "MUCH_LESS",
     "Interval",
-    "PhaseSpacePoint",
     "PhysParams",
     "TimeScales",
     "derive_timescales",
@@ -74,6 +73,9 @@ class PhysParams:
     gamma: float = 0.0  # dissipation rate
 
     def __post_init__(self) -> None:
+        for name in ("hbar", "mass", "D", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.hbar > 0.0):
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not (self.mass > 0.0):
@@ -112,17 +114,6 @@ class PhysParams:
 
 
 @dataclass(frozen=True)
-class PhaseSpacePoint:
-    """A point (p, q) of the single-particle phase space."""
-
-    p: float  # momentum
-    q: float  # position
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.p, self.q)
-
-
-@dataclass(frozen=True)
 class Interval:
     """A time interval [t1, t2] with t1 < t2."""
 
@@ -130,6 +121,9 @@ class Interval:
     t2: float
 
     def __post_init__(self) -> None:
+        for name in ("t1", "t2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.t2 > self.t1):
             raise ValueError(f"interval inverted: t1={self.t1} >= t2={self.t2}")
 

@@ -27,7 +27,6 @@ __all__ = [
     "Cov2",
     "GaussianTerm",
     "GaussianMixtureState",
-    "convolve_covariances",
     "convolve_term",
     "convolve_state",
     "gaussian_eval",
@@ -100,11 +99,6 @@ class Cov2:
         """Congruence M @ cov @ M.T for a 2x2 linear map M."""
         m = np.asarray(m, dtype=float)
         return Cov2.from_matrix(m @ self.matrix() @ m.T)
-
-
-def convolve_covariances(a: Cov2, b: Cov2) -> Cov2:
-    """Covariance of the convolution g(.;a) * g(.;b) — entrywise sum."""
-    return a + b
 
 
 def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:

@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfc, erfcx, sici
 
 from .core_model import Interval, PhysParams, derive_timescales
 from .gaussian_engine import (
@@ -67,9 +67,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# |u| below this: Maclaurin series of the sine integral; above: continued
-# fraction.  At the seam both converge well past double precision.
-_F_SERIES_CUT = 4.0
+# Smallest accepted u_cut for the band of ``delta_free``.  Past |u| = u_cut
+# the band replaces f by its asymptotic step, which is harmless only where
+# f has settled into its ~1/(pi u) ringing.  f overshoots to its first
+# extremum at |u| = pi, so a cut at or below 4 would replace the window's
+# main rise rather than its tail.
+_U_CUT_MIN = 4.0
 
 # Ratio realising ">> 1" in the regime classifications: t/tau counts as
 # "many localisation times" from this factor on.  Soft by nature — the
@@ -82,54 +85,6 @@ _REGIME_FACTOR = 3.0
 # crossing window functions
 
 
-def _si_series(u: np.ndarray) -> np.ndarray:
-    """Sine integral by its Maclaurin series, for 0 <= u < ~4.
-
-    Si(u) = sum_k (-1)^k u^(2k+1) / ((2k+1) (2k+1)!); successive terms
-    follow from the ratio -u^2 (2k-1) / ((2k+1)^2 (2k)).
-    """
-    total = np.array(u, dtype=float, copy=True)
-    term = np.array(u, dtype=float, copy=True)
-    u2 = u * u
-    for k in range(1, 40):
-        term *= -u2 * (2 * k - 1) / ((2 * k + 1) ** 2 * (2 * k))
-        total += term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return total
-
-
-def _exp_integral_imag_axis(u: np.ndarray) -> np.ndarray:
-    """E_1(i u) for u >= ~4 by the standard continued fraction.
-
-    Evaluated with the modified Lentz recurrence; for arguments this far
-    from the origin it converges in a few dozen iterations.
-    """
-    z = 1j * np.asarray(u, dtype=float)
-    tiny = 1e-300
-    f = z + 1.0
-    c = np.where(f == 0.0, tiny, f).astype(complex)
-    f = c.copy()
-    d = np.zeros_like(f)
-    converged = np.zeros(f.shape, dtype=bool)
-    for j in range(1, 200):
-        a = -float(j * j)
-        b = z + (2 * j + 1)
-        d = b + a * d
-        d = np.where(d == 0.0, tiny, d)
-        c = b + a / c
-        c = np.where(c == 0.0, tiny, c)
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        converged |= np.abs(delta - 1.0) < 1e-15
-        if converged.all():
-            return np.exp(-z) / f
-    raise ArithmeticError(
-        "continued fraction for the crossing window did not converge"
-    )
-
-
 def f_integral(u):
     """Free crossing window f(u) = 1/2 - Si(u)/pi.
 
@@ -138,20 +93,12 @@ def f_integral(u):
     reflection f(u) + f(-u) = 1.  Small-u slope is -1/pi; the large-|u|
     tail rings as cos(u)/(pi u).
 
-    Accepts scalars or arrays; evaluated via the sine-integral series for
-    |u| < 4 and a continued fraction beyond, both at double precision.
+    Accepts scalars or arrays; evaluated through ``scipy.special.sici`` at
+    double precision.
     """
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    au = np.atleast_1d(np.abs(arr))
-    res = np.empty_like(au)
-    small = au < _F_SERIES_CUT
-    if small.any():
-        res[small] = 0.5 - _si_series(au[small]) / math.pi
-    if (~small).any():
-        res[~small] = -np.imag(_exp_integral_imag_axis(au[~small])) / math.pi
-    out = np.where(np.atleast_1d(arr) < 0.0, 1.0 - res, res)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = 0.5 - sici(arr)[0] / math.pi
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +396,8 @@ def delta_free(
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
-    if u_cut <= _F_SERIES_CUT:
-        raise ValueError(f"u_cut must exceed {_F_SERIES_CUT}, got {u_cut}")
+    if u_cut <= _U_CUT_MIN:
+        raise ValueError(f"u_cut must exceed {_U_CUT_MIN}, got {u_cut}")
     hbar, m = params.hbar, params.mass
     dt = window.width
     st = propagate_mixture(state, window.t1, params)
@@ -542,41 +489,38 @@ def delta_strong(
     return float(np.trapezoid(g, xs))
 
 
-def _smeared_window(
-    mus: np.ndarray,
-    p0: float,
+def _window_ladders(
+    floors: np.ndarray,
+    p0s: np.ndarray,
     s_q: float,
     m: float,
     hbar: float,
     dt: float,
     u_cut: float,
-) -> np.ndarray:
-    """F(mu) = int_{X<0} N(X; mu, s_q^2) f[X (m X/dt + p0)/hbar] dX.
+) -> list:
+    """Adaptive X ladders for F(mu, p0), one per conditional momentum p0.
 
-    One adaptive ladder in X serves every mu for a fixed conditional
-    momentum p0: steps resolve both the noise kernel (s_q/10) and the
-    local window phase (0.35 rad), and the descent stops once the window
-    has decayed past u_cut or the kernel has died under every mu.
+    Each ladder descends from X = 0 in steps that resolve both the noise
+    kernel (s_q/10) and the local window phase (0.35 rad); it stops before
+    passing its floor, or once the window has decayed past u_cut.  All
+    ladders advance in lockstep as arrays, with each element taking the
+    same float operations as a scalar descent.  Returns each ladder in
+    ascending order, ending at 0.0.
     """
-    floor = float(np.min(mus)) - 9.0 * s_q
-    ladder = [0.0]
-    x = 0.0
-    while True:
-        step = min(s_q / 10.0, 0.35 * hbar / (abs(2.0 * m * x / dt + p0) + 1e-300))
-        x -= step
-        if x < floor:
-            break
-        ladder.append(x)
-        if x * (m * x / dt + p0) / hbar > u_cut:
-            break
-    if len(ladder) < 2:
-        return np.zeros(mus.shape)
-    xs = np.array(ladder[::-1])
-    fv = f_integral(xs * (m * xs / dt + p0) / hbar)
-    kern = np.exp(-0.5 * ((xs[None, :] - mus[:, None]) / s_q) ** 2) / (
-        math.sqrt(2.0 * math.pi) * s_q
-    )
-    return np.trapezoid(kern * fv[None, :], xs, axis=1)
+    x = np.zeros_like(p0s)
+    live = np.ones(p0s.shape, dtype=bool)
+    xs, kept = [x], [live]
+    while live.any():
+        step = np.minimum(
+            s_q / 10.0, 0.35 * hbar / (np.abs(2.0 * m * x / dt + p0s) + 1e-300)
+        )
+        x = x - step
+        live = live & ~(x < floors)
+        xs.append(x)
+        kept.append(live)
+        live = live & ~(x * (m * x / dt + p0s) / hbar > u_cut)
+    xs, n_kept = np.array(xs), np.sum(kept, axis=0)
+    return [xs[n - 1::-1, i] for i, n in enumerate(n_kept)]
 
 
 def delta_intermediate(
@@ -644,9 +588,21 @@ def delta_intermediate(
     p0s = np.linspace(p_bar - 6.0 * sp0, p_bar + 6.0 * sp0, n_out)
     x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, n_out)
     w0 = evaluate_state(state, p0s[:, None], x0s[None, :])
-    fmat = np.empty((n_out, n_out))
-    for i, p0 in enumerate(p0s):
-        fmat[i] = _smeared_window(x0s + p0 * t1 / m, p0, s_q, m, hbar, dt, u_cut)
+    # F(mu, p0) = int_{X<0} N(X; mu, s_q^2) f[X (m X/dt + p0)/hbar] dX
+    # on each row's ladder, which serves every mu = X0 + p0 t1/m of it.
+    mus = x0s[None, :] + p0s[:, None] * t1 / m
+    ladders = _window_ladders(
+        np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt, u_cut
+    )
+    fmat = np.zeros((n_out, n_out))
+    for i, xs in enumerate(ladders):
+        if xs.size < 2:
+            continue
+        fv = f_integral(xs * (m * xs / dt + p0s[i]) / hbar)
+        kern = np.exp(-0.5 * ((xs[None, :] - mus[i][:, None]) / s_q) ** 2) / (
+            math.sqrt(2.0 * math.pi) * s_q
+        )
+        fmat[i] = np.trapezoid(kern * fv[None, :], xs, axis=1)
     value = float(np.trapezoid(np.trapezoid(w0 * fmat, x0s, axis=1), p0s))
     return value, bound
 

@@ -34,7 +34,6 @@ __all__ = [
     "master_rhs_wigner",
     "probability_current",
     "diffusive_current",
-    "current_terms",
     "ContinuityReport",
     "continuity_residual",
 ]
@@ -140,11 +139,6 @@ def diffusive_current(rho: DensityMatrixGrid, params: PhysParams) -> np.ndarray:
     coeff = 0.5 * (params.hbar * params.b) ** 2
     dens = np.real(np.diag(rho.values))
     return -coeff * np.gradient(dens, rho.axis.step, edge_order=2)
-
-
-def current_terms(rho: DensityMatrixGrid, params: PhysParams):
-    """(j, J_D): the unitary current and its diffusive correction."""
-    return probability_current(rho, params), diffusive_current(rho, params)
 
 
 @dataclass(frozen=True)

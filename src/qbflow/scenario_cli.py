@@ -57,6 +57,7 @@ _THRESHOLD_KEYS = {
     "positivity_max_tau_l", "delta_max", "energy_min", "t1_min",
     "continuity_factor_min", "require_decoherent",
 }
+_POSITIVE_STATE_FIELDS = {"sigma", "separation", "ratio"}
 _STATE_FIELDS = {
     "gaussian": ({"p0", "x0", "sigma"}, set()),
     "cat": ({"separation", "p0", "sigma"}, {"x0"}),
@@ -162,7 +163,10 @@ def _num(tree, path, diags, required=True, positive=False, nonneg=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         diags.append(f"{path} must be a number, got {val!r}")
         return None
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer literal beyond the double range
+        val = math.inf
     if not math.isfinite(val):
         diags.append(f"{path} must be finite, got {val!r}")
         return None
@@ -234,13 +238,15 @@ def _validate_tree(tree) -> list:
         if not isinstance(state[kind], dict):
             diags.append(f"state.{kind} must be an object")
         required, optional = _STATE_FIELDS[kind]
-        for fieldname in required:
-            _num({kind: block}, f"{kind}.{fieldname}", diags)
+        for fieldname in sorted(required) + sorted(optional):
+            _num(
+                {kind: block}, f"{kind}.{fieldname}", diags,
+                required=fieldname in required,
+                positive=fieldname in _POSITIVE_STATE_FIELDS,
+            )
         for fieldname in block:
             if fieldname not in required | optional:
                 diags.append(f"state.{kind}: unknown field {fieldname!r}")
-        if "sigma" in block:
-            _num({kind: block}, f"{kind}.sigma", diags, positive=True)
 
     grid = tree.get("grid", {})
     if not isinstance(grid, dict):
@@ -281,6 +287,8 @@ def _validate_tree(tree) -> list:
     for key in thr:
         if key not in _THRESHOLD_KEYS:
             diags.append(f"thresholds: unknown key {key!r}")
+    for key in sorted(_THRESHOLD_KEYS - {"mass_window", "require_decoherent"}):
+        _num({"thresholds": thr}, f"thresholds.{key}", diags, required=False)
     win = thr.get("mass_window")
     if win is not None and (
         not isinstance(win, list)
@@ -305,7 +313,9 @@ def _validate_tree(tree) -> list:
         elif None not in (t1, t2):
             for label, t in (("t1", t1), ("t2", t2)):
                 steps = t / eps
-                if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+                if not math.isfinite(steps) or (
+                    abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps))
+                ):
                     diags.append(
                         f"time.eps must step time.{label} in whole numbers "
                         f"for the stochastic march ({label}/eps = {steps!r})"
@@ -367,18 +377,23 @@ def load_config(path) -> tuple:
 
     phys = tree["physical"]
     hbar, mass = float(phys["hbar"]), float(phys["mass"])
-    if "D" in phys:
-        params = PhysParams(
-            hbar=hbar, mass=mass, D=float(phys["D"]),
-            gamma=float(phys.get("gamma", 0.0)),
-        )
-    else:
-        params = PhysParams.from_temperature(
-            gamma=float(phys["gamma"]), kT=float(phys["kT"]),
-            hbar=hbar, mass=mass,
-        )
     kind = next(k for k in _STATE_KINDS if k in tree["state"])
-    state = _build_state(kind, tree["state"][kind], hbar)
+    # Values that pass the per-field checks can still be out of range
+    # together (an overflowing 2*m*gamma*kT, a cat too wide to normalise).
+    try:
+        if "D" in phys:
+            params = PhysParams(
+                hbar=hbar, mass=mass, D=float(phys["D"]),
+                gamma=float(phys.get("gamma", 0.0)),
+            )
+        else:
+            params = PhysParams.from_temperature(
+                gamma=float(phys["gamma"]), kT=float(phys["kT"]),
+                hbar=hbar, mass=mass,
+            )
+        state = _build_state(kind, tree["state"][kind], hbar)
+    except (ValueError, ArithmeticError) as exc:
+        return None, [f"cannot build the scenario from {path}: {exc}"]
     tm = tree["time"]
     config = ScenarioConfig(
         params=params,
@@ -441,7 +456,7 @@ def _gate(thresholds, key):
     return None if value is None else float(value)
 
 
-def _run_current(cfg: ScenarioConfig, grid_n: int, threads: int):
+def _run_current(cfg: ScenarioConfig, grid_n: int):
     times = np.linspace(cfg.t1, cfg.t2, cfg.n_t)
     res = ar.backflow_scan(
         cfg.state, cfg.params, times, corrected=cfg.params.gamma > 0.0
@@ -485,7 +500,7 @@ def _positivity_time(params: PhysParams) -> float:
     return hi
 
 
-def _run_povm(cfg: ScenarioConfig, grid_n: int, threads: int):
+def _run_povm(cfg: ScenarioConfig, grid_n: int):
     params = cfg.params
     tau_l = math.sqrt(2.0 * params.mass * params.hbar / params.D)
     t_pos = _positivity_time(params)
@@ -518,7 +533,7 @@ def _run_povm(cfg: ScenarioConfig, grid_n: int, threads: int):
     return status, scalars, writers, "; ".join(notes)
 
 
-def _run_stochastic(cfg: ScenarioConfig, grid_n: int, threads: int):
+def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
     march = ar.arrival_probability_stochastic(
         cfg.state, cfg.window, cfg.params, cfg.eps, n=min(grid_n, 512)
     )
@@ -543,7 +558,7 @@ def _run_stochastic(cfg: ScenarioConfig, grid_n: int, threads: int):
     return status, scalars, writers, note
 
 
-def _run_histories(cfg: ScenarioConfig, grid_n: int, threads: int):
+def _run_histories(cfg: ScenarioConfig, grid_n: int):
     report = hi.decoherence_verdict(
         cfg.state, cfg.window, cfg.params,
         n=grid_n,
@@ -568,7 +583,7 @@ def _run_histories(cfg: ScenarioConfig, grid_n: int, threads: int):
     return status, scalars, writers, note
 
 
-def _run_continuity(cfg: ScenarioConfig, grid_n: int, threads: int):
+def _run_continuity(cfg: ScenarioConfig, grid_n: int):
     t_mid = 0.5 * (cfg.t1 + cfg.t2)
     snapshot = ge.propagate_mixture(cfg.state, t_mid, cfg.params)
     mean, cov = ge.moments(snapshot)
@@ -623,6 +638,8 @@ def run_scenario(
     concurrency never touches the output bytes.  Each analysis failure is
     contained: the run continues and the failure is reported in the
     summary (and through the exit status of the command-line front end).
+    An analysis that returns a NaN or infinite scalar is an ``error``, with
+    the offending scalars named in its note.
     """
     out = Path(out_dir if out_dir is not None else (config.out_dir or "scenario_out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -632,11 +649,15 @@ def run_scenario(
     def _task(name):
         start = _walltime.perf_counter()
         try:
-            status, scalars, writers, note = _RUNNERS[name](config, n, threads)
+            status, scalars, writers, note = _RUNNERS[name](config, n)
         except (ValueError, RuntimeError, FloatingPointError) as exc:
             return name, ("error", (), [], f"{type(exc).__name__}: {exc}"), (
                 _walltime.perf_counter() - start
             )
+        bad = [f"{k} = {v!r}" for k, v in scalars if not math.isfinite(v)]
+        if bad:
+            status = "error"
+            note = f"non-finite {', '.join(bad)}" + (f"; {note}" if note else "")
         return name, (status, scalars, writers, note), _walltime.perf_counter() - start
 
     if threads > 1 and len(names) > 1:

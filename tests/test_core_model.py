@@ -46,6 +46,17 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(gamma=0.1, D=0.0)  # dissipation without noise
 
+    @pytest.mark.parametrize("field", ["hbar", "mass", "D", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"D": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PhysParams(**kwargs)
+
+    def test_infinite_temperature_rejected(self):
+        with pytest.raises(ValueError, match="D must be finite"):
+            PhysParams.from_temperature(gamma=0.5, kT=math.inf)
+
     def test_b_undefined_without_noise(self):
         assert PhysParams().b == 0.0
 
@@ -121,3 +132,10 @@ class TestInterval:
     def test_inverted_rejected(self):
         with pytest.raises(ValueError, match="interval inverted"):
             Interval(3.0, 3.0)
+
+    @pytest.mark.parametrize("field", ["t1", "t2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        bounds = {"t1": 0.0, "t2": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Interval(**bounds)

@@ -74,6 +74,52 @@ def _reference_class_matrix(state, windows, params, axis):
     return mat
 
 
+def _reference_delta_intermediate(state, window, params, u_cut=200.0):
+    """delta_intermediate from one scalar ladder per conditional momentum.
+
+    Each row descends its own Python ``while`` ladder and folds the noise
+    kernel over it, with no lockstep arrays involved.  Returns
+    ``(value, bound, ladders)``.
+    """
+    hbar, m = params.hbar, params.mass
+    t1, dt = window.t1, window.width
+    mean0, cov0 = ge.moments(state)
+    p_bar = mean0[0]
+    s_q = math.sqrt(2.0 * params.D * t1 ** 3 / 3.0) / m
+    tau_l = hi.derive_timescales(params, p_bar).tau_l
+    bound = (math.sqrt(2.0 * m * hbar / (p_bar * p_bar * t1)) / 16.0) * (tau_l / t1)
+    sq0, sp0 = math.sqrt(cov0.qq), math.sqrt(cov0.pp)
+    p0s = np.linspace(p_bar - 6.0 * sp0, p_bar + 6.0 * sp0, 71)
+    x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, 71)
+    w0 = ge.evaluate_state(state, p0s[:, None], x0s[None, :])
+    fmat = np.zeros((71, 71))
+    ladders = []
+    for i, p0 in enumerate(p0s):
+        mus = x0s + p0 * t1 / m
+        floor = float(np.min(mus)) - 9.0 * s_q
+        ladder = [0.0]
+        x = 0.0
+        while True:
+            step = min(s_q / 10.0, 0.35 * hbar / (abs(2.0 * m * x / dt + p0) + 1e-300))
+            x -= step
+            if x < floor:
+                break
+            ladder.append(x)
+            if x * (m * x / dt + p0) / hbar > u_cut:
+                break
+        xs = np.array(ladder[::-1])
+        ladders.append(xs)
+        if len(ladder) < 2:
+            continue
+        fv = hi.f_integral(xs * (m * xs / dt + p0) / hbar)
+        kern = np.exp(-0.5 * ((xs[None, :] - mus[:, None]) / s_q) ** 2) / (
+            math.sqrt(2.0 * math.pi) * s_q
+        )
+        fmat[i] = np.trapezoid(kern * fv[None, :], xs, axis=1)
+    value = float(np.trapezoid(np.trapezoid(w0 * fmat, x0s, axis=1), p0s))
+    return value, bound, ladders
+
+
 # Frozen adaptive-quadrature value of the delta_free integrand itself
 # (scipy.integrate.quad over X, graded p bands) at p0 = -10, q0 = 50,
 # sigma = 1, window (5.0, 5.4), D = 0.
@@ -109,6 +155,21 @@ class TestWindowFunction:
     @given(hst.floats(min_value=-80.0, max_value=80.0))
     def test_reflection_property(self, u):
         assert abs(hi.f_integral(u) + hi.f_integral(-u) - 1.0) < 1e-10
+
+    def test_frozen_values_match_sici(self):
+        # f(u) at 1/2 - Si(u)/pi from 40-digit arithmetic (mpmath), near
+        # the origin, on both sides of |u| = 4 and far into the ringing tail.
+        frozen = {
+            1e-3: 0.49968169013150009136,
+            3.9999999: -0.059653447069299293172,
+            4.0000001: -0.059653435024413485918,
+            37.5: 0.0082642390831081943289,
+            400.0: -0.00041970510639196905968,
+        }
+        for u, f in frozen.items():
+            for v, ref in ((u, f), (-u, 1.0 - f)):
+                assert abs(hi.f_integral(v) - ref) < 1e-15
+                assert abs(hi.f_integral(v) - (0.5 - sici(v)[0] / math.pi)) < 1e-15
 
 
 class TestSurvivalAndLinear:
@@ -356,6 +417,36 @@ class TestDeltaIntermediate:
         value, _ = hi.delta_intermediate(st, win, NOISY)
         exact = hi.delta_exact(st, win, NOISY)
         assert abs(value / exact - 1.0) < 0.3
+
+    def test_lockstep_ladders_match_scalar_reference(self):
+        win = Interval(5.0, 5.3)
+        gauss = ge.make_gaussian_state(p0=-10.0, q0=50.0, sigma=1.0)
+        cat = ge.shift_state(
+            ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=50.0
+        )
+        for st in (gauss, cat):
+            value, bound = hi.delta_intermediate(st, win, NOISY)
+            ref_value, ref_bound, ref_ladders = _reference_delta_intermediate(
+                st, win, NOISY
+            )
+            assert value > 1e-4
+            assert abs(value / ref_value - 1.0) < 1e-12
+            assert abs(bound / ref_bound - 1.0) < 1e-12
+            # Rebuild the lockstep ladders from the same inputs and demand
+            # every point bit for bit.
+            mean0, cov0 = ge.moments(st)
+            sp0, sq0 = math.sqrt(cov0.pp), math.sqrt(cov0.qq)
+            p0s = np.linspace(mean0[0] - 6.0 * sp0, mean0[0] + 6.0 * sp0, 71)
+            x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, 71)
+            s_q = math.sqrt(2.0 * NOISY.D * win.t1 ** 3 / 3.0) / NOISY.mass
+            mus = x0s[None, :] + p0s[:, None] * win.t1 / NOISY.mass
+            ladders = hi._window_ladders(
+                np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q,
+                NOISY.mass, NOISY.hbar, win.width, 200.0,
+            )
+            assert len(ladders) == len(ref_ladders) == 71
+            for lad, ref in zip(ladders, ref_ladders):
+                np.testing.assert_array_equal(lad, ref)
 
     def test_early_window_warns(self):
         st = ge.make_gaussian_state(p0=-10.0, q0=20.0, sigma=1.0)

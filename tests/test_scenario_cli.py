@@ -13,10 +13,15 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+from qbflow import scenario_cli
 from qbflow.scenario_cli import (
     _seedless_guard,
     bundled_examples,
@@ -155,6 +160,13 @@ class TestValidation:
         assert main(["validate", path]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [{}, "0.01", math.inf])
+    def test_numeric_thresholds_checked(self, tmp_path, capsys, value):
+        # the analyses compare these gates with floats at run time
+        path = _write(tmp_path, _variant(**{"thresholds.delta_max": value}))
+        assert main(["validate", path]) == 2
+        assert "thresholds.delta_max must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("d_value", [0.0, None])
     def test_dissipation_without_noise_rejected(self, tmp_path, capsys, d_value):
         # PhysParams refuses gamma > 0 with D = 0; the config layer must say
@@ -182,6 +194,60 @@ class TestValidation:
         assert json.loads(config.to_json()) == BASE
         assert config.state_kind == "gaussian"
         assert config.analyses == ("current",)
+
+
+_LEAF = hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6)
+_JSON = hst.recursive(
+    _LEAF,
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_PATHS = [
+    "physical", "physical.hbar", "physical.mass", "physical.D", "physical.gamma",
+    "physical.kT", "state", "grid", "grid.n", "time", "time.t1", "time.t2",
+    "time.n_t", "time.eps", "analyses", "thresholds", "thresholds.mass_window",
+    "thresholds.delta_max", "out_dir", "description",
+]
+_STATE_BLOCKS = [
+    {"gaussian": {"p0": -10.0, "x0": 8.0, "sigma": 1.0}},
+    {"cat": {"separation": 3.0, "p0": -6.0, "sigma": 1.0, "x0": 10.0}},
+    {"two_momentum": {"p1": -6.0, "p2": -9.0, "x0": 10.0, "sigma": 1.0,
+                      "ratio": 1.0, "rel_phase": 0.0}},
+]
+
+
+@hst.composite
+def _config_trees(draw):
+    """Arbitrary JSON, or a valid config with a few subtrees replaced."""
+    if draw(hst.integers(0, 3)) == 0:
+        return draw(_JSON)
+    tree = _variant(
+        analyses=list(scenario_cli._ANALYSES), **{"physical.D": 2.0, "time.eps": 0.5}
+    )
+    tree["state"] = json.loads(json.dumps(draw(hst.sampled_from(_STATE_BLOCKS))))
+    kind = next(iter(tree["state"]))
+    paths = _PATHS + [f"state.{kind}.{f}" for f in tree["state"][kind]]
+    edits = draw(hst.dictionaries(hst.sampled_from(paths), _LEAF | _JSON, max_size=3))
+    for dotted, value in edits.items():
+        node = tree
+        parts = dotted.split(".")
+        for part in parts[:-1]:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else {}
+        if isinstance(node, dict):
+            node[parts[-1]] = value
+    return tree
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_config_trees())
+def test_load_config_never_raises(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(tree))
+        config, diags = load_config(str(path))
+    assert (config is None) == bool(diags)
+    assert all(isinstance(d, str) for d in diags)
 
 
 class TestRunScenario:
@@ -235,6 +301,22 @@ class TestRunScenario:
         assert outcome.status == "error"
         assert "too early" in outcome.note
         assert outcome.files == ()
+
+    def test_non_finite_scalar_is_an_error(self, tmp_path, monkeypatch):
+        real = scenario_cli._RUNNERS["current"]
+
+        def broken(cfg, grid_n):
+            status, scalars, writers, note = real(cfg, grid_n)
+            return status, ((scalars[0][0], math.nan),) + scalars[1:], writers, note
+
+        monkeypatch.setitem(scenario_cli._RUNNERS, "current", broken)
+        config, _ = load_config(_write(tmp_path, BASE))
+        summary = run_scenario(config, out_dir=tmp_path / "out")
+        assert not summary.all_ok
+        outcome = summary.outcomes[0]
+        assert outcome.status == "error"
+        assert "non-finite p_interval = nan" in outcome.note
+        assert "[current] error" in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_grid_override(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
