@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -684,7 +683,7 @@ def _chain_axis(state, times, params, n):
     return axis_straddling_zero(lo, hi, n_use), k_need * hbar
 
 
-def _class_matrix(state, windows, params, axis, threads=1):
+def _class_matrix(state, windows, params, axis):
     """Decoherence functional over ordered ``(open, close)`` time windows.
 
     Ket-side projections run along each row's own class times; the
@@ -697,62 +696,42 @@ def _class_matrix(state, windows, params, axis, threads=1):
     zeroes the left columns of a copy of the whole chain: once the chain
     runs past a class or across a gap its right rows refill, and they
     belong in the entry.
-    Rows are mutually independent and run on a thread pool when asked —
-    each writes a disjoint slice of the matrix, and the FFT work releases
-    the interpreter lock.
     """
     x = axis.points
     left = x < 0.0
     cut = int(np.count_nonzero(left))
-    wrap = params.D > 0.0
     n_classes = len(windows)
     mat = np.zeros((n_classes, n_classes), dtype=complex)
 
-    def _row(k):
-        a_k, b_k = windows[k]
+    for k, (a_k, b_k) in enumerate(windows):
         st = propagate_mixture(state, a_k, params)
         projected = np.zeros((axis.n, axis.n), dtype=complex)
         projected[cut:, cut:] = _density_block(st, x[cut:], x[cut:])
-        sym = _propagate_density_split_raw(
-            projected, axis, b_k - a_k, params, wrap_check=wrap
-        )
+        sym = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
         # Tr[(P_< U P_>) rho (P_< U P_>)^dag] is real by construction; the
         # grid trace leaves a phantom imaginary part at discretisation level.
         mat[k, k] = np.trapezoid(np.diagonal(sym) * left, x).real
         del sym
         if k + 1 == n_classes:
-            return
+            break
         projected[cut:, :cut] = _density_block(st, x[cut:], x[:cut])
-        chain = _propagate_density_split_raw(
-            projected, axis, b_k - a_k, params, wrap_check=wrap
-        )
+        chain = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
         del projected
         chain[cut:, :] = 0.0
         reached = b_k
         for j in range(k + 1, n_classes):
             a_j, b_j = windows[j]
             if a_j > reached:
-                chain = _propagate_density_split_raw(
-                    chain, axis, a_j - reached, params, wrap_check=wrap
-                )
+                chain = _propagate_density_split_raw(chain, axis, a_j - reached, params)
             reached = a_j
             forked = chain.copy()
             forked[:, :cut] = 0.0
-            fork = _propagate_density_split_raw(
-                forked, axis, b_j - a_j, params, wrap_check=wrap
-            )
+            fork = _propagate_density_split_raw(forked, axis, b_j - a_j, params)
             del forked
             mat[k, j] = np.trapezoid(np.diagonal(fork) * left, x)
             mat[j, k] = np.conjugate(mat[k, j])
             del fork
-
-    workers = max(1, min(int(threads), n_classes, 4))
-    if workers == 1:
-        for k in range(n_classes):
-            _row(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_row, range(n_classes)))
+        del chain
     return mat
 
 
@@ -761,7 +740,6 @@ def crossing_class_matrix(
     boundaries,
     params: PhysParams,
     n: int | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Decoherence functional for one-crossing classes on a time partition.
 
@@ -790,7 +768,7 @@ def crossing_class_matrix(
     b = _checked_boundaries(boundaries)
     axis, _ = _chain_axis(state, b, params, n)
     windows = [(float(b[k]), float(b[k + 1])) for k in range(len(b) - 1)]
-    return _class_matrix(state, windows, params, axis, threads=threads)
+    return _class_matrix(state, windows, params, axis)
 
 
 def class_operator_probability(
@@ -799,7 +777,6 @@ def class_operator_probability(
     params: PhysParams,
     eps: float | None = None,
     n: int | None = None,
-    threads: int = 1,
 ) -> tuple:
     """Linear and projected probabilities for first-crossing classes.
 
@@ -851,7 +828,7 @@ def class_operator_probability(
             f"floor eps = {eps:.3g}: crossing classes this fine sit in the "
             "Zeno regime (or under the grid's time resolution)"
         )
-    mat = _class_matrix(state, windows, params, axis, threads=threads)
+    mat = _class_matrix(state, windows, params, axis)
     p_lin = np.array(
         [
             survival_probability(state, a, params)
