@@ -140,11 +140,18 @@ def q_function_current(
         smeared = state
     else:
         smeared = convolve_state(state, qbm_covariance_comoving(t, params))
-    mean, cov = moments(smeared)
+    return _line_current(smeared, t, params.mass, n, 9.0)
+
+
+def _line_current(
+    state: GaussianMixtureState, t: float, mass: float, n: int, widths: float
+) -> float:
+    """int dp (-p/m) W(p, -p t / m), trapezoid over mean_p +- widths sigma_p."""
+    mean, cov = moments(state)
     sp = math.sqrt(cov.pp)
-    p = np.linspace(mean[0] - 9.0 * sp, mean[0] + 9.0 * sp, n)
-    line = evaluate_state(smeared, p, -p * t / params.mass)
-    return float(np.trapezoid(-p / params.mass * line, p))
+    p = np.linspace(mean[0] - widths * sp, mean[0] + widths * sp, n)
+    line = evaluate_state(state, p, -p * t / mass)
+    return float(np.trapezoid(-p / mass * line, p))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +299,7 @@ def povm_F_expectation(
     q_state = husimi_smear(state, s_val)
     if sig2 <= 0.0:
         # degenerate remainder: fall back to the sharp line integral
-        mean, cov = moments(q_state)
-        sp = math.sqrt(cov.pp)
-        p = np.linspace(mean[0] - widths * sp, mean[0] + widths * sp, 4001)
-        line = evaluate_state(q_state, p, -p * t / mass)
-        return float(np.trapezoid(-p / mass * line, p))
+        return _line_current(q_state, t, mass, 4001, widths)
     sig = math.sqrt(sig2)
     bn_p = float((b.matrix() @ nvec)[0])
     pax, qax = default_axes(q_state, params, t_max=0.0, n=n, widths=widths)

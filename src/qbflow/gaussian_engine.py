@@ -215,8 +215,6 @@ def term_integral(term: GaussianTerm) -> float:
     bare weight for unmodulated terms.
     """
     kp, kq = term.k
-    if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
-        return term.weight
     c = term.cov
     quad = kp * kp * c.pp + 2.0 * kp * kq * c.pq + kq * kq * c.qq
     kc = kp * term.center[0] + kq * term.center[1]
@@ -505,8 +503,8 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
     """Exact mean vector (p, q) and covariance of the mixture.
 
     Modulated terms contribute damped, phase-shifted corrections to every
-    moment; the formulas follow from differentiating the Gaussian
-    characteristic function.
+    moment (none when k = 0 and phase = 0); the formulas follow from
+    differentiating the Gaussian characteristic function.
     """
     mass_total = 0.0
     first = np.zeros(2)
@@ -515,12 +513,6 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
         c = np.asarray(term.center)
         sigma = term.cov.matrix()
         kvec = np.asarray(term.k)
-        if not kvec.any() and term.phase == 0.0:
-            w = term.weight
-            mass_total += w
-            first += w * c
-            second += w * (sigma + np.outer(c, c))
-            continue
         damp = math.exp(-0.5 * float(kvec @ sigma @ kvec))
         psi = float(kvec @ c) + term.phase
         cosw = term.weight * damp * math.cos(psi)
@@ -537,74 +529,51 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
     return mean, Cov2.from_matrix(cov)
 
 
+def _conditional(term: GaussianTerm, q):
+    """Split a term's Gaussian as marg(q) * N(p; mu(q), v), marg = N(q; c_q, S_qq).
+
+    Returns (marg, mu, v, slope) with slope = S_pq/S_qq,
+    mu(q) = c_p + slope (q - c_q) and v = S_pp - S_pq^2/S_qq.
+    """
+    c = term.cov
+    cp, cq = term.center
+    slope = c.pq / c.qq
+    v = c.pp - c.pq * c.pq / c.qq
+    mu = cp + slope * (q - cq)
+    marg = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
+    return marg, mu, v, slope
+
+
 def _term_line_reductions(term: GaussianTerm, q):
     """Per-term pieces of the p-integrals along a fixed-q line.
 
-    Returns (density, flux) with
-      density(q) = int dp W_term(p, q)
-      flux(q)    = int dp p W_term(p, q)
-    using the conditional decomposition W(p, q) = N(q; c_q, S_qq) *
-    N(p; mu(q), v) * modulation, mu(q) = c_p + S_pq/S_qq (q - c_q),
-    v = S_pp - S_pq^2/S_qq.
+    Returns (density, flux, gradient): int dp W_term, int dp p W_term and
+    d density/dq, all from one :func:`_conditional` split and one cos/sin
+    pair.  An unmodulated term is the case k = 0, phase = 0.
     """
     q = np.asarray(q, dtype=float)
-    c = term.cov
-    cp, cq = term.center
-    v = c.pp - c.pq * c.pq / c.qq
-    mu = cp + (c.pq / c.qq) * (q - cq)
-    dens_q = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
+    marg, mu, v, slope = _conditional(term, q)
     kp, kq = term.k
-    if kp == 0.0 and kq == 0.0:
-        mod_dens = np.cos(term.phase) if term.phase else 1.0
-        return (
-            term.weight * dens_q * mod_dens,
-            term.weight * dens_q * mu * mod_dens,
-        )
     # int dp N(p; mu, v) e^{i kp p} = e^{i kp mu - kp^2 v / 2}
-    damp = math.exp(-0.5 * kp * kp * v)
+    scale = term.weight * marg * math.exp(-0.5 * kp * kp * v)
     phase = kp * mu + kq * q + term.phase
-    dens = term.weight * dens_q * damp * np.cos(phase)
-    flux = term.weight * dens_q * damp * (mu * np.cos(phase) - kp * v * np.sin(phase))
-    return dens, flux
+    cos, sin = np.cos(phase), np.sin(phase)
+    dens = scale * cos
+    flux = scale * (mu * cos - kp * v * sin)
+    grad = scale * (-(q - term.center[1]) / term.cov.qq * cos - (kp * slope + kq) * sin)
+    return dens, flux, grad
 
 
 def position_density(state: GaussianMixtureState, q):
     """Position marginal rho(q) = int dp W(p, q), exactly."""
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape)
-    for term in state.terms:
-        out += _term_line_reductions(term, q)[0]
-    return out
+    return sum(_term_line_reductions(term, q)[0] for term in state.terms)
 
 
 def position_density_gradient(state: GaussianMixtureState, q):
     """d/dq of the position marginal, in closed form."""
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape)
-    for term in state.terms:
-        c = term.cov
-        cp, cq = term.center
-        v = c.pp - c.pq * c.pq / c.qq
-        mu = cp + (c.pq / c.qq) * (q - cq)
-        dens_q = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
-        kp, kq = term.k
-        if kp == 0.0 and kq == 0.0:
-            mod = math.cos(term.phase) if term.phase else 1.0
-            out += term.weight * mod * dens_q * (-(q - cq) / c.qq)
-            continue
-        damp = math.exp(-0.5 * kp * kp * v)
-        phase = kp * mu + kq * q + term.phase
-        dphase = kp * c.pq / c.qq + kq
-        out += term.weight * damp * dens_q * (
-            -(q - cq) / c.qq * np.cos(phase) - dphase * np.sin(phase)
-        )
-    return out
+    return sum(_term_line_reductions(term, q)[2] for term in state.terms)
 
 
 def flux_density(state: GaussianMixtureState, q, mass: float):
     """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape)
-    for term in state.terms:
-        out += _term_line_reductions(term, q)[1]
-    return out / mass
+    return sum(_term_line_reductions(term, q)[1] for term in state.terms) / mass

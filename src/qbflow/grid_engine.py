@@ -25,6 +25,7 @@ from scipy import fft, ndimage
 from .core_model import PhysParams
 from .gaussian_engine import (
     GaussianMixtureState,
+    _conditional,
     evaluate_state,
     moments,
     qbm_covariance,
@@ -202,13 +203,8 @@ def _density_block(
     xi = rows[:, None] - cols[None, :]
     out = np.zeros(xb.shape, dtype=complex)
     for term in state.terms:
-        c = term.cov
-        cp, cq = term.center
-        v = c.pp - c.pq * c.pq / c.qq
-        mu = cp + (c.pq / c.qq) * (xb - cq)
-        envelope = term.weight * np.exp(
-            -0.5 * (xb - cq) ** 2 / c.qq
-        ) / math.sqrt(2.0 * math.pi * c.qq)
+        marg, mu, v, _ = _conditional(term, xb)
+        envelope = term.weight * marg
         kp, kq = term.k
         if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
             u = xi / hbar

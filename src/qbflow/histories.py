@@ -38,6 +38,7 @@ from scipy.special import erfc, erfcx, sici
 from .core_model import Interval, PhysParams, derive_timescales
 from .gaussian_engine import (
     GaussianMixtureState,
+    _conditional,
     evaluate_state,
     moments,
     propagate_mixture,
@@ -134,14 +135,14 @@ def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
     total = 0.0
     for term in state.terms:
         c = term.cov
-        cp, cq = term.center
+        cq = term.center[1]
         kp, kq = term.k
         if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
             total += term.weight * 0.5 * float(erfc((lo - cq) / (math.sqrt(c.qq) * _SQRT2)))
             continue
-        v = c.pp - c.pq * c.pq / c.qq
-        alpha = kp * c.pq / c.qq + kq
-        psi = kp * (cp - c.pq * cq / c.qq) + term.phase
+        _, mu0, v, slope = _conditional(term, 0.0)
+        alpha = kp * slope + kq
+        psi = kp * mu0 + term.phase
         damp = math.exp(-0.5 * kp * kp * v)
         piece = _gaussian_fourier_above(cq, c.qq, alpha, lo)
         total += term.weight * damp * float(np.real(np.exp(1j * psi) * piece))
@@ -246,14 +247,14 @@ def _delta_exact_closed(
     rate = 0.0
     for term in st.terms:
         c = term.cov
-        v = c.pp - c.pq * c.pq / c.qq
+        _, _, v, slope = _conditional(term, 0.0)
         decay = c_damp + 0.5 * v / (hbar * hbar)
         xi_max = max(xi_max, hbar * abs(term.k[0]) + math.sqrt(41.0 / decay))
         sq = math.sqrt(c.qq)
         span = abs(term.center[1]) + 6.0 * sq
         rate = max(
             rate,
-            span * (m / (hbar * dt) + abs(c.pq) / (hbar * c.qq))
+            span * (m / (hbar * dt) + abs(slope) / hbar)
             + abs(term.center[0]) / hbar
             + abs(term.k[0]) + abs(term.k[1]),
         )
@@ -264,19 +265,18 @@ def _delta_exact_closed(
     g = np.zeros(n_xi, dtype=complex)
     for term in st.terms:
         c = term.cov
-        cp, cq = term.center
+        cq = term.center[1]
         kp, kq = term.k
-        v = c.pp - c.pq * c.pq / c.qq
-        cp_const = cp - c.pq * cq / c.qq
+        _, mu0, v, slope = _conditional(term, 0.0)
         for eta in (+1.0, -1.0):
             a = eta * kp + xi / hbar
             b = eta * kq + m * xi / (hbar * dt)
-            beta = b + a * c.pq / c.qq
+            beta = b + a * slope
             piece = _gaussian_fourier_below(cq, c.qq, beta, -0.5 * xi)
             g += (
                 0.5
                 * term.weight
-                * np.exp(1j * eta * term.phase + 1j * a * cp_const - 0.5 * a * a * v)
+                * np.exp(1j * eta * term.phase + 1j * a * mu0 - 0.5 * a * a * v)
                 * piece
             )
 
@@ -358,13 +358,9 @@ def _band_step_mass(state: GaussianMixtureState, xs, p_floor) -> np.ndarray:
     p_floor = np.asarray(p_floor, dtype=float)
     total = np.zeros(xs.shape)
     for term in state.terms:
-        c = term.cov
-        cp, cq = term.center
         kp, kq = term.k
-        v = c.pp - c.pq * c.pq / c.qq
-        marg = np.exp(-0.5 * (xs - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
-        cond_mean = cp + (c.pq / c.qq) * (xs - cq)
-        piece = _gaussian_fourier_above(cond_mean, v, kp, p_floor)
+        marg, mu, v, _ = _conditional(term, xs)
+        piece = _gaussian_fourier_above(mu, v, kp, p_floor)
         total += term.weight * marg * np.real(
             np.exp(1j * (kq * xs + term.phase)) * piece
         )

@@ -22,7 +22,7 @@ import math
 import sys
 import time as _walltime
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,6 +58,10 @@ _THRESHOLD_KEYS = {
     "continuity_factor_min", "require_decoherent",
 }
 _POSITIVE_STATE_FIELDS = {"sigma", "separation", "ratio"}
+_GRID_N_MIN = 16
+# each current sample propagates the mixture (40-100 us), so this caps the
+# sweep at ~10 s; grid.n needs no cap, every analysis clamps or refuses it
+_N_T_MAX = 100_000
 _STATE_FIELDS = {
     "gaussian": ({"p0", "x0", "sigma"}, set()),
     "cat": ({"separation", "p0", "sigma"}, {"x0"}),
@@ -253,8 +257,8 @@ def _validate_tree(tree) -> list:
         diags.append("grid block must be an object")
         grid = {}
     n = grid.get("n", 1024)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 16:
-        diags.append(f"grid.n must be an integer >= 16, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < _GRID_N_MIN:
+        diags.append(f"grid.n must be an integer >= {_GRID_N_MIN}, got {n!r}")
 
     tm = tree.get("time")
     if not isinstance(tm, dict):
@@ -265,8 +269,8 @@ def _validate_tree(tree) -> list:
     if None not in (t1, t2) and t2 <= t1:
         diags.append(f"time: interval inverted (t2={t2!r} <= t1={t1!r})")
     n_t = tm.get("n_t", 201)
-    if isinstance(n_t, bool) or not isinstance(n_t, int) or n_t < 2:
-        diags.append(f"time.n_t must be an integer >= 2, got {n_t!r}")
+    if isinstance(n_t, bool) or not isinstance(n_t, int) or not 2 <= n_t <= _N_T_MAX:
+        diags.append(f"time.n_t must be an integer in [2, {_N_T_MAX}], got {n_t!r}")
     eps = _num({"time": tm}, "time.eps", diags, required=False, positive=True)
 
     analyses = tree.get("analyses")
@@ -739,6 +743,19 @@ def _seedless_guard():
 # command line
 
 
+def _grid_arg(text: str) -> int:
+    """argparse type of ``--grid``: the rule the config's grid.n obeys."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < _GRID_N_MIN:
+        raise argparse.ArgumentTypeError(
+            f"grid points must be an integer >= {_GRID_N_MIN}, got {text!r}"
+        )
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbflow",
@@ -749,7 +766,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("config", help="path to a scenario JSON file")
     run_p.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
-    run_p.add_argument("--grid", metavar="N", type=int, help="grid points (overrides the config)")
+    run_p.add_argument("--grid", metavar="N", type=_grid_arg,
+                       help="grid points (overrides the config)")
     run_p.add_argument("--threads", metavar="K", type=int, default=1,
                        help="run independent analyses on K threads")
     run_p.add_argument("--seedless", action="store_true",
@@ -784,14 +802,8 @@ def main(argv=None) -> int:
         for diag in diags:
             print(diag, file=sys.stderr)
         return 2
-    guard = _seedless_guard() if args.seedless else None
     try:
-        if guard is not None:
-            with guard:
-                summary = run_scenario(
-                    config, out_dir=args.out, grid_n=args.grid, threads=args.threads
-                )
-        else:
+        with _seedless_guard() if args.seedless else nullcontext():
             summary = run_scenario(
                 config, out_dir=args.out, grid_n=args.grid, threads=args.threads
             )

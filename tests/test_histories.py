@@ -172,12 +172,18 @@ class TestWindowFunction:
 
 class TestSurvivalAndLinear:
     def test_matches_position_density_mass(self):
-        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        for par, t in ((FREE, 1.2), (NOISY, 1.2), (NOISY, 2.5)):
-            xs = np.linspace(0.0, 80.0, 40001)
-            dens = ge.position_density(ge.propagate_mixture(st, t, par), xs)
-            direct = np.trapezoid(dens, xs)
-            assert abs(hi.survival_probability(st, t, par) - direct) < 1e-6
+        states = (
+            ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0),
+            # fringe terms exercise the modulated branch of _right_mass
+            ge.shift_state(ge.make_cat_state(4.0, -6.0, 1.0), dq=10.0),
+            ge.make_two_momentum_state(-4.0, -8.0, 10.0, 1.5, ratio=0.7, rel_phase=0.4),
+        )
+        for st in states:
+            for par, t in ((FREE, 1.2), (NOISY, 1.2), (NOISY, 2.5)):
+                xs = np.linspace(0.0, 80.0, 40001)
+                dens = ge.position_density(ge.propagate_mixture(st, t, par), xs)
+                direct = np.trapezoid(dens, xs)
+                assert abs(hi.survival_probability(st, t, par) - direct) < 1e-6
 
     def test_initially_normalised(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)

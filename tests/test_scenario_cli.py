@@ -178,6 +178,15 @@ class TestValidation:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_n_t_upper_bound(self, tmp_path, capsys):
+        # a 1e9-sample current scan would allocate 8 GB and run for hours
+        path = _write(tmp_path, _variant(**{"time.n_t": 1_000_000_000}))
+        assert main(["validate", path]) == 2
+        assert "time.n_t must be an integer in [2, 100000]" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert validate_config(_write(tmp_path, _variant(**{"time.n_t": 100_000}))) == []
+
     def test_unreadable_file(self, tmp_path):
         diags = validate_config(str(tmp_path / "nope.json"))
         assert any("cannot read" in d for d in diags)
@@ -487,6 +496,16 @@ class TestCommandLine:
             "--grid", "128", "--threads", "2",
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("grid", ["8", "2", "sixteen"])
+    def test_run_grid_flag_checked(self, tmp_path, capsys, grid):
+        # --grid obeys the same lower bound as the config's grid.n
+        path = _write(tmp_path, BASE)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--out", str(tmp_path / "out"), "--grid", grid])
+        assert exc.value.code == 2
+        assert "grid points must be an integer >= 16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_exit_codes(self, tmp_path, capsys):
         assert main(["validate", _write(tmp_path, BASE)]) == 0
