@@ -29,18 +29,12 @@ __all__ = [
     "derive_timescales",
     "energy_localisation_ratio",
     "is_much_greater",
-    "is_much_less",
     "validity_window",
 ]
 
 # Factors realising the asymptotic comparisons "x << y" and "x >> y".
 MUCH_LESS = 0.1
 MUCH_GREATER = 10.0
-
-
-def is_much_less(x: float, y: float, factor: float = MUCH_LESS) -> bool:
-    """True when x is smaller than y by at least the configured factor."""
-    return x < factor * y
 
 
 def is_much_greater(x: float, y: float, factor: float = MUCH_GREATER) -> bool:

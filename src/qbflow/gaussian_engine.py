@@ -41,6 +41,7 @@ __all__ = [
     "make_cat_state",
     "make_two_momentum_state",
     "shift_state",
+    "reflect_state",
     "evaluate_state",
     "position_density",
     "position_density_gradient",
@@ -318,6 +319,20 @@ def shift_state(
         for t in state.terms
     )
     return GaussianMixtureState(terms=moved, hbar=state.hbar, label=state.label)
+
+
+def reflect_state(state: GaussianMixtureState) -> GaussianMixtureState:
+    """Parity image W(p, q) -> W(-p, -q): the state reflected through the origin.
+
+    Exact on every term: centres and modulation wavevectors change sign,
+    weights, covariances and phases are kept.  The QBM evolution commutes
+    with parity, so P_left and P_right trade places under it.
+    """
+    flipped = tuple(
+        replace(t, center=(-t.center[0], -t.center[1]), k=(-t.k[0], -t.k[1]))
+        for t in state.terms
+    )
+    return GaussianMixtureState(terms=flipped, hbar=state.hbar, label=state.label)
 
 
 def make_two_momentum_state(

@@ -743,17 +743,21 @@ def _seedless_guard():
 # command line
 
 
-def _grid_arg(text: str) -> int:
-    """argparse type of ``--grid``: the rule the config's grid.n obeys."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < _GRID_N_MIN:
-        raise argparse.ArgumentTypeError(
-            f"grid points must be an integer >= {_GRID_N_MIN}, got {text!r}"
-        )
-    return n
+def _int_arg(what: str, minimum: int):
+    """argparse type: an integer >= ``minimum``, else exit 2 naming the rule."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {minimum}, got {text!r}"
+            )
+        return n
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -766,9 +770,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("config", help="path to a scenario JSON file")
     run_p.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
-    run_p.add_argument("--grid", metavar="N", type=_grid_arg,
+    # --grid obeys the same rule as the config's grid.n
+    run_p.add_argument("--grid", metavar="N", type=_int_arg("grid points", _GRID_N_MIN),
                        help="grid points (overrides the config)")
-    run_p.add_argument("--threads", metavar="K", type=int, default=1,
+    run_p.add_argument("--threads", metavar="K", type=_int_arg("threads", 1), default=1,
                        help="run independent analyses on K threads")
     run_p.add_argument("--seedless", action="store_true",
                        help="hard-error if anything requests random numbers")

@@ -124,6 +124,17 @@ class TestStates:
         vals = ge.evaluate_state(s, p, np.zeros_like(p))
         assert vals.min() < -0.1 * vals.max()
 
+    def test_reflection_is_parity_image(self):
+        # W_reflected(p, q) = W(-p, -q), fringe included, at every time
+        s = ge.make_two_momentum_state(p1=-1.0, p2=3.0, q0=1.5, sigma=1.0,
+                                       ratio=0.8, rel_phase=0.4)
+        pp, qq = np.meshgrid(np.linspace(-6, 6, 41), np.linspace(-5, 5, 37), indexing="ij")
+        par = PhysParams(D=0.5)
+        for t in (0.0, 0.7):
+            ref = ge.evaluate_state(ge.propagate_mixture(s, t, par), -pp, -qq)
+            out = ge.evaluate_state(ge.propagate_mixture(ge.reflect_state(s), t, par), pp, qq)
+            assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
+
     def test_mixture_rejects_unnormalised(self):
         term = ge.GaussianTerm(weight=0.5, center=(0.0, 0.0), cov=ge.Cov2(1.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="normalis"):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from qbflow.core_model import PhysParams
 from qbflow import gaussian_engine as ge
@@ -58,24 +61,6 @@ class TestWignerTransform:
         ax = gr.Axis(-14.0, 10.0, 128)
         rho = gr.density_matrix_from_state(_cat(), ax)
         assert rho.hermiticity_defect() < 1e-14
-
-
-class TestQFunction:
-    def test_nonnegative_for_cat(self):
-        pax, qax = gr.default_axes(_cat(), PAR, n=256)
-        w = gr.wigner_grid_from_state(_cat(), pax, qax)
-        assert w.values.min() < 0.0  # genuinely negative input
-        q_rep = gr.q_function_from_wigner(w, s=1.0)
-        assert q_rep.values.min() >= -1e-9
-        # the smear kernel's own tail leaks past the grid edge, so the mass
-        # tolerance is looser than the raw Wigner one
-        assert math.isclose(q_rep.integrate(), 1.0, rel_tol=1e-4)
-
-    def test_rejects_bad_squeeze(self):
-        pax, qax = gr.default_axes(_cat(), PAR, n=64)
-        w = gr.wigner_grid_from_state(_cat(), pax, qax)
-        with pytest.raises(ValueError, match="positive"):
-            gr.q_function_from_wigner(w, s=0.0)
 
 
 class TestWignerPropagation:
@@ -193,6 +178,60 @@ class TestDensityPropagation:
         assert np.abs(out - ref.values).max() < 1e-12
         assert np.array_equal(rho0.values, before)  # the input is left untouched
 
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch):
+        # the FFT worker count follows the affinity mask; it must not move a
+        # bit: a cat at D = 2, and a one-sided projected block at D = 0
+        cat_ax = gr.Axis(-16.0, 16.0, 512)
+        cat = gr.density_matrix_from_state(_cat(), cat_ax).values
+        half_ax = gr.axis_straddling_zero(-12.0, 12.0, 512)
+        x = half_ax.points
+        cut = int(np.count_nonzero(x < 0.0))
+        block = np.zeros((512, 512), dtype=complex)
+        block[cut:, :cut] = gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), x[cut:], x[:cut]
+        )
+        cases = [(cat, cat_ax, PAR), (block, half_ax, PhysParams(D=0.0))]
+        outputs = []
+        real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0, 1}
+        for mask in ({0}, real, {0, 1, 2}):
+            monkeypatch.setattr(
+                gr.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
+            )
+            outputs.append(
+                [gr._propagate_density_split_raw(v, ax, 0.8, par) for v, ax, par in cases]
+            )
+        for other in outputs[1:]:
+            for a, b in zip(outputs[0], other):
+                assert np.array_equal(a, b)
+
+    def test_worker_count_follows_affinity_mask(self, monkeypatch):
+        seen = []
+
+        def spy(name):
+            def call(*args, **kwargs):
+                seen.append(kwargs.get("workers"))
+                return getattr(fft, name)(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(gr, "fft", SimpleNamespace(fft2=spy("fft2"), ifft2=spy("ifft2")))
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def step(n):
+            seen.clear()
+            ax = gr.Axis(-8.0, 8.0, n)
+            rho = gr.density_matrix_from_state(ge.make_gaussian_state(0.5, 0.0, 1.0), ax)
+            gr._propagate_density_split_raw(rho.values, ax, 0.5, PAR)
+            return seen
+
+        assert step(128) == [3, 3, 3, 3]
+        assert step(64) == [1, 1, 1, 1]  # small grids stay on one worker
+        # without sched_getaffinity the count falls back to os.cpu_count()
+        monkeypatch.delattr(gr.os, "sched_getaffinity")
+        monkeypatch.setattr(gr.os, "cpu_count", lambda: 5)
+        assert step(128) == [5, 5, 5, 5]
+        monkeypatch.setattr(gr.os, "cpu_count", lambda: None)
+        assert step(128) == [1, 1, 1, 1]
+
     def test_rejects_dissipation(self):
         ax = gr.Axis(-5.0, 5.0, 64)
         rho = gr.density_matrix_from_state(ge.make_gaussian_state(0, 0, 1.0), ax)
@@ -215,23 +254,3 @@ class TestReductions:
         w = gr.PhaseSpaceGrid(gr.Axis(-1, 1, 4), gr.Axis(1.0, 2.0, 4), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="outside"):
             gr.slice_at_q0(w)
-
-    def test_region_integral_matches_full(self):
-        pax, qax = gr.default_axes(_cat(), PAR, n=128)
-        w = gr.wigner_grid_from_state(_cat(), pax, qax)
-        full = w.integrate()
-        region = gr.integrate_region(w, p_range=(pax.lo, pax.hi), q_range=(qax.lo, qax.hi))
-        assert math.isclose(full, region, rel_tol=1e-12)
-
-    def test_csv_export_round_trip(self, tmp_path):
-        pax = gr.Axis(-1.0, 1.0, 3)
-        qax = gr.Axis(0.0, 1.0, 2)
-        w = gr.PhaseSpaceGrid(pax, qax, np.arange(6.0).reshape(3, 2))
-        path = tmp_path / "grid.csv"
-        gr.export_phase_space_csv(w, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert "p,q,w" in lines
-        data = [ln for ln in lines if not ln.startswith("#")][1:]
-        assert len(data) == 6
-        assert data[-1] == "1.0,1.0,5.0"

@@ -507,6 +507,15 @@ class TestCommandLine:
         assert "grid points must be an integer >= 16" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_run_threads_flag_checked(self, tmp_path, capsys, threads):
+        path = _write(tmp_path, BASE)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--out", str(tmp_path / "out"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_exit_codes(self, tmp_path, capsys):
         assert main(["validate", _write(tmp_path, BASE)]) == 0
         assert "config ok" in capsys.readouterr().out
