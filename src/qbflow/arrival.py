@@ -66,6 +66,7 @@ __all__ = [
     "build_povm_E",
     "povm_F_expectation",
     "StochasticArrival",
+    "restricted_march",
     "arrival_probability_stochastic",
     "ArrivalResult",
     "backflow_scan",
@@ -243,10 +244,7 @@ class PovmEffect:
         pax, qax = default_axes(q_state, self.params, t_max=0.0, n=n, widths=widths)
         pp, qq = np.meshgrid(pax.points, qax.points, indexing="ij")
         q_vals = evaluate_state(q_state, pp, qq)
-        integrand = q_vals * self.symbol(pp, qq)
-        return float(
-            np.trapezoid(np.trapezoid(integrand, dx=qax.step, axis=1), dx=pax.step)
-        )
+        return PhaseSpaceGrid(pax, qax, q_vals * self.symbol(pp, qq)).integrate()
 
 
 def build_povm_E(
@@ -308,8 +306,7 @@ def povm_F_expectation(
     ndotz = pp * nvec[0] + qq
     weight = pp - bn_p * ndotz / sig2
     gauss = np.exp(-0.5 * (ndotz / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
-    integrand = -(1.0 / mass) * weight * gauss * q_vals
-    return float(np.trapezoid(np.trapezoid(integrand, dx=qax.step, axis=1), dx=pax.step))
+    return PhaseSpaceGrid(pax, qax, -(1.0 / mass) * weight * gauss * q_vals).integrate()
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +328,41 @@ class StochasticArrival:
         return abs(self.norm_loss - self.boundary_flux) / scale
 
 
+def _whole_steps(name: str, t: float, eps: float) -> int:
+    """t/eps as a step count; raises unless eps > 0 divides t into whole steps."""
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    k = t / eps
+    if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
+        raise ValueError(f"{name}/eps = {k!r} is not a whole number of steps")
+    return round(k)
+
+
+def restricted_march(
+    w: PhaseSpaceGrid, t: float, eps: float, params: PhysParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate with truncation to q > 0 every eps of time (t/eps whole).
+
+    Truncation zeroes the q < 0 half and halves a grid point on q = 0.
+    Returns ``(norms, currents)`` at 0, eps, ..., t: the norm after each
+    truncation (its drop is the crossing probability) and the arrival
+    current just before it (at 0, just after it).
+    """
+    steps = _whole_steps("t", t, eps)
+    q_pts = w.q.points
+    mask = (q_pts > 0.0).astype(float)
+    mask[np.isclose(q_pts, 0.0, atol=1e-12 * max(1.0, abs(w.q.hi)))] = 0.5
+    w = w.with_values(w.values * mask[None, :])
+    norms = [w.integrate()]
+    currents = [current_from_wigner(w, params)]
+    for _ in range(steps):
+        w = propagate_wigner_qbm(w, eps, params, check_mass=False)
+        currents.append(current_from_wigner(w, params))
+        w = w.with_values(w.values * mask[None, :])
+        norms.append(w.integrate())
+    return np.array(norms), np.array(currents)
+
+
 def arrival_probability_stochastic(
     state: GaussianMixtureState,
     interval: Interval,
@@ -346,40 +378,16 @@ def arrival_probability_stochastic(
     step times.  They differ at O(eps); their mutual disagreement is the
     cheapest convergence diagnostic.
     """
-    for name, t in (("t1", interval.t1), ("t2", interval.t2)):
-        k = t / eps
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-            raise ValueError(f"{name}/eps = {k!r} is not a whole number of steps")
-    k1, k2 = round(interval.t1 / eps), round(interval.t2 / eps)
-
+    k1 = _whole_steps("t1", interval.t1, eps)
     pax, qax = default_axes(state, params, t_max=interval.t2, n=n)
     spread = qbm_covariance(interval.t2, params)
     _, cov0 = moments(state)
     q_lo = min(qax.lo, -q_margin * math.sqrt(cov0.qq + spread.qq))
-    qax = Axis(q_lo, max(qax.hi, 1.0), n)
-
-    q_pts = qax.points
-    mask = (q_pts > 0.0).astype(float)
-    mask[np.isclose(q_pts, 0.0, atol=1e-12 * max(1.0, abs(qax.hi)))] = 0.5
-
-    w = wigner_grid_from_state(state, pax, qax)
-    w = w.with_values(w.values * mask[None, :])
-    norms = [w.integrate()]
-    currents = [current_from_wigner(w, params)]
-    for _k in range(k2):
-        w = propagate_wigner_qbm(w, eps, params, check_mass=False)
-        currents.append(current_from_wigner(w, params))
-        w = w.with_values(w.values * mask[None, :])
-        norms.append(w.integrate())
-
-    norm_loss = norms[k1] - norms[k2]
-    flux = float(np.trapezoid(currents[k1 : k2 + 1], dx=eps))
+    w = wigner_grid_from_state(state, pax, Axis(q_lo, max(qax.hi, 1.0), n))
+    norms, currents = restricted_march(w, interval.t2, eps, params)
     return StochasticArrival(
-        interval=interval,
-        eps=eps,
-        norm_loss=float(norm_loss),
-        boundary_flux=flux,
-        final_norm=float(norms[k2]),
+        interval=interval, eps=eps, norm_loss=float(norms[k1] - norms[-1]),
+        boundary_flux=float(np.trapezoid(currents[k1:], dx=eps)), final_norm=float(norms[-1]),
     )
 
 

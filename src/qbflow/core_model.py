@@ -28,18 +28,12 @@ __all__ = [
     "TimeScales",
     "derive_timescales",
     "energy_localisation_ratio",
-    "is_much_greater",
     "validity_window",
 ]
 
 # Factors realising the asymptotic comparisons "x << y" and "x >> y".
 MUCH_LESS = 0.1
 MUCH_GREATER = 10.0
-
-
-def is_much_greater(x: float, y: float, factor: float = MUCH_GREATER) -> bool:
-    """True when x exceeds y by at least the configured factor."""
-    return x > factor * y
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "wigner_grid_from_state",
     "wigner_from_density",
     "propagate_wigner_qbm",
-    "propagate_wigner_restricted",
     "axis_straddling_zero",
     "slice_at_q0",
 ]
@@ -263,11 +262,36 @@ def wigner_from_density(rho: DensityMatrixGrid, p_axis: Axis | None = None) -> P
 
 
 def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) -> np.ndarray:
-    """Pushforward along q -> q + lam*p: W'(p, q) = W(p, q - lam p)."""
+    """Pushforward along q -> q + lam*p: W'(p, q) = W(p, q - lam p).
+
+    Each row is a 1-D cubic B-spline shift by lam*p_i: a mirror prefilter
+    along q, then four taps weighted by the B-spline weights of the row's
+    fractional shift.  This is the interpolant of the 2-D cubic
+    ``map_coordinates(mode="constant")``, whose p-axis prefilter read at
+    whole rows gives back its input; sources off [0, n_q - 1] give 0.
+    """
     n_p, n_q = values.shape
-    rows = np.repeat(np.arange(n_p, dtype=float)[:, None], n_q, axis=1)
-    cols = (q_axis.points[None, :] - lam * p_pts[:, None] - q_axis.lo) / q_axis.step
-    return ndimage.map_coordinates(values, [rows, cols], order=3, mode="constant", cval=0.0)
+    # coefficients c[-1 .. n_q + 1], mirrored: c[-1] = c[1], c[n_q] = c[n_q - 2], ...
+    coef = np.empty((n_p, n_q + 3))
+    ndimage.spline_filter1d(values, order=3, axis=1, mode="mirror", output=coef[:, 1:-2])
+    coef[:, [0, -2, -1]] = coef[:, [2, -4, -5]]
+    shift = -lam * p_pts / q_axis.step
+    # whole cells within round-off snap to them, so sources on a grid end count
+    shift = np.where(np.abs(shift - np.rint(shift)) < 1e-12, np.rint(shift), shift)
+    k = np.floor(shift)
+    f = (shift - k)[:, None]
+    g = 1.0 - f
+    taps = np.hstack([g ** 3, 3.0 * f ** 3 - 6.0 * f * f + 4.0,
+                      3.0 * g ** 3 - 6.0 * g * g + 4.0, f ** 3]) / 6.0
+    # wide[i, n_q + b]: row i's spline at b + f_i from c[b-1 .. b+2] for b in
+    # [0, n_q - 1], with n_q zeros either side; row i of the result is the
+    # n_q-wide window starting at b = k_i, so sources off [0, n_q - 1] read 0
+    wide = np.zeros((n_p, 3 * n_q))
+    np.matmul(sliding_window_view(coef, 4, axis=1), taps[:, :, None],
+              out=wide[:, n_q:2 * n_q, None])
+    wide[f[:, 0] > 0.0, 2 * n_q - 1] = 0.0  # source n_q - 1 + f_i is off the grid
+    start = n_q + np.clip(k, -n_q, n_q).astype(np.intp)
+    return sliding_window_view(wide, n_q, axis=1)[np.arange(n_p), start]
 
 
 def _gauss1d(values: np.ndarray, var: float, step: float, axis: int) -> np.ndarray:
@@ -298,8 +322,9 @@ def propagate_wigner_qbm(
     else, but limited to modest grids.
 
     method="fast" (default) applies the exact decomposition of the same
-    kernel: shear by t/2m, convolve with diag(2Dt, Dt^3/6m^2), shear by
-    t/2m again (A(t) = S_{t/2m} diag(2Dt, Dt^3/6m^2) S_{t/2m}^T).
+    kernel, A(t) = S_{t/2m} diag(2Dt, Dt^3/6m^2) S_{t/2m}^T: a shear by t/2m,
+    the two axis-wise Gaussian blurs, and the shear again.  Each shear is a
+    per-row 1-D cubic B-spline shift, the interpolant of a 2-D cubic spline.
 
     Raises when evolved mass leaks off the grid ("grid too small for
     requested time").
@@ -359,34 +384,6 @@ def propagate_wigner_qbm(
         if abs(before) > 1e-12 and abs(after - before) > 1e-3 * abs(before):
             raise ValueError("grid too small for requested time")
     return result
-
-
-def propagate_wigner_restricted(
-    w: PhaseSpaceGrid, t: float, eps: float, params: PhysParams
-) -> PhaseSpaceGrid:
-    """Propagate with repeated truncation to q > 0 every eps of time.
-
-    Realises the restricted (no-crossing) evolution: each eps-step applies
-    the exact QBM step and then zeroes the q < 0 half, weighting a grid
-    point lying exactly on q = 0 by 1/2.  The result is unnormalised — the
-    lost mass is the cumulative crossing probability.  t/eps must be an
-    integer number of steps.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    steps_f = t / eps
-    steps = round(steps_f)
-    if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, steps):
-        raise ValueError(f"t/eps = {steps_f!r} is not a whole number of steps")
-    q_pts = w.q.points
-    mask = (q_pts > 0.0).astype(float)
-    on_boundary = np.isclose(q_pts, 0.0, atol=1e-12 * max(1.0, abs(w.q.hi)))
-    mask[on_boundary] = 0.5
-    out = w.with_values(w.values * mask[None, :])
-    for _ in range(steps):
-        out = propagate_wigner_qbm(out, eps, params, check_mass=False)
-        out = out.with_values(out.values * mask[None, :])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ _GRID_N_MIN = 16
 # each current sample propagates the mixture (40-100 us), so this caps the
 # sweep at ~10 s; grid.n needs no cap, every analysis clamps or refuses it
 _N_T_MAX = 100_000
+# at ~35 ms a step on the stochastic analysis's 512² grid: about six minutes
+_MARCH_STEPS_MAX = 10_000
 _STATE_FIELDS = {
     "gaussian": ({"p0", "x0", "sigma"}, set()),
     "cat": ({"separation", "p0", "sigma"}, {"x0"}),
@@ -316,14 +318,13 @@ def _validate_tree(tree) -> list:
             diags.append("stochastic analysis needs time.eps (the march step)")
         elif None not in (t1, t2):
             for label, t in (("t1", t1), ("t2", t2)):
-                steps = t / eps
-                if not math.isfinite(steps) or (
-                    abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps))
-                ):
-                    diags.append(
-                        f"time.eps must step time.{label} in whole numbers "
-                        f"for the stochastic march ({label}/eps = {steps!r})"
-                    )
+                try:
+                    ar._whole_steps(label, t, eps)
+                except (ValueError, OverflowError) as exc:
+                    diags.append(f"time.eps must step time.{label} for the stochastic march: {exc}")
+            if t2 / eps > _MARCH_STEPS_MAX:
+                diags.append(f"time.t2/time.eps must be at most {_MARCH_STEPS_MAX} "
+                             f"march steps, got {t2 / eps!r}")
     if "histories" in analyses:
         gamma = phys.get("gamma", 0.0)
         if isinstance(gamma, (int, float)) and not isinstance(gamma, bool) and gamma != 0.0:

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import fft
+from scipy import fft, ndimage
 
 from qbflow.core_model import PhysParams
+from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 
@@ -97,6 +98,46 @@ class TestWignerPropagation:
         with pytest.raises(ValueError, match="too coarse"):
             gr.propagate_wigner_qbm(w, 0.01, PAR, method="direct")
 
+    def test_shear_matches_2d_spline_reference(self):
+        # the 2-D cubic spline shear that the per-row 1-D shift replaced
+        def reference(values, p_pts, q_axis, lam):
+            n_p, n_q = values.shape
+            rows = np.repeat(np.arange(n_p, dtype=float)[:, None], n_q, axis=1)
+            cols = (q_axis.points[None, :] - lam * p_pts[:, None] - q_axis.lo) / q_axis.step
+            return ndimage.map_coordinates(values, [rows, cols], order=3, mode="constant", cval=0.0)
+
+        rng = np.random.default_rng(7)
+        for n in (64, 257):
+            # random values keep the borders non-zero, so the mirror end
+            # conditions of the prefilter count.  These axes and lambdas put
+            # no source index within round-off of a grid end, where the two
+            # ways of forming it may round to opposite sides of the edge.
+            p_pts = gr.Axis(-4.1, 3.9, n).points
+            q_axis = gr.Axis(-3.0, 5.0, n)
+            values = rng.standard_normal((n, n))
+            # row shifts from under one cell (0.006) to whole rows off the grid
+            for lam in (0.006, -0.006, 0.05, -0.3, 0.3, 1.3, -2.7, 2.7):
+                out = gr._shear_q(values, p_pts, q_axis, lam)
+                ref = reference(values, p_pts, q_axis, lam)
+                assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max(), (n, lam)
+                if abs(lam) > 2.0:
+                    assert not out.any(axis=1).all()
+
+    def test_shear_by_whole_cells_keeps_grid_ends(self):
+        # lam p_i / dq = 4i - 126 cells: every sample is an input sample or 0,
+        # and sources landing exactly on column 0 or n - 1 are on the grid
+        n = 64
+        p_pts = gr.Axis(-4.0, 4.0, n).points
+        q_axis = gr.Axis(-3.0, 5.0, n)
+        values = np.random.default_rng(3).standard_normal((n, n))
+        ref = np.zeros_like(values)
+        for i in range(n):
+            src = np.arange(n) + 4 * i - 126
+            inside = (src >= 0) & (src < n)
+            ref[i, inside] = values[i, src[inside]]
+        out = gr._shear_q(values, p_pts, q_axis, -4.0)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
+
     def test_dissipation_not_supported_on_grid(self):
         pax, qax = gr.default_axes(_cat(), PAR, n=64)
         w = gr.wigner_grid_from_state(_cat(), pax, qax)
@@ -109,7 +150,7 @@ class TestRestrictedPropagation:
         pax, qax = gr.default_axes(_cat(), PAR, n=64)
         w = gr.wigner_grid_from_state(_cat(), pax, qax)
         with pytest.raises(ValueError, match="whole number"):
-            gr.propagate_wigner_restricted(w, 1.0, 0.3, PAR)
+            ar.restricted_march(w, 1.0, 0.3, PAR)
 
     def test_right_mover_keeps_norm(self):
         # fast right-moving packet far from the boundary: truncation is idle
@@ -117,16 +158,16 @@ class TestRestrictedPropagation:
         pax = gr.Axis(-2.0, 14.0, 192)
         qax = gr.Axis(-4.0, 24.0, 192)
         w = gr.wigner_grid_from_state(g, pax, qax)
-        out = gr.propagate_wigner_restricted(w, 2.0, 0.25, PhysParams(D=0.5))
-        assert out.integrate() > 0.995
+        norms, _ = ar.restricted_march(w, 2.0, 0.25, PhysParams(D=0.5))
+        assert norms[-1] > 0.995
 
     def test_left_mover_loses_norm(self):
         g = ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8)
         pax = gr.Axis(-12.0, 4.0, 192)
         qax = gr.Axis(-14.0, 10.0, 192)
         w = gr.wigner_grid_from_state(g, pax, qax)
-        out = gr.propagate_wigner_restricted(w, 2.0, 0.25, PhysParams(D=0.5))
-        assert out.integrate() < 0.1
+        norms, _ = ar.restricted_march(w, 2.0, 0.25, PhysParams(D=0.5))
+        assert norms[-1] < 0.1
 
     def test_eps_refinement_converges(self):
         g = ge.make_gaussian_state(p0=-3.0, q0=4.0, sigma=1.0)
@@ -134,8 +175,8 @@ class TestRestrictedPropagation:
         qax = gr.Axis(-10.0, 12.0, 192)
         w = gr.wigner_grid_from_state(g, pax, qax)
         par = PhysParams(D=0.5)
-        coarse = gr.propagate_wigner_restricted(w, 2.0, 0.2, par).integrate()
-        fine = gr.propagate_wigner_restricted(w, 2.0, 0.1, par).integrate()
+        coarse = ar.restricted_march(w, 2.0, 0.2, par)[0][-1]
+        fine = ar.restricted_march(w, 2.0, 0.1, par)[0][-1]
         assert abs(fine - coarse) < 0.02
 
 

@@ -187,6 +187,17 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
         assert validate_config(_write(tmp_path, _variant(**{"time.n_t": 100_000}))) == []
 
+    def test_march_steps_upper_bound(self, tmp_path, capsys):
+        # eps = 1e-8 on [0.5, 1] would march 1e8 steps of a grid up to 512²
+        window = {"time.t1": 0.5, "time.t2": 1.0}
+        path = _write(tmp_path, _variant(analyses=["stochastic"], **window, **{"time.eps": 1e-8}))
+        assert main(["validate", path]) == 2
+        assert "at most 10000 march steps" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        at_cap = _variant(analyses=["stochastic"], **window, **{"time.eps": 1e-4})
+        assert validate_config(_write(tmp_path, at_cap)) == []
+
     def test_unreadable_file(self, tmp_path):
         diags = validate_config(str(tmp_path / "nope.json"))
         assert any("cannot read" in d for d in diags)
