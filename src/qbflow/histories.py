@@ -8,7 +8,8 @@ from projected, environment-smoothed evolution.  Three layers:
 * window functions — the free crossing window ``f_integral`` (a scaled
   sine-integral) and its strong-decoherence Gaussian limit;
 * two-time crossing probabilities — ``delta_exact`` (project, evolve,
-  project, two independent numerical routes), ``delta_free`` (window
+  project, in closed form up to one quadrature; its grid check is the
+  class-matrix diagonal of the reflected state), ``delta_free`` (window
   quadrature against the evolved Wigner function), ``delta_intermediate``
   (position noise folded into the window) and ``delta_strong``, plus the
   closed-form asymptotic estimate they are all compared against;
@@ -60,7 +61,6 @@ __all__ = [
     "delta_strong",
     "crossing_class_matrix",
     "class_operator_probability",
-    "right_current_probability",
     "decoherence_verdict",
     "DecoherenceReport",
 ]
@@ -188,53 +188,33 @@ def _checked_boundaries(boundaries) -> np.ndarray:
 
 
 def delta_exact(
-    state: GaussianMixtureState,
-    window: Interval,
-    params: PhysParams,
-    route: str = "semianalytic",
-    n: int = 1024,
+    state: GaussianMixtureState, window: Interval, params: PhysParams
 ) -> float:
     """Tr[ P_right rho(t2) ] for the state projected left at t1.
 
     The probability of finding the particle right of the origin at ``t2``
     after certainly finding it left at ``t1`` — the sharp measure of
-    re-crossing that the window-function estimates approximate.
+    re-crossing that the window-function estimates approximate.  Read as
+    a current, it is the right-moving flow re-entering from the crossed
+    side: the integrated current understates the projected class
+    probability by at most this amount, and for backflow states it stays
+    positive while the net current integral goes negative.
 
-    Two independent routes:
+    Projecting left and evolving reduces, on the diagonal, to half the
+    left mass plus a one-dimensional integral of the masked chord
+    transform,
 
-    * ``"semianalytic"`` — projecting left and evolving reduces, on the
-      diagonal, to half the left mass plus a one-dimensional integral of
-      the masked chord transform,
+        1/2 m_- + (1/pi) int_0^inf dxi/xi e^{-c xi^2} Im G(xi),
+        G(xi) = int_{X < -xi/2} dX int dp e^{i xi (m X/dt + p)/hbar} W(p, X),
 
-          1/2 m_- + (1/pi) int_0^inf dxi/xi e^{-c xi^2} Im G(xi),
-          G(xi) = int_{X < -xi/2} dX int dp e^{i xi (m X/dt + p)/hbar} W(p, X),
-
-      with W the evolved Wigner function at t1 and c = D dt / 3 hbar^2.
-      Every term of G is a half-line Gaussian Fourier integral, evaluated
-      in closed form; only the xi quadrature is numerical.
-    * ``"grid"`` — sample the density matrix at t1 on an axis with the
-      origin exactly mid-cell, zero the rows and columns right of it, push
-      the left block through the spectral split-step propagator and
-      integrate the diagonal over x > 0.
-
-    The two share no numerics (closed Gaussian half-line transforms versus
-    FFT splitting), so their agreement checks both.  The grid route
-    resolves the hard projector edge only to ~1% at the default
-    resolution and requires ``D > 0``: without decoherence the projected
-    block keeps coherent algebraic tails that outrun any finite box.
+    with W the evolved Wigner function at t1 and c = D dt / 3 hbar^2.
+    Every term of G is a half-line Gaussian Fourier integral, evaluated in
+    closed form; only the xi quadrature is numerical.  The grid check is
+    ``crossing_class_matrix(reflect_state(state), [t1, t2], params, n)[0, 0]``:
+    parity swaps P_left and P_right and commutes with the evolution.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
-    if route == "semianalytic":
-        return _delta_exact_closed(state, window, params)
-    if route == "grid":
-        return _delta_exact_grid(state, window, params, n)
-    raise ValueError(f"unknown route {route!r}, expected 'semianalytic' or 'grid'")
-
-
-def _delta_exact_closed(
-    state: GaussianMixtureState, window: Interval, params: PhysParams
-) -> float:
     hbar, m = params.hbar, params.mass
     dt = window.width
     st = propagate_mixture(state, window.t1, params)
@@ -282,44 +262,6 @@ def _delta_exact_closed(
 
     integral = float(np.sum(np.exp(-c_damp * xi * xi) * np.imag(g) / xi) * d_xi)
     return 0.5 * m_left + integral / math.pi
-
-
-def _delta_exact_grid(
-    state: GaussianMixtureState, window: Interval, params: PhysParams, n: int
-) -> float:
-    if params.D <= 0.0:
-        raise ValueError(
-            "the grid route needs decoherence (D > 0) to damp the projector "
-            "edge; without it the masked block keeps algebraic tails no finite "
-            "box captures — use the semianalytic route"
-        )
-    st = propagate_mixture(state, window.t1, params)
-    end = propagate_mixture(st, window.width, params)
-    mean1, cov1 = moments(st)
-    mean2, cov2 = moments(end)
-    sq1, sq2 = math.sqrt(cov1.qq), math.sqrt(cov2.qq)
-    lo = min(mean1[1] - 8.0 * sq1, mean2[1] - 8.0 * sq2)
-    hi = max(mean1[1] + 8.0 * sq1, mean2[1] + 8.0 * sq2)
-    if lo >= 0.0:
-        return 0.0  # nothing left of the origin to project onto
-    hi = max(hi, 2.0 * sq1)
-    pad = 0.04 * (hi - lo)
-    lo -= pad
-    hi += pad
-    sp = max(math.sqrt(cov1.pp), math.sqrt(cov2.pp))
-    p_reach = max(abs(mean1[0]), abs(mean2[0])) + 7.0 * sp
-    n_min = int((hi - lo) * p_reach / (params.hbar * 0.8 * math.pi)) + 1
-    n_use = max(n, 1 << (n_min - 1).bit_length())
-    if n_use > 4096:
-        raise ValueError("state too broad for the grid route (needs > 4096 points)")
-    axis = axis_straddling_zero(lo, hi, n_use)
-    x = axis.points
-    cut = int(np.count_nonzero(x < 0.0))
-    masked = np.zeros((n_use, n_use), dtype=complex)
-    masked[:cut, :cut] = _density_block(st, x[:cut], x[:cut])
-    out = _propagate_density_split_raw(masked, axis, window.width, params)
-    right = x > 0.0
-    return float(np.trapezoid(np.real(np.diagonal(out)) * right, x))
 
 
 # ---------------------------------------------------------------------------
@@ -840,29 +782,6 @@ def class_operator_probability(
     return p_lin, p_sq, offdiag_max
 
 
-def right_current_probability(
-    state: GaussianMixtureState,
-    window: Interval,
-    params: PhysParams,
-    route: str = "semianalytic",
-    n: int = 1024,
-) -> float:
-    """Probability carried by the right-moving current over the window.
-
-    The current at the origin is a difference of one-sided flows: a
-    left-moving flow out of x > 0 — the classical picture of arrival —
-    minus a right-moving flow re-entering from the already-crossed side.
-    The re-entering piece, accumulated over the window with the state
-    held to the crossed side at its opening, is the projected re-crossing
-    probability that :func:`delta_exact` computes; this alias names that
-    reading.  The integrated current understates the projected class
-    probability by at most this amount.  For a near-classical left-mover
-    it is negligible; for backflow states it stays positive and finite
-    even while the net current integral goes negative.
-    """
-    return delta_exact(state, window, params, route=route, n=n)
-
-
 # ---------------------------------------------------------------------------
 # the verdict
 
@@ -952,8 +871,6 @@ def decoherence_verdict(
     window: Interval,
     params: PhysParams,
     *,
-    route: str = "semianalytic",
-    n: int = 1024,
     delta_max: float = 0.01,
     energy_min: float = 10.0,
     t1_min: float = 5.0,
@@ -984,7 +901,7 @@ def decoherence_verdict(
     e_dt = energy * window.width / hbar
     kp0, kq0 = state.terms[0].k
     gaussian = len(state.terms) == 1 and kp0 == 0.0 and kq0 == 0.0
-    tau_l = math.sqrt(2.0 * m * hbar / params.D) if params.D > 0.0 else math.inf
+    tau_l = derive_timescales(params, mean0[0]).tau_l if params.D > 0.0 else math.inf
     t1_ratio = window.t1 / tau_l
     if window.width >= _REGIME_FACTOR * tau_l:
         regime = "strong"
@@ -992,7 +909,7 @@ def decoherence_verdict(
         regime = "intermediate"
     else:
         regime = "free"
-    dex = delta_exact(state, window, params, route=route, n=n)
+    dex = delta_exact(state, window, params)
     if regime == "free":
         formula = delta_free(state, window, params)
     elif regime == "intermediate":

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_model import Interval, PhysParams
+from .core_model import Interval, PhysParams, derive_timescales
 from . import arrival as ar
 from . import gaussian_engine as ge
 from . import histories as hi
@@ -156,16 +156,8 @@ class RunSummary:
 # config parsing and validation
 
 
-def _num(tree, path, diags, required=True, positive=False, nonneg=False):
-    node = tree
-    for part in path.split(".")[:-1]:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    leaf = path.split(".")[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        if required:
-            diags.append(f"{path} required")
-        return None
-    val = node[leaf]
+def _finite(val, path, diags):
+    """``val`` as a finite float, or None with a diagnostic for ``path``."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         diags.append(f"{path} must be a number, got {val!r}")
         return None
@@ -175,6 +167,21 @@ def _num(tree, path, diags, required=True, positive=False, nonneg=False):
         val = math.inf
     if not math.isfinite(val):
         diags.append(f"{path} must be finite, got {val!r}")
+        return None
+    return val
+
+
+def _num(tree, path, diags, required=True, positive=False, nonneg=False):
+    node = tree
+    for part in path.split(".")[:-1]:
+        node = node.get(part, {}) if isinstance(node, dict) else {}
+    leaf = path.split(".")[-1]
+    if not isinstance(node, dict) or leaf not in node:
+        if required:
+            diags.append(f"{path} required")
+        return None
+    val = _finite(node[leaf], path, diags)
+    if val is None:
         return None
     if positive and val <= 0.0:
         diags.append(f"{path} must be positive, got {val!r}")
@@ -296,21 +303,23 @@ def _validate_tree(tree) -> list:
     for key in sorted(_THRESHOLD_KEYS - {"mass_window", "require_decoherent"}):
         _num({"thresholds": thr}, f"thresholds.{key}", diags, required=False)
     win = thr.get("mass_window")
-    if win is not None and (
-        not isinstance(win, list)
-        or len(win) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in win)
-        or not win[0] < win[1]
-    ):
-        diags.append("thresholds.mass_window must be [lo, hi] with lo < hi")
+    if win is not None:
+        if not isinstance(win, list) or len(win) != 2:
+            diags.append("thresholds.mass_window must be [lo, hi] with lo < hi")
+        else:
+            low, high = (
+                _finite(v, f"thresholds.mass_window[{i}]", diags) for i, v in enumerate(win)
+            )
+            if None not in (low, high) and not low < high:
+                diags.append("thresholds.mass_window must be [lo, hi] with lo < hi")
+    flag = thr.get("require_decoherent", False)
+    if not isinstance(flag, bool):
+        diags.append(f"thresholds.require_decoherent must be true or false, got {flag!r}")
 
     # analysis-specific prerequisites
     d_eff = d_val
-    if d_eff is None and has_bath:
-        gamma = phys.get("gamma")
-        kt = phys.get("kT")
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (gamma, kt)) and mass:
-            d_eff = 2.0 * mass * gamma * kt
+    if d_eff is None and has_bath and None not in (gamma, kt, mass):
+        d_eff = 2.0 * mass * gamma * kt
     if "povm" in analyses and (d_eff is None or d_eff <= 0.0):
         diags.append("povm analysis needs D > 0 (the effect construction splits accumulated noise)")
     if "stochastic" in analyses:
@@ -492,7 +501,7 @@ def _run_current(cfg: ScenarioConfig, grid_n: int):
 
 def _positivity_time(params: PhysParams) -> float:
     """First time the accumulated noise admits a Wigner decomposition."""
-    tau_l = math.sqrt(2.0 * params.mass * params.hbar / params.D)
+    tau_l = derive_timescales(params, 0.0).tau_l
     lo, hi = 1e-9 * tau_l, 10.0 * tau_l
     if not ge.is_wigner_admissible(ge.qbm_covariance(hi, params), params.hbar):
         raise RuntimeError("no admissibility flip below 10 localisation times")
@@ -507,7 +516,7 @@ def _positivity_time(params: PhysParams) -> float:
 
 def _run_povm(cfg: ScenarioConfig, grid_n: int):
     params = cfg.params
-    tau_l = math.sqrt(2.0 * params.mass * params.hbar / params.D)
+    tau_l = derive_timescales(params, 0.0).tau_l
     t_pos = _positivity_time(params)
     t_thr = ar.povm_threshold_time(params)
     effect = ar.build_povm_E(cfg.window, params)
@@ -566,7 +575,6 @@ def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
 def _run_histories(cfg: ScenarioConfig, grid_n: int):
     report = hi.decoherence_verdict(
         cfg.state, cfg.window, cfg.params,
-        n=grid_n,
         delta_max=cfg.thresholds.get("delta_max", 0.01),
         energy_min=cfg.thresholds.get("energy_min", 10.0),
         t1_min=cfg.thresholds.get("t1_min", 5.0),

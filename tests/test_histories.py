@@ -3,8 +3,8 @@
 The window-function formulas form a ladder — exact, free, noise-folded,
 strong-decoherence — and each rung is checked against an independent
 route: the sine-integral window against scipy's Si, the exact functional
-between its quadrature and grid-projection routes and against a frozen
-brute-force wavefunction value, the free window against adaptive
+against the class-matrix diagonal of the reflected state and against a
+frozen brute-force wavefunction value, the free window against adaptive
 quadrature of its own integrand, and the chain matrix against the
 single-window functional through a mirror identity.  Where two published
 estimates genuinely disagree (the exact projection carries a window twice
@@ -206,13 +206,21 @@ class TestSurvivalAndLinear:
             hi.linear_crossing_probabilities(st, [-0.5, 1.0], FREE)
 
 
+def _reflected_diagonal(state, window, n):
+    """Grid check of delta_exact: parity swaps the two projectors, so the
+    class-matrix diagonal of the reflected state is the same trace."""
+    mat = hi.crossing_class_matrix(
+        ge.reflect_state(state), [window.t1, window.t2], NOISY, n=n
+    )
+    return mat[0, 0].real
+
+
 class TestDeltaExact:
     def test_routes_agree_for_noisy_gaussian(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         win = Interval(2.0, 2.4)
         closed = hi.delta_exact(st, win, NOISY)
-        grid = hi.delta_exact(st, win, NOISY, route="grid", n=3072)
-        assert abs(grid / closed - 1.0) < 0.02
+        assert abs(_reflected_diagonal(st, win, 3072) / closed - 1.0) < 0.02
 
     def test_routes_agree_for_noisy_cat(self):
         cat = ge.shift_state(
@@ -220,8 +228,7 @@ class TestDeltaExact:
         )
         win = Interval(2.0, 2.4)
         closed = hi.delta_exact(cat, win, NOISY)
-        grid = hi.delta_exact(cat, win, NOISY, route="grid", n=3072)
-        assert abs(grid / closed - 1.0) < 0.02
+        assert abs(_reflected_diagonal(cat, win, 3072) / closed - 1.0) < 0.02
 
     def test_free_closed_matches_wavefunction_arbiter(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
@@ -238,9 +245,8 @@ class TestDeltaExact:
         ris = ge.make_gaussian_state(p0=10.0, q0=-5.0, sigma=1.0)
         win = Interval(0.1, 1.0)
         closed = hi.delta_exact(ris, win, NOISY)
-        grid = hi.delta_exact(ris, win, NOISY, route="grid", n=3072)
         assert closed > 0.99
-        assert abs(grid / closed - 1.0) < 0.02
+        assert abs(_reflected_diagonal(ris, win, 3072) / closed - 1.0) < 0.02
 
     @pytest.mark.xfail(
         strict=True,
@@ -257,21 +263,11 @@ class TestDeltaExact:
             asym = hi.delta_free_asymptotic(rec, win, FREE)
         assert abs(exact / asym - 1.0) < 0.3
 
-    def test_grid_route_refuses_free_particle(self):
-        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        with pytest.raises(ValueError, match="algebraic tails"):
-            hi.delta_exact(st, Interval(2.0, 2.4), FREE, route="grid")
-
     def test_dissipation_rejected(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         damped = PhysParams(D=2.0, gamma=0.05)
         with pytest.raises(ValueError, match="negligible dissipation"):
             hi.delta_exact(st, Interval(2.0, 2.4), damped)
-
-    def test_route_name_checked(self):
-        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        with pytest.raises(ValueError, match="unknown route"):
-            hi.delta_exact(st, Interval(2.0, 2.4), FREE, route="bogus")
 
 
 class TestDeltaFree:
@@ -512,7 +508,7 @@ class TestCrossingChain:
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         mat = hi.crossing_class_matrix(st, [2.0, 2.4], NOISY, n=2048)
         mirror = ge.make_gaussian_state(p0=6.0, q0=-10.0, sigma=1.0)
-        ref = hi.delta_exact(mirror, Interval(2.0, 2.4), NOISY, route="grid", n=2048)
+        ref = hi.delta_exact(mirror, Interval(2.0, 2.4), NOISY)
         assert abs(mat[0, 0].real / ref - 1.0) < 0.01
 
     def test_diagonal_matches_grid_free_oracle(self):
@@ -527,7 +523,7 @@ class TestCrossingChain:
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         ivs = [Interval(2.0, 2.2), Interval(2.2, 2.4)]
         mirror = ge.reflect_state(st)
-        ref = np.array([hi.delta_exact(mirror, iv, NOISY, route="semianalytic") for iv in ivs])
+        ref = np.array([hi.delta_exact(mirror, iv, NOISY) for iv in ivs])
         gaps = []
         for n in (1024, 2048):
             _, p_sq, _ = hi.class_operator_probability(st, ivs, NOISY, eps=0.1, n=n)
@@ -636,16 +632,11 @@ class TestCrossingChain:
 
 
 class TestRightCurrentProbability:
-    def test_alias_of_exact_functional(self):
-        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        win = Interval(2.0, 2.4)
-        a = hi.right_current_probability(st, win, NOISY)
-        b = hi.delta_exact(st, win, NOISY)
-        assert a == b
+    """delta_exact read as the probability of the right-moving current."""
 
     def test_receded_near_classical_state_negligible(self):
         rec = ge.make_gaussian_state(p0=-10.0, q0=1.0, sigma=1.0)
-        assert hi.right_current_probability(rec, Interval(2.0, 2.4), FREE) < 1e-3
+        assert hi.delta_exact(rec, Interval(2.0, 2.4), FREE) < 1e-3
 
     def test_backflow_window_stays_positive(self):
         # Inside the backflow window the net linear probability runs
@@ -656,7 +647,7 @@ class TestRightCurrentProbability:
         p_lin = hi.survival_probability(bf, win.t1, FREE) - hi.survival_probability(
             bf, win.t2, FREE
         )
-        rc = hi.right_current_probability(bf, win, FREE)
+        rc = hi.delta_exact(bf, win, FREE)
         assert p_lin < 0.0 < rc
         assert abs(p_lin / -3.7630e-3 - 1.0) < 1e-3
         assert abs(rc / 2.9971e-3 - 1.0) < 1e-3

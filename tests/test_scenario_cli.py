@@ -132,6 +132,28 @@ class TestValidation:
         diags = validate_config(_write(tmp_path, _variant(**{"thresholds.mass_window": [1.0]})))
         assert any("mass_window" in d for d in diags)
 
+    def test_mass_window_entries_finite(self, tmp_path, capsys):
+        # a 400-digit integer is a JSON number, but no double holds it; the
+        # current gate converts the window to floats at run time
+        path = _write(tmp_path, _variant(**{"thresholds.mass_window": [0, 10 ** 400]}))
+        assert main(["validate", path]) == 2
+        assert "thresholds.mass_window[1] must be finite" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_require_decoherent_is_boolean(self, tmp_path, capsys, value):
+        # a string such as "no" is truthy: it would demand the very
+        # decoherence it reads as waiving
+        tree = _variant()
+        tree["thresholds"]["require_decoherent"] = value  # _variant drops None
+        path = _write(tmp_path, tree)
+        assert main(["validate", path]) == 2
+        assert "thresholds.require_decoherent must be true or false" in capsys.readouterr().err
+        for flag in (True, False):
+            flagged = _variant(**{"thresholds.require_decoherent": flag})
+            assert validate_config(_write(tmp_path, flagged)) == []
+
     def test_stochastic_needs_eps(self, tmp_path):
         diags = validate_config(_write(tmp_path, _variant(analyses=["stochastic"])))
         assert any("time.eps" in d for d in diags)
@@ -159,6 +181,13 @@ class TestValidation:
         path = _write(tmp_path, _variant(**{key: value}))
         assert main(["validate", path]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_bath_pair_entries_finite(self, tmp_path, capsys):
+        # without D the analysis prerequisites derive it as 2 m gamma kT
+        tree = _variant(**{"physical.D": None, "physical.gamma": 10 ** 400, "physical.kT": 1.0})
+        path = _write(tmp_path, tree)
+        assert main(["validate", path]) == 2
+        assert "physical.gamma must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [{}, "0.01", math.inf])
     def test_numeric_thresholds_checked(self, tmp_path, capsys, value):
