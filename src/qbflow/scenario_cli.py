@@ -47,28 +47,71 @@ __all__ = [
 ]
 
 _ANALYSES = ("current", "povm", "stochastic", "histories", "continuity")
-_STATE_KINDS = ("gaussian", "cat", "two_momentum")
 _TOP_KEYS = {
     "description", "physical", "state", "grid", "time",
     "analyses", "thresholds", "out_dir",
 }
-_THRESHOLD_KEYS = {
-    "mass_window", "povm_gap_max", "stochastic_gap_max",
-    "positivity_max_tau_l", "delta_max", "energy_min", "t1_min",
-    "continuity_factor_min", "require_decoherent",
-}
-_POSITIVE_STATE_FIELDS = {"sigma", "separation", "ratio"}
 _GRID_N_MIN = 16
 # each current sample propagates the mixture (40-100 us), so this caps the
 # sweep at ~10 s; grid.n needs no cap, every analysis clamps or refuses it
 _N_T_MAX = 100_000
 # at ~35 ms a step on the stochastic analysis's 512² grid: about six minutes
 _MARCH_STEPS_MAX = 10_000
-_STATE_FIELDS = {
-    "gaussian": ({"p0", "x0", "sigma"}, set()),
-    "cat": ({"separation", "p0", "sigma"}, {"x0"}),
-    "two_momentum": ({"p1", "p2", "x0", "sigma"}, {"ratio", "rel_phase"}),
+# One rule per config field: (kind, required, default).  A kind is a sign
+# rule on a finite number ("real", "positive", "nonneg"), an inclusive
+# integer range (lo, hi), a finite [lo, hi] pair with lo < hi ("pair"), or
+# "bool".  An omitted optional field without a
+# default is left out of the checked values.
+_FIELDS = {
+    "physical": {
+        "hbar": ("positive", True, None),
+        "mass": ("positive", True, None),
+        # the noise: D itself, or the bath pair with D = 2 m gamma kT
+        "D": ("nonneg", False, None),
+        "gamma": ("nonneg", False, None),
+        "kT": ("nonneg", False, None),
+    },
+    "state.gaussian": {
+        "p0": ("real", True, None),
+        "x0": ("real", True, None),
+        "sigma": ("positive", True, None),
+    },
+    "state.cat": {
+        "separation": ("positive", True, None),
+        "p0": ("real", True, None),
+        "sigma": ("positive", True, None),
+        "x0": ("real", False, 0.0),
+    },
+    "state.two_momentum": {
+        "p1": ("real", True, None),
+        "p2": ("real", True, None),
+        "x0": ("real", True, None),
+        "sigma": ("positive", True, None),
+        "ratio": ("positive", False, 1.0),
+        "rel_phase": ("real", False, 0.0),
+    },
+    "grid": {"n": ((_GRID_N_MIN, math.inf), False, 1024)},
+    "time": {
+        "t1": ("nonneg", True, None),
+        "t2": ("real", True, None),
+        "n_t": ((2, _N_T_MAX), False, 201),
+        "eps": ("positive", False, None),
+    },
+    # no defaults: an analysis gates only on the keys present, and the
+    # histories verdict's own defaults are decoherence_verdict's keywords
+    "thresholds": {
+        "mass_window": ("pair", False, None),
+        "positivity_max_tau_l": ("real", False, None),
+        "povm_gap_max": ("real", False, None),
+        "stochastic_gap_max": ("real", False, None),
+        "delta_max": ("real", False, None),
+        "energy_min": ("real", False, None),
+        "t1_min": ("real", False, None),
+        "continuity_factor_min": ("real", False, None),
+        "require_decoherent": ("bool", False, None),
+    },
 }
+_STATE_KINDS = tuple(path.split(".")[1] for path in _FIELDS if path.startswith("state."))
 
 
 @dataclass(frozen=True)
@@ -84,7 +127,7 @@ class ScenarioConfig:
     n_t: int
     eps: float | None
     analyses: tuple
-    thresholds: dict
+    thresholds: dict     # checked gate values, only the keys the config gives
     out_dir: str | None
     description: str
     raw: dict
@@ -156,171 +199,133 @@ class RunSummary:
 # config parsing and validation
 
 
-def _finite(val, path, diags):
-    """``val`` as a finite float, or None with a diagnostic for ``path``."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        diags.append(f"{path} must be a number, got {val!r}")
-        return None
-    try:
-        val = float(val)
-    except OverflowError:  # an integer literal beyond the double range
-        val = math.inf
-    if not math.isfinite(val):
-        diags.append(f"{path} must be finite, got {val!r}")
-        return None
-    return val
+def _check_value(val, kind, path, diags):
+    """``val`` under rule ``kind``, or None with a diagnostic for ``path``."""
+    if kind == "pair":
+        if isinstance(val, list) and len(val) == 2:
+            low, high = [_check_value(v, "real", f"{path}[{i}]", diags) for i, v in enumerate(val)]
+            if None in (low, high):
+                return None
+            if low < high:
+                return (low, high)
+        problem = "[lo, hi] with lo < hi"
+    elif kind == "bool":
+        if isinstance(val, bool):
+            return val
+        problem = "true or false"
+    elif isinstance(kind, tuple):
+        low, high = kind
+        if isinstance(val, int) and not isinstance(val, bool) and low <= val <= high:
+            return val
+        problem = "an integer " + (f">= {low}" if high == math.inf else f"in [{low}, {high}]")
+    elif isinstance(val, bool) or not isinstance(val, (int, float)):
+        problem = "a number"
+    else:
+        try:
+            val = float(val)
+        except OverflowError:  # an integer literal beyond the double range
+            val = math.inf
+        if not math.isfinite(val):
+            problem = "finite"
+        elif kind == "positive" and val <= 0.0:
+            problem = "positive"
+        elif kind == "nonneg" and val < 0.0:
+            problem = "non-negative"
+        else:
+            return val
+    diags.append(f"{path} must be {problem}, got {val!r}")
+    return None
 
 
-def _num(tree, path, diags, required=True, positive=False, nonneg=False):
-    node = tree
-    for part in path.split(".")[:-1]:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    leaf = path.split(".")[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        if required:
-            diags.append(f"{path} required")
-        return None
-    val = _finite(node[leaf], path, diags)
-    if val is None:
-        return None
-    if positive and val <= 0.0:
-        diags.append(f"{path} must be positive, got {val!r}")
-        return None
-    if nonneg and val < 0.0:
-        diags.append(f"{path} must be non-negative, got {val!r}")
-        return None
-    return val
+def _check_block(block, path, diags) -> dict:
+    """The checked fields of one block under its ``_FIELDS`` rules."""
+    rules = _FIELDS[path]
+    noun = "field" if path.startswith("state.") else "key"
+    diags.extend(f"{path}: unknown {noun} {key!r}" for key in block if key not in rules)
+    checked = {}
+    for key, (kind, required, default) in rules.items():
+        value = default
+        if key in block:
+            value = _check_value(block[key], kind, f"{path}.{key}", diags)
+        elif required:
+            diags.append(f"{path}.{key} required")
+        if value is not None:
+            checked[key] = value
+    return checked
 
 
-def _validate_tree(tree) -> list:
-    """All config diagnostics, each carrying the offending key path."""
+def _check_tree(tree) -> tuple:
+    """``(diagnostics, checked)``: every config problem, each naming its key
+    path, and the checked values, by block, that a config is built from."""
     if not isinstance(tree, dict):
-        return ["config root must be a JSON object"]
-    diags = []
-    for key in tree:
-        if key not in _TOP_KEYS:
-            diags.append(f"unknown top-level key {key!r}")
+        return ["config root must be a JSON object"], {}
+    diags = [f"unknown top-level key {key!r}" for key in tree if key not in _TOP_KEYS]
+    raw, checked = {}, {}
+    for name in ("physical", "grid", "time", "thresholds"):
+        required = name in ("physical", "time")
+        raw[name] = tree.get(name, None if required else {})
+        if not isinstance(raw[name], dict):
+            diags.append(f"{name} block " + ("required" if required else "must be an object"))
+            raw[name] = {}
+        checked[name] = _check_block(raw[name], name, diags)
 
-    phys = tree.get("physical")
-    if not isinstance(phys, dict):
-        diags.append("physical block required")
-        phys = {}
-    _num({"physical": phys}, "physical.hbar", diags, positive=True)
-    mass = _num({"physical": phys}, "physical.mass", diags, positive=True)
-    has_d = "D" in phys
-    has_bath = "gamma" in phys or "kT" in phys
-    d_val = _num({"physical": phys}, "physical.D", diags, required=False, nonneg=True)
-    if has_bath:
-        gamma = _num({"physical": phys}, "physical.gamma", diags, nonneg=True)
-        kt = _num({"physical": phys}, "physical.kT", diags, nonneg=True)
-        if (
-            has_d
-            and None not in (d_val, gamma, kt, mass)
-        ):
-            product = 2.0 * mass * gamma * kt
-            if abs(d_val - product) > 1e-9 * max(abs(d_val), abs(product), 1e-30):
-                diags.append(
-                    f"physical: D={d_val!r} inconsistent with "
-                    f"2*m*gamma*kT={product!r}"
-                )
-        # PhysParams' rule: b = gamma / sqrt(2 D) needs noise to exist
-        d_bath = d_val if has_d else (
-            2.0 * mass * gamma * kt if None not in (gamma, kt, mass) else None
-        )
-        if gamma and d_bath == 0.0:
-            diags.append(f"physical: gamma={gamma!r} > 0 requires D > 0")
-    elif not has_d:
+    phys = checked["physical"]
+    has_d = "D" in raw["physical"]
+    has_bath = "gamma" in raw["physical"] or "kT" in raw["physical"]
+    if not (has_d or has_bath):
         diags.append("physical.D (or physical.gamma with physical.kT) required")
+    diags.extend(
+        f"physical.{key} required" for key in ("gamma", "kT")
+        if has_bath and key not in raw["physical"]
+    )
+    mass, d_val, gamma, kt = (phys.get(key) for key in ("mass", "D", "gamma", "kT"))
+    product = 2.0 * mass * gamma * kt if None not in (mass, gamma, kt) else None
+    if has_d and None not in (d_val, product) and (
+        abs(d_val - product) > 1e-9 * max(abs(d_val), abs(product), 1e-30)
+    ):
+        diags.append(f"physical: D={d_val!r} inconsistent with 2*m*gamma*kT={product!r}")
+    # the one derivation of D; PhysParams' rule b = gamma / sqrt(2 D) needs noise
+    phys["D"] = d_val if has_d else product
+    if gamma and phys["D"] == 0.0:
+        diags.append(f"physical: gamma={gamma!r} > 0 requires D > 0")
 
     state = tree.get("state")
     if not isinstance(state, dict):
         diags.append("state block required")
         state = {}
+    diags.extend(f"state: unknown variant {key!r}" for key in state if key not in _STATE_KINDS)
     kinds = [k for k in _STATE_KINDS if k in state]
-    for key in state:
-        if key not in _STATE_KINDS:
-            diags.append(f"state: unknown variant {key!r}")
     if len(kinds) != 1:
         diags.append(
-            "state: exactly one of gaussian, cat, two_momentum required, "
-            f"got {len(kinds)}"
+            f"state: exactly one of {', '.join(_STATE_KINDS)} required, got {len(kinds)}"
         )
     else:
         kind = kinds[0]
-        block = state[kind] if isinstance(state[kind], dict) else {}
-        if not isinstance(state[kind], dict):
+        block = state[kind]
+        if not isinstance(block, dict):
             diags.append(f"state.{kind} must be an object")
-        required, optional = _STATE_FIELDS[kind]
-        for fieldname in sorted(required) + sorted(optional):
-            _num(
-                {kind: block}, f"{kind}.{fieldname}", diags,
-                required=fieldname in required,
-                positive=fieldname in _POSITIVE_STATE_FIELDS,
-            )
-        for fieldname in block:
-            if fieldname not in required | optional:
-                diags.append(f"state.{kind}: unknown field {fieldname!r}")
+            block = {}
+        checked["state"] = (kind, _check_block(block, f"state.{kind}", diags))
 
-    grid = tree.get("grid", {})
-    if not isinstance(grid, dict):
-        diags.append("grid block must be an object")
-        grid = {}
-    n = grid.get("n", 1024)
-    if isinstance(n, bool) or not isinstance(n, int) or n < _GRID_N_MIN:
-        diags.append(f"grid.n must be an integer >= {_GRID_N_MIN}, got {n!r}")
-
-    tm = tree.get("time")
-    if not isinstance(tm, dict):
-        diags.append("time block required")
-        tm = {}
-    t1 = _num({"time": tm}, "time.t1", diags, nonneg=True)
-    t2 = _num({"time": tm}, "time.t2", diags)
+    t1, t2, eps = (checked["time"].get(key) for key in ("t1", "t2", "eps"))
     if None not in (t1, t2) and t2 <= t1:
         diags.append(f"time: interval inverted (t2={t2!r} <= t1={t1!r})")
-    n_t = tm.get("n_t", 201)
-    if isinstance(n_t, bool) or not isinstance(n_t, int) or not 2 <= n_t <= _N_T_MAX:
-        diags.append(f"time.n_t must be an integer in [2, {_N_T_MAX}], got {n_t!r}")
-    eps = _num({"time": tm}, "time.eps", diags, required=False, positive=True)
 
     analyses = tree.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         diags.append("analyses: non-empty list required")
         analyses = []
-    for name in analyses:
+    for i, name in enumerate(analyses):
         if name not in _ANALYSES:
             diags.append(
                 f"analyses: unknown analysis {name!r} "
                 f"(known: {', '.join(_ANALYSES)})"
             )
-
-    thr = tree.get("thresholds", {})
-    if not isinstance(thr, dict):
-        diags.append("thresholds block must be an object")
-        thr = {}
-    for key in thr:
-        if key not in _THRESHOLD_KEYS:
-            diags.append(f"thresholds: unknown key {key!r}")
-    for key in sorted(_THRESHOLD_KEYS - {"mass_window", "require_decoherent"}):
-        _num({"thresholds": thr}, f"thresholds.{key}", diags, required=False)
-    win = thr.get("mass_window")
-    if win is not None:
-        if not isinstance(win, list) or len(win) != 2:
-            diags.append("thresholds.mass_window must be [lo, hi] with lo < hi")
-        else:
-            low, high = (
-                _finite(v, f"thresholds.mass_window[{i}]", diags) for i, v in enumerate(win)
-            )
-            if None not in (low, high) and not low < high:
-                diags.append("thresholds.mass_window must be [lo, hi] with lo < hi")
-    flag = thr.get("require_decoherent", False)
-    if not isinstance(flag, bool):
-        diags.append(f"thresholds.require_decoherent must be true or false, got {flag!r}")
+        elif name in analyses[:i]:
+            diags.append(f"analyses: duplicate {name!r}")
 
     # analysis-specific prerequisites
-    d_eff = d_val
-    if d_eff is None and has_bath and None not in (gamma, kt, mass):
-        d_eff = 2.0 * mass * gamma * kt
-    if "povm" in analyses and (d_eff is None or d_eff <= 0.0):
+    if "povm" in analyses and not phys["D"]:
         diags.append("povm analysis needs D > 0 (the effect construction splits accumulated noise)")
     if "stochastic" in analyses:
         if eps is None:
@@ -334,10 +339,10 @@ def _validate_tree(tree) -> list:
             if t2 / eps > _MARCH_STEPS_MAX:
                 diags.append(f"time.t2/time.eps must be at most {_MARCH_STEPS_MAX} "
                              f"march steps, got {t2 / eps!r}")
-    if "histories" in analyses:
-        gamma = phys.get("gamma", 0.0)
-        if isinstance(gamma, (int, float)) and not isinstance(gamma, bool) and gamma != 0.0:
-            diags.append("histories analysis needs gamma = 0 (negligible dissipation)")
+    # the grid routes propagate at negligible dissipation only
+    for name in ("stochastic", "histories"):
+        if name in analyses and gamma:
+            diags.append(f"{name} analysis needs gamma = 0 (negligible dissipation)")
     if "continuity" in analyses and None not in (t1, t2) and (t1 + t2) / 2.0 <= 0.0:
         diags.append("continuity analysis needs a positive interval midpoint for the time stencil")
 
@@ -345,29 +350,18 @@ def _validate_tree(tree) -> list:
         diags.append("out_dir must be a string")
     if "description" in tree and not isinstance(tree["description"], str):
         diags.append("description must be a string")
-    return diags
+    return diags, checked
 
 
-def _build_state(kind: str, block: dict, hbar: float):
+def _build_state(kind: str, f: dict, hbar: float):
     if kind == "gaussian":
-        return ge.make_gaussian_state(
-            p0=float(block["p0"]), q0=float(block["x0"]),
-            sigma=float(block["sigma"]), hbar=hbar,
-        )
+        return ge.make_gaussian_state(p0=f["p0"], q0=f["x0"], sigma=f["sigma"], hbar=hbar)
     if kind == "cat":
-        st = ge.make_cat_state(
-            separation=float(block["separation"]), p0=float(block["p0"]),
-            sigma=float(block["sigma"]), hbar=hbar,
-        )
-        if block.get("x0"):
-            st = ge.shift_state(st, dq=float(block["x0"]))
-        return st
+        st = ge.make_cat_state(separation=f["separation"], p0=f["p0"], sigma=f["sigma"], hbar=hbar)
+        return ge.shift_state(st, dq=f["x0"]) if f["x0"] else st
     return ge.make_two_momentum_state(
-        p1=float(block["p1"]), p2=float(block["p2"]),
-        q0=float(block["x0"]), sigma=float(block["sigma"]),
-        ratio=float(block.get("ratio", 1.0)),
-        rel_phase=float(block.get("rel_phase", 0.0)),
-        hbar=hbar,
+        p1=f["p1"], p2=f["p2"], q0=f["x0"], sigma=f["sigma"],
+        ratio=f["ratio"], rel_phase=f["rel_phase"], hbar=hbar,
     )
 
 
@@ -385,41 +379,32 @@ def load_config(path) -> tuple:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         return None, [f"cannot parse {path}: {exc}"]
-    diags = _validate_tree(tree)
+    diags, checked = _check_tree(tree)
     if diags:
         return None, diags
 
-    phys = tree["physical"]
-    hbar, mass = float(phys["hbar"]), float(phys["mass"])
-    kind = next(k for k in _STATE_KINDS if k in tree["state"])
+    phys, tm = checked["physical"], checked["time"]
+    kind, fields = checked["state"]
     # Values that pass the per-field checks can still be out of range
     # together (an overflowing 2*m*gamma*kT, a cat too wide to normalise).
     try:
-        if "D" in phys:
-            params = PhysParams(
-                hbar=hbar, mass=mass, D=float(phys["D"]),
-                gamma=float(phys.get("gamma", 0.0)),
-            )
-        else:
-            params = PhysParams.from_temperature(
-                gamma=float(phys["gamma"]), kT=float(phys["kT"]),
-                hbar=hbar, mass=mass,
-            )
-        state = _build_state(kind, tree["state"][kind], hbar)
+        params = PhysParams(
+            hbar=phys["hbar"], mass=phys["mass"], D=phys["D"], gamma=phys.get("gamma", 0.0)
+        )
+        state = _build_state(kind, fields, phys["hbar"])
     except (ValueError, ArithmeticError) as exc:
         return None, [f"cannot build the scenario from {path}: {exc}"]
-    tm = tree["time"]
     config = ScenarioConfig(
         params=params,
         state=state,
         state_kind=kind,
-        grid_n=int(tree.get("grid", {}).get("n", 1024)),
-        t1=float(tm["t1"]),
-        t2=float(tm["t2"]),
-        n_t=int(tm.get("n_t", 201)),
-        eps=float(tm["eps"]) if "eps" in tm else None,
+        grid_n=checked["grid"]["n"],
+        t1=tm["t1"],
+        t2=tm["t2"],
+        n_t=tm["n_t"],
+        eps=tm.get("eps"),
         analyses=tuple(tree["analyses"]),
-        thresholds=dict(tree.get("thresholds", {})),
+        thresholds=checked["thresholds"],
         out_dir=tree.get("out_dir"),
         description=tree.get("description", ""),
         raw=tree,
@@ -465,11 +450,6 @@ def _table_writer(title, rows):
     return writer
 
 
-def _gate(thresholds, key):
-    value = thresholds.get(key)
-    return None if value is None else float(value)
-
-
 def _run_current(cfg: ScenarioConfig, grid_n: int):
     times = np.linspace(cfg.t1, cfg.t2, cfg.n_t)
     res = ar.backflow_scan(
@@ -484,9 +464,8 @@ def _run_current(cfg: ScenarioConfig, grid_n: int):
     )
     status = "ok"
     note = ""
-    window = cfg.thresholds.get("mass_window")
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
+    if "mass_window" in cfg.thresholds:
+        lo, hi = cfg.thresholds["mass_window"]
         if not lo <= total <= hi:
             status = "gate-failed"
             note = f"p_interval {total!r} outside mass window [{lo!r}, {hi!r}]"
@@ -533,11 +512,11 @@ def _run_povm(cfg: ScenarioConfig, grid_n: int):
     )
     status = "ok"
     notes = []
-    pos_max = _gate(cfg.thresholds, "positivity_max_tau_l")
+    pos_max = cfg.thresholds.get("positivity_max_tau_l")
     if pos_max is not None and t_pos > pos_max * tau_l * (1.0 + 1e-9):
         status = "gate-failed"
         notes.append(f"positivity time {t_pos!r} above {pos_max!r} tau_l")
-    gap_max = _gate(cfg.thresholds, "povm_gap_max")
+    gap_max = cfg.thresholds.get("povm_gap_max")
     if gap_max is not None and gap > gap_max:
         status = "gate-failed"
         notes.append(f"effect/current gap {gap!r} above {gap_max!r}")
@@ -563,7 +542,7 @@ def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
     )
     status = "ok"
     note = ""
-    gap_max = _gate(cfg.thresholds, "stochastic_gap_max")
+    gap_max = cfg.thresholds.get("stochastic_gap_max")
     if gap_max is not None and gap > gap_max:
         status = "gate-failed"
         note = f"restricted-march/current gap {gap!r} above {gap_max!r}"
@@ -573,12 +552,8 @@ def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
 
 
 def _run_histories(cfg: ScenarioConfig, grid_n: int):
-    report = hi.decoherence_verdict(
-        cfg.state, cfg.window, cfg.params,
-        delta_max=cfg.thresholds.get("delta_max", 0.01),
-        energy_min=cfg.thresholds.get("energy_min", 10.0),
-        t1_min=cfg.thresholds.get("t1_min", 5.0),
-    )
+    gates = {k: v for k, v in cfg.thresholds.items() if k in ("delta_max", "energy_min", "t1_min")}
+    report = hi.decoherence_verdict(cfg.state, cfg.window, cfg.params, **gates)
     scalars = (
         ("delta_exact", report.delta_exact),
         ("delta_formula", report.delta_formula),
@@ -616,7 +591,7 @@ def _run_continuity(cfg: ScenarioConfig, grid_n: int):
     )
     status = "ok"
     note = ""
-    factor_min = _gate(cfg.thresholds, "continuity_factor_min")
+    factor_min = cfg.thresholds.get("continuity_factor_min")
     if factor_min is not None and factor < factor_min:
         status = "gate-failed"
         note = f"stencil refinement gained only {factor!r}x (needs {factor_min!r}x)"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -154,6 +155,36 @@ class TestValidation:
             flagged = _variant(**{"thresholds.require_decoherent": flag})
             assert validate_config(_write(tmp_path, flagged)) == []
 
+    @pytest.mark.parametrize("key", ["physical.bogus", "grid.bogus", "time.n_T"])
+    def test_unknown_block_key(self, tmp_path, capsys, key):
+        # a misspelt field must not run on its default (n_T -> n_t = 201)
+        path = _write(tmp_path, _variant(**{key: 5}))
+        assert main(["validate", path]) == 2
+        block, leaf = key.split(".")
+        assert f"{block}: unknown key {leaf!r}" in capsys.readouterr().err
+
+    def test_null_mass_window_rejected(self, tmp_path, capsys):
+        # null is not an omitted gate: it must not switch the current gate off
+        tree = _variant()
+        tree["thresholds"]["mass_window"] = None  # _variant drops None
+        assert main(["validate", _write(tmp_path, tree)]) == 2
+        assert "thresholds.mass_window must be [lo, hi]" in capsys.readouterr().err
+
+    def test_state_diagnostics_name_full_path(self, tmp_path):
+        tree = _variant(state={"cat": {"separation": 2.0, "p0": -1.0, "sigma": 1.0, "x0": "a"}})
+        diags = validate_config(_write(tmp_path, tree))
+        assert diags == ["state.cat.x0 must be a number, got 'a'"]
+
+    @pytest.mark.parametrize("analyses, diag", [
+        (["current", "current"], "analyses: duplicate 'current'"),
+        ([["current"], ["current"]], "analyses: unknown analysis ['current']"),
+    ])
+    def test_duplicate_analyses_rejected(self, tmp_path, capsys, analyses, diag):
+        # a repeat would compute twice and list its files twice in the manifest;
+        # an unhashable entry is still a diagnostic, not a TypeError
+        assert main(["validate", _write(tmp_path, _variant(analyses=analyses))]) == 2
+        assert diag in capsys.readouterr().err
+
     def test_stochastic_needs_eps(self, tmp_path):
         diags = validate_config(_write(tmp_path, _variant(analyses=["stochastic"])))
         assert any("time.eps" in d for d in diags)
@@ -174,6 +205,17 @@ class TestValidation:
         )
         diags = validate_config(_write(tmp_path, tree))
         assert any("gamma = 0" in d for d in diags)
+
+    def test_stochastic_rejects_dissipation(self, tmp_path, capsys):
+        # the restricted march is a grid route: it refuses gamma > 0 at run time
+        tree = _variant(
+            analyses=["stochastic"],
+            **{"physical.D": 2.0, "physical.gamma": 0.1, "physical.kT": 10.0,
+               "time.t1": 0.5, "time.t2": 1.0, "time.eps": 0.0125},
+        )
+        assert validate_config(_write(tmp_path, tree)) == [
+            "stochastic analysis needs gamma = 0 (negligible dissipation)"
+        ]
 
     @pytest.mark.parametrize("key, value", [("physical.D", math.nan), ("time.t2", math.inf)])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
@@ -237,6 +279,19 @@ class TestValidation:
         diags = validate_config(str(path))
         assert any("cannot parse" in d for d in diags)
 
+    def test_schema_doc_matches_field_table(self):
+        # every field config_schema.md documents has a rule, and every rule is documented
+        doc = (Path(scenario_cli.__file__).parent / "examples" / "config_schema.md").read_text()
+        sections = dict(re.findall(r"^## `(\w+)`[^\n]*\n(.*?)(?=^## |\Z)", doc, re.M | re.S))
+        documented = {
+            block: set(re.findall(r"`(\w+)` \(", sections[block]))
+            for block in ("physical", "grid", "time")
+        }
+        documented["thresholds"] = set(re.findall(r"^\| `(\w+)`", sections["thresholds"], re.M))
+        for kind, text in re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", sections["state"], re.M | re.S):
+            documented[f"state.{kind}"] = set(re.findall(r"`(\w+)`", text))
+        assert documented == {path: set(rules) for path, rules in scenario_cli._FIELDS.items()}
+
     def test_load_config_round_trips(self, tmp_path):
         config, diags = load_config(_write(tmp_path, BASE))
         assert diags == []
@@ -256,7 +311,8 @@ _PATHS = [
     "physical", "physical.hbar", "physical.mass", "physical.D", "physical.gamma",
     "physical.kT", "state", "grid", "grid.n", "time", "time.t1", "time.t2",
     "time.n_t", "time.eps", "analyses", "thresholds", "thresholds.mass_window",
-    "thresholds.delta_max", "out_dir", "description",
+    "thresholds.delta_max", "out_dir", "description", "physical.bogus", "grid.bogus",
+    "time.bogus", "thresholds.require_decoherent", "thresholds.povm_gap_max",
 ]
 _STATE_BLOCKS = [
     {"gaussian": {"p0": -10.0, "x0": 8.0, "sigma": 1.0}},
