@@ -206,7 +206,7 @@ class TestValidation:
         diags = validate_config(_write(tmp_path, tree))
         assert any("gamma = 0" in d for d in diags)
 
-    def test_stochastic_rejects_dissipation(self, tmp_path, capsys):
+    def test_stochastic_rejects_dissipation(self, tmp_path):
         # the restricted march is a grid route: it refuses gamma > 0 at run time
         tree = _variant(
             analyses=["stochastic"],
