@@ -13,7 +13,9 @@ POVM route
     a Husimi smearing) and a positive remainder (absorbed into the symbol)
     yields  Tr(E rho) = int Q(z) S_E(z) dz  with a bounded symbol S_E and a
     non-negative Q — manifestly a generalised measurement, available once
-    the noise has accumulated past a hard threshold.
+    the noise has accumulated past a hard threshold.  The symbol is a
+    difference of probits of linear forms in z, so against each Gaussian
+    term of Q the phase-space integral is a closed form; no grid is built.
 
 Stochastic route
     Repeated propagate-and-truncate on a grid: the norm lost to the
@@ -31,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.stats import norm as _std_normal
+from scipy.special import ndtr
 
 from .core_model import Interval, PhysParams
 from .gaussian_engine import (
     Cov2,
     GaussianMixtureState,
+    _gaussian_fourier_above,
+    _gaussian_fourier_probit,
     convolve_state,
     evaluate_state,
     flux_density,
@@ -200,9 +204,10 @@ class PovmEffect:
     """Arrival effect operator for one time interval, in symbol form.
 
     The expectation Tr(E rho) = int dz Q(z) S_E(z) pairs the bounded symbol
-    S_E (this object) with the A0-smeared Husimi function Q of the state.
-    The noise covariance is frozen at t_ref; freezing at the interval
-    midpoint cancels the first-order freeze error.
+    S_E (this object) with the A0-smeared Husimi function Q of the state,
+    and is evaluated in closed form term by term.  The noise covariance is
+    frozen at t_ref; freezing at the interval midpoint cancels the
+    first-order freeze error.
     """
 
     interval: Interval
@@ -229,22 +234,45 @@ class PovmEffect:
             if sig == 0.0:
                 out.append(np.where(arg >= 0.0, 1.0, 0.0))
             else:
-                out.append(_std_normal.cdf(arg / sig))
+                out.append(ndtr(arg / sig))
         return out[0] - out[1]
 
-    def expectation(
-        self, state: GaussianMixtureState, n: int = 512, widths: float = 9.0
-    ) -> float:
-        """Tr(E rho) by quadrature of Q * S_E over the smeared support."""
+    def expectation(self, state: GaussianMixtureState) -> float:
+        """Tr(E rho) = int Q S_E dz, exactly.
+
+        Each term w g(z - c; S) cos(k.z + phi) of Q meets each probit
+        Phi(Y / sigma) of S_E through Y = n.z, n = (t/m, 1): Y has mean
+        n.c and variance n^T S n, and given Y the fringe e^{i k.z} averages
+        to a damped plane wave e^{i gamma Y}, gamma = k.S n / n^T S n.  What
+        is left is the 1-D ``_gaussian_fourier_probit`` (a step function
+        where sigma = 0).
+        """
         if state.hbar != self.params.hbar:
             raise ValueError(
                 f"state hbar {state.hbar!r} != params hbar {self.params.hbar!r}"
             )
-        q_state = husimi_smear(state, self.s)
-        pax, qax = default_axes(q_state, self.params, t_max=0.0, n=n, widths=widths)
-        pp, qq = np.meshgrid(pax.points, qax.points, indexing="ij")
-        q_vals = evaluate_state(q_state, pp, qq)
-        return PhaseSpaceGrid(pax, qax, q_vals * self.symbol(pp, qq)).integrate()
+        smeared = husimi_smear(state, self.s)
+        total = 0.0
+        for sign, t_i in ((1.0, self.interval.t1), (-1.0, self.interval.t2)):
+            nvec = np.array([t_i / self.params.mass, 1.0])
+            sig = self._sigma(t_i)
+            for term in smeared.terms:
+                kvec, cov = np.asarray(term.k), term.cov.matrix()
+                sn = cov @ nvec
+                mu_y = float(nvec @ term.center)
+                var_y = float(nvec @ sn)
+                ksn = float(kvec @ sn)
+                gamma = ksn / var_y
+                pre = np.exp(
+                    1j * (float(kvec @ term.center) - gamma * mu_y + term.phase)
+                    - 0.5 * (float(kvec @ cov @ kvec) - ksn * gamma)
+                )
+                if sig == 0.0:
+                    piece = _gaussian_fourier_above(mu_y, var_y, gamma, 0.0)
+                else:
+                    piece = _gaussian_fourier_probit(gamma, mu_y, var_y, 0.0, 1.0 / sig)
+                total += sign * term.weight * float(np.real(pre * piece))
+        return total
 
 
 def build_povm_E(

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import erfcx
 
 from .core_model import PhysParams
 
@@ -54,6 +55,8 @@ __all__ = [
 _EIG_FLOOR = 1e-12
 
 _NORM_TOL = 1e-10  # mixture normalisation tolerance
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -557,6 +560,52 @@ def _conditional(term: GaussianTerm, q):
     mu = cp + slope * (q - cq)
     marg = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
     return marg, mu, v, slope
+
+
+def _gaussian_fourier_below(mu, var, beta, hi):
+    """int_{-inf}^{hi} e^{i beta X} N(X; mu, var) dX, stable for large beta.
+
+    Naively this is e^{i beta mu - beta^2 var / 2} * erfc(w)/2 with
+    w = (mu + i beta var - hi) / sqrt(2 var); both factors overflow /
+    underflow separately, so combine them through the scaled erfcx:
+    the product equals exp(i beta mu - x0^2 - 2 i x0 y) * erfcx(w) / 2
+    with w = x0 + i y, whose magnitude never exceeds a few units.
+    """
+    sig = np.sqrt(var)
+    x0 = (mu - hi) / (sig * _SQRT2)
+    y = beta * sig / _SQRT2
+    w = x0 + 1j * y
+    return 0.5 * erfcx(w) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
+
+
+def _gaussian_fourier_above(mu, var, beta, lo):
+    """int_{lo}^{inf} e^{i beta X} N(X; mu, var) dX (mirror of _below)."""
+    return _gaussian_fourier_below(-np.asarray(mu), var, -np.asarray(beta), -np.asarray(lo))
+
+
+def _gaussian_fourier_probit(k, mu, var, alpha, beta):
+    """int e^{i k y} N(y; mu, var) Phi(alpha + beta y) dy, in closed form.
+
+    With Z ~ N(0, 1) independent of y, Phi(alpha + beta y) = P(Z - beta y
+    < alpha); conditioning y on T = Z - beta y ~ N(-beta mu, s^2),
+    s^2 = 1 + beta^2 var, leaves one half-line Fourier integral in T:
+
+        exp(i k mu (1 - beta^2 var / s^2) - k^2 var / (2 s^2))
+        * _gaussian_fourier_below(-beta mu, s^2, -k beta var / s^2, alpha).
+
+    Where alpha + beta mu > 0 the half-line holds most of the mass, and the
+    erfcx form would overflow far out; there Phi(x) = 1 - Phi(-x) turns the
+    integral into the full Fourier transform minus the mirrored one.
+    """
+    k, mu, alpha, beta = (np.asarray(x, dtype=float) for x in (k, mu, alpha, beta))
+    flip = alpha + beta * mu > 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    alpha, beta = sign * alpha, sign * beta
+    s2 = 1.0 + beta * beta * var
+    tail = np.exp(1j * k * mu * (1.0 - beta * beta * var / s2) - 0.5 * k * k * var / s2) * (
+        _gaussian_fourier_below(-beta * mu, s2, -k * beta * var / s2, alpha)
+    )
+    return np.where(flip, np.exp(1j * k * mu - 0.5 * k * k * var) - tail, tail)
 
 
 def _term_line_reductions(term: GaussianTerm, q):

@@ -34,12 +34,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx, sici
+from scipy.special import erfc, sici
 
 from .core_model import Interval, PhysParams, derive_timescales
 from .gaussian_engine import (
     GaussianMixtureState,
     _conditional,
+    _gaussian_fourier_above,
+    _gaussian_fourier_below,
+    _gaussian_fourier_probit,
     evaluate_state,
     moments,
     propagate_mixture,
@@ -99,31 +102,6 @@ def f_integral(u):
     arr = np.asarray(u, dtype=float)
     out = 0.5 - sici(arr)[0] / math.pi
     return float(out) if arr.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# stable half-line Gaussian Fourier integrals
-
-
-def _gaussian_fourier_below(mu, var, beta, hi):
-    """int_{-inf}^{hi} e^{i beta X} N(X; mu, var) dX, stable for large beta.
-
-    Naively this is e^{i beta mu - beta^2 var / 2} * erfc(w)/2 with
-    w = (mu + i beta var - hi) / sqrt(2 var); both factors overflow /
-    underflow separately, so combine them through the scaled erfcx:
-    the product equals exp(i beta mu - x0^2 - 2 i x0 y) * erfcx(w) / 2
-    with w = x0 + i y, whose magnitude never exceeds a few units.
-    """
-    sig = np.sqrt(var)
-    x0 = (mu - hi) / (sig * _SQRT2)
-    y = beta * sig / _SQRT2
-    w = x0 + 1j * y
-    return 0.5 * erfcx(w) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
-
-
-def _gaussian_fourier_above(mu, var, beta, lo):
-    """int_{lo}^{inf} e^{i beta X} N(X; mu, var) dX (mirror of _below)."""
-    return _gaussian_fourier_below(-np.asarray(mu), var, -np.asarray(beta), -np.asarray(lo))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +360,12 @@ def delta_strong(
                     (1/2) erfc(-lambda (X + p dt/m)),
         lambda = sqrt(3 m^2 / (4 D dt^3)).
 
-    The momentum integral is taken first, which leaves a smooth profile in
-    X even when the raw window edge is much sharper than the grid; the X
-    range is clipped to the strip where the window is not exponentially
-    dead.
+    Since (1/2) erfc(-x) = Phi(sqrt(2) x), the momentum integral of each
+    term is a conditional Gaussian times a probit of a linear form in p,
+    which is exact in closed form (``_gaussian_fourier_probit``).  That
+    leaves a smooth profile in X even when the raw window edge is much
+    sharper than any grid; only the X integral is a trapezoid, over the
+    strip where the window is not exponentially dead.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -419,10 +399,12 @@ def delta_strong(
     if x_lo >= x_hi:
         return 0.0
     xs = np.linspace(x_lo, x_hi, 1501)
-    ps = np.linspace(mean[0] - 7.5 * sp, mean[0] + 7.5 * sp, 701)
-    w = evaluate_state(st, ps[:, None], xs[None, :])
-    win = 0.5 * erfc(-lam * (xs[None, :] + ps[:, None] * dt / m))
-    g = np.trapezoid(w * win, ps, axis=0)
+    g = np.zeros(xs.shape)
+    for term in st.terms:
+        kp, kq = term.k
+        marg, mu, v, _ = _conditional(term, xs)
+        piece = _gaussian_fourier_probit(kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m)
+        g += term.weight * marg * np.real(np.exp(1j * (kq * xs + term.phase)) * piece)
     return float(np.trapezoid(g, xs))
 
 

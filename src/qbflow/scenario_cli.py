@@ -53,7 +53,7 @@ _TOP_KEYS = {
 }
 _GRID_N_MIN = 16
 # each current sample propagates the mixture (40-100 us), so this caps the
-# sweep at ~10 s; grid.n needs no cap, every analysis clamps or refuses it
+# sweep at ~10 s; grid.n needs no cap, only `stochastic` reads it, clamped to 512
 _N_T_MAX = 100_000
 # at ~35 ms a step on the stochastic analysis's 512² grid: about six minutes
 _MARCH_STEPS_MAX = 10_000
@@ -280,7 +280,9 @@ def _check_tree(tree) -> tuple:
     )
     mass, d_val, gamma, kt = (phys.get(key) for key in ("mass", "D", "gamma", "kT"))
     product = 2.0 * mass * gamma * kt if None not in (mass, gamma, kt) else None
-    if has_d and None not in (d_val, product) and (
+    if product is not None and not math.isfinite(product):
+        diags.append(f"physical.gamma, physical.kT: 2*m*gamma*kT = {product!r} must be finite")
+    elif has_d and None not in (d_val, product) and (
         abs(d_val - product) > 1e-9 * max(abs(d_val), abs(product), 1e-30)
     ):
         diags.append(f"physical: D={d_val!r} inconsistent with 2*m*gamma*kT={product!r}")
@@ -499,7 +501,7 @@ def _run_povm(cfg: ScenarioConfig, grid_n: int):
     t_pos = _positivity_time(params)
     t_thr = ar.povm_threshold_time(params)
     effect = ar.build_povm_E(cfg.window, params)
-    expectation = effect.expectation(cfg.state, n=max(256, min(grid_n, 1024)))
+    expectation = effect.expectation(cfg.state)
     integral = ar.arrival_probability(cfg.state, cfg.window, params)
     gap = abs(expectation - integral) / max(abs(integral), 1e-300)
     scalars = (
@@ -638,7 +640,7 @@ def run_scenario(
         start = _walltime.perf_counter()
         try:
             status, scalars, writers, note = _RUNNERS[name](config, n)
-        except (ValueError, RuntimeError, FloatingPointError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
             return name, ("error", (), [], f"{type(exc).__name__}: {exc}"), (
                 _walltime.perf_counter() - start
             )

@@ -209,7 +209,7 @@ class TestAcceptance:
         for frac, tol in ((0.01, 0.01), (0.1, 0.05)):
             window = Interval(t_mid - frac / 2.0, t_mid + frac / 2.0)
             effect = ar.build_povm_E(window, NOISY)
-            expectation = effect.expectation(state, n=512)
+            expectation = effect.expectation(state)
             integral = ar.arrival_probability(state, window, NOISY)
             gaps[frac] = abs(expectation - integral) / abs(integral)
             assert gaps[frac] < tol, (frac, gaps[frac])

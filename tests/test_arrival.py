@@ -10,9 +10,11 @@ is trusted alone.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qbflow.core_model import Interval, PhysParams
 from qbflow import arrival as ar
@@ -179,6 +181,57 @@ class TestPovmEffect:
         odd = ge.make_gaussian_state(p0=-1.0, q0=2.0, sigma=1.0, hbar=2.0)
         with pytest.raises(ValueError, match="hbar"):
             eff.expectation(odd)
+
+
+def _grid_expectation(eff, state):
+    """Oracle: Q * S_E by trapezoid on a 512^2 grid over the smeared support."""
+    q_state = ge.husimi_smear(state, eff.s)
+    pax, qax = gr.default_axes(q_state, eff.params, t_max=0.0, n=512, widths=9.0)
+    pp, qq = np.meshgrid(pax.points, qax.points, indexing="ij")
+    q_vals = ge.evaluate_state(q_state, pp, qq)
+    return gr.PhaseSpaceGrid(pax, qax, q_vals * eff.symbol(pp, qq)).integrate()
+
+
+# crossing the origin near t = 1.4, inside the POVM windows below
+ORACLE_STATES = {
+    "gaussian": ge.make_gaussian_state(p0=-10.0, q0=14.0, sigma=1.0),
+    "cat": ge.shift_state(ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=14.0),
+    "two_momentum": ge.make_two_momentum_state(
+        p1=-8.0, p2=-12.0, q0=14.0, sigma=1.0, ratio=0.6, rel_phase=0.7
+    ),
+}
+
+
+class TestExpectationClosedForm:
+    @pytest.mark.parametrize("kind", sorted(ORACLE_STATES))
+    @pytest.mark.parametrize("window", [(1.3, 1.5), (1.35, 1.36), (2.0, 2.5)])
+    def test_matches_grid_oracle(self, kind, window):
+        eff = ar.build_povm_E(Interval(*window), PAR)
+        state = ORACLE_STATES[kind]
+        got, ref = eff.expectation(state), _grid_expectation(eff, state)
+        assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-30, (got, ref)
+
+    def test_sharp_symbol_is_a_probit_difference(self):
+        # B = 0 makes S_E a difference of two step functions; against one
+        # Gaussian the expectation is then Phi(mu_1 / s_1) - Phi(mu_2 / s_2)
+        eff = replace(ar.build_povm_E(Interval(1.3, 1.5), PAR), b=ge.Cov2.zero())
+        term = ge.husimi_smear(ORACLE_STATES["gaussian"], eff.s).terms[0]
+        want = 0.0
+        for sign, t in ((1.0, 1.3), (-1.0, 1.5)):
+            n = np.array([t / PAR.mass, 1.0])
+            want += sign * ndtr(n @ term.center / math.sqrt(n @ term.cov.matrix() @ n))
+        assert math.isclose(eff.expectation(ORACLE_STATES["gaussian"]), want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_STATES))
+    def test_sharp_symbol_is_the_narrow_limit(self, kind):
+        # sigma = 0 (step) and a vanishing sigma (steep probit) take the two
+        # branches of the closed form and must meet
+        eff = ar.build_povm_E(Interval(1.3, 1.5), PAR)
+        sharp = replace(eff, b=ge.Cov2.zero())
+        narrow = replace(eff, b=ge.Cov2(1e-24 * eff.b.pp, 1e-24 * eff.b.pq, 1e-24 * eff.b.qq))
+        assert sharp._sigma(1.3) == 0.0 and narrow._sigma(1.3) > 0.0
+        state = ORACLE_STATES[kind]
+        assert math.isclose(sharp.expectation(state), narrow.expectation(state), rel_tol=1e-9)
 
 
 class TestInstantaneousOperator:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.special import ndtr
 
 from qbflow.core_model import PhysParams, derive_timescales
 from qbflow import gaussian_engine as ge
@@ -326,3 +327,62 @@ class TestLineReductions:
         pp, qq = np.meshgrid(p, q, indexing="ij")
         vals = ge.evaluate_state(q_rep, pp, qq)
         assert vals.min() >= -1e-12 * vals.max()
+
+
+def _probit_by_quadrature(k, mu, var, alpha, beta):
+    """int e^{i k y} N(y; mu, var) Phi(alpha + beta y) dy by adaptive quad,
+    split at the probit edge -alpha/beta so that its width 1/beta is resolved."""
+    sd = math.sqrt(var)
+    edge = min(max(-alpha / beta, mu - 40.0 * sd), mu + 40.0 * sd)
+    cuts = sorted({mu - 40.0 * sd, edge - 20.0 / beta, edge + 20.0 / beta, mu + 40.0 * sd})
+
+    def f(y):
+        gauss = math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+        return gauss * float(ndtr(alpha + beta * y))
+
+    total = 0j
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if k == 0.0:
+            total += quad(f, lo, hi, limit=800, epsabs=1e-15)[0]
+        else:
+            for weight, unit in (("cos", 1.0), ("sin", 1j)):
+                total += unit * quad(f, lo, hi, weight=weight, wvar=k, limit=800, epsabs=1e-15)[0]
+    return total
+
+
+class TestGaussianFourierProbit:
+    @pytest.mark.parametrize("mu, var, alpha, beta", [
+        (0.3, 0.7, 0.0, 1.0), (-2.0, 1.5, 0.4, 3.0), (5.0, 0.2, -1.0, 0.1),
+        (60.0, 1.0, 0.0, 1e3), (-60.0, 1.0, 0.0, 1e3), (1.0, 2.0, -4.0, -2.5),
+    ])
+    def test_zero_frequency_is_a_probit(self, mu, var, alpha, beta):
+        # with k = 0 the integral is P(Z < alpha + beta y), y ~ N(mu, var)
+        got = ge._gaussian_fourier_probit(0.0, mu, var, alpha, beta)
+        want = ndtr((alpha + beta * mu) / math.sqrt(1.0 + beta * beta * var))
+        assert got.imag == 0.0
+        assert math.isclose(got.real, want, rel_tol=1e-13, abs_tol=1e-300)
+
+    @pytest.mark.parametrize("k_sd", [0.0, 1.0, 5.0, 30.0])
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("mu", [-0.7, 1.3])
+    def test_matches_brute_force_quadrature(self, k_sd, beta, mu):
+        var, alpha = 0.8, 0.25
+        k = k_sd / math.sqrt(var)
+        with np.errstate(over="raise", invalid="raise"):
+            got = complex(ge._gaussian_fourier_probit(k, mu, var, alpha, beta))
+        want = _probit_by_quadrature(k, mu, var, alpha, beta)
+        assert abs(got - want) <= 1e-9 * max(abs(want), 1e-3), (got, want)
+
+    def test_finite_far_out_without_overflow(self):
+        # |alpha + beta mu| / s up to ~80 standard deviations on either side,
+        # where the plain erfcx form overflows (x0^2 > 709) unless mirrored
+        mu = np.linspace(-80.0, 80.0, 161)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in (0.0, 1.0, 30.0, 300.0):
+                for beta in (1e-3, 1.0, 1e3):
+                    got = ge._gaussian_fourier_probit(k, mu, 1.0, 0.0, beta)
+                    assert np.all(np.isfinite(got))
+                    assert np.all(np.abs(got) <= 1.0 + 1e-12)
+        # the far right side holds the whole Fourier transform
+        got = ge._gaussian_fourier_probit(2.0, 80.0, 1.0, 0.0, 1.0)
+        assert abs(got - np.exp(2j * 80.0 - 2.0)) < 1e-15

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.special import sici
+from scipy.special import erfc, sici
 
 from qbflow.core_model import Interval, PhysParams
 from qbflow import gaussian_engine as ge
@@ -469,7 +469,41 @@ class TestDeltaIntermediate:
             hi.delta_intermediate(still, Interval(5.0, 5.4), NOISY)
 
 
+def _grid_delta_strong(state, window, params):
+    """Oracle: delta_strong's window on a 701-point p-grid over mean_p +- 7.5 sigma_p,
+    on the same 1501-point X grid and strip as the closed form."""
+    m, dt = params.mass, window.width
+    st = ge.propagate_mixture(state, window.t1, params)
+    mean, cov = ge.moments(st)
+    sq, sp = math.sqrt(cov.qq), math.sqrt(cov.pp)
+    lam = math.sqrt(3.0 * m * m / (4.0 * params.D * dt ** 3))
+    strip = (abs(mean[0]) + 7.5 * sp) * dt / m + 4.0 / lam
+    xs = np.linspace(max(mean[1] - 8.0 * sq, -strip), min(0.0, mean[1] + 8.0 * sq), 1501)
+    ps = np.linspace(mean[0] - 7.5 * sp, mean[0] + 7.5 * sp, 701)
+    w = ge.evaluate_state(st, ps[:, None], xs[None, :])
+    win = 0.5 * erfc(-lam * (xs[None, :] + ps[:, None] * dt / m))
+    return float(np.trapezoid(np.trapezoid(w * win, ps, axis=0), xs))
+
+
 class TestDeltaStrong:
+    @pytest.mark.parametrize("kind", ["gaussian", "cat", "two_momentum"])
+    @pytest.mark.parametrize("window", [(5.0, 9.0), (4.0, 6.5)])
+    def test_matches_grid_oracle(self, kind, window):
+        state = {
+            "gaussian": ge.make_gaussian_state(p0=-10.0, q0=30.0, sigma=1.0),
+            "cat": ge.shift_state(ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=30.0),
+            "two_momentum": ge.make_two_momentum_state(
+                p1=-8.0, p2=-12.0, q0=30.0, sigma=1.0, ratio=0.6, rel_phase=0.7
+            ),
+        }[kind]
+        win = Interval(*window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # regime warnings
+            got = hi.delta_strong(state, win, NOISY)
+        ref = _grid_delta_strong(state, win, NOISY)
+        assert ref > 1e-6
+        assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-30, (got, ref)
+
     def test_long_receded_state_negligible(self):
         rec = ge.make_gaussian_state(p0=-10.0, q0=5.0, sigma=1.0)
         assert hi.delta_strong(rec, Interval(2.0, 5.0), NOISY) < 1e-3

@@ -10,10 +10,14 @@ ok / gate-failure / config-error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 from qbflow import scenario_cli
+from qbflow.core_model import PhysParams
 from qbflow.scenario_cli import (
     _seedless_guard,
     bundled_examples,
@@ -231,6 +236,16 @@ class TestValidation:
         assert main(["validate", path]) == 2
         assert "physical.gamma must be finite" in capsys.readouterr().err
 
+    def test_bath_product_finite(self, tmp_path, capsys):
+        # each entry is finite, but 2 m gamma kT overflows; inf - D never
+        # exceeds 1e-9 * inf, so the D consistency check alone lets it pass
+        tree = _variant(**{"physical.D": 2.0, "physical.gamma": 1e200, "physical.kT": 1e200})
+        path = _write(tmp_path, tree)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "physical.gamma, physical.kT: 2*m*gamma*kT = inf must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [{}, "0.01", math.inf])
     def test_numeric_thresholds_checked(self, tmp_path, capsys, value):
         # the analyses compare these gates with floats at run time
@@ -423,6 +438,18 @@ class TestRunScenario:
         assert "non-finite p_interval = nan" in outcome.note
         assert "[current] error" in (tmp_path / "out" / "summary.txt").read_text()
 
+    def test_arithmetic_error_is_an_error_outcome(self, tmp_path):
+        # a bath too strong for float arithmetic: the corrected current
+        # squares hbar b = 5e199 and raises OverflowError mid-analysis
+        config, _ = load_config(_write(tmp_path, BASE))
+        config = dataclasses.replace(
+            config, params=PhysParams(hbar=1.0, mass=1.0, D=2.0, gamma=1e200)
+        )
+        summary = run_scenario(config, out_dir=tmp_path / "out")
+        outcome = summary.outcomes[0]
+        assert outcome.status == "error"
+        assert outcome.note.startswith("OverflowError")
+
     def test_grid_override(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
         summary = run_scenario(config, out_dir=tmp_path / "out", grid_n=64)
@@ -557,6 +584,17 @@ class TestSeedlessGuard:
 
 
 class TestCommandLine:
+    def test_import_skips_scipy_stats(self):
+        # scipy.stats costs about 0.4 s of every CLI start and nothing on the
+        # scenario path needs it; import the package the tests import
+        src = str(Path(scenario_cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, qbflow.scenario_cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_run_exit_0(self, tmp_path, capsys):
         rc = main(["run", _write(tmp_path, BASE), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
