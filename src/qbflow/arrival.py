@@ -4,7 +4,12 @@ Current route
     J(t) = -j(0, t): the (signed) probability current of the evolved state
     through x = 0, taken positive for right-to-left crossings.  With
     dissipation switched on the current picks up the diffusive correction
-    from :mod:`lindblad_dynamics`.
+    from :mod:`lindblad_dynamics`.  All sample times are evaluated at once,
+    as one (terms x times) array reduction of the exact engine.  By
+    continuity its integral over [t1, t2] is the drop S(t1) - S(t2) of the
+    probability right of the origin, a closed form; only the uncorrected
+    current at gamma > 0, which misses the diffusive flux, is integrated
+    by quadrature.
 
 POVM route
     For measurement intervals the current integral is re-expressed as the
@@ -41,12 +46,10 @@ from .gaussian_engine import (
     GaussianMixtureState,
     _gaussian_fourier_above,
     _gaussian_fourier_probit,
-    convolve_state,
-    evaluate_state,
-    flux_density,
+    _right_mass,
     husimi_smear,
     moments,
-    position_density_gradient,
+    origin_line_reductions,
     propagate_mixture,
     qbm_covariance,
     qbm_covariance_comoving,
@@ -64,11 +67,9 @@ __all__ = [
     "arrival_current",
     "current_from_wigner",
     "arrival_probability",
-    "q_function_current",
     "povm_threshold_time",
     "PovmEffect",
     "build_povm_E",
-    "povm_F_expectation",
     "StochasticArrival",
     "restricted_march",
     "arrival_probability_stochastic",
@@ -79,6 +80,28 @@ __all__ = [
 # Accumulated-noise threshold for the POVM split: the comoving covariance
 # admits a minimum-uncertainty decomposition iff D t^2 / m >= this * hbar.
 _POVM_THRESHOLD = 1.5 + math.sqrt(3.0)
+
+
+def _checked_times(times) -> np.ndarray:
+    """Sample times as a float array; raises on a non-finite or negative one."""
+    times = np.asarray(times, dtype=float)
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if bad.any():
+        raise ValueError(
+            f"sample times must be finite and non-negative, got {float(times[bad].flat[0])!r}"
+        )
+    return times
+
+
+def _currents(
+    state: GaussianMixtureState, times: np.ndarray, params: PhysParams, corrected: bool
+) -> np.ndarray:
+    """J(t) = -j(0, t) at every sample time, from one (terms x times) reduction."""
+    _, flux, grad = origin_line_reductions(state, times, params)
+    j = -(flux / params.mass)
+    if corrected and params.gamma != 0.0:
+        j = j + 0.5 * (params.hbar * params.b) ** 2 * grad
+    return j
 
 
 def arrival_current(
@@ -93,12 +116,7 @@ def arrival_current(
     +(hbar^2 b^2 / 2) d rho/dx |_0, which is what actually balances the
     continuity equation for gamma > 0 (it vanishes identically otherwise).
     """
-    evolved = propagate_mixture(state, t, params)
-    j = -flux_density(evolved, 0.0, params.mass)
-    if corrected and params.gamma != 0.0:
-        coeff = 0.5 * (params.hbar * params.b) ** 2
-        j += coeff * position_density_gradient(evolved, 0.0)
-    return float(j)
+    return float(_currents(state, _checked_times([t]), params, corrected)[0])
 
 
 def current_from_wigner(w: PhaseSpaceGrid, params: PhysParams) -> float:
@@ -113,9 +131,22 @@ def arrival_probability(
     params: PhysParams,
     corrected: bool = False,
 ) -> float:
-    """Time integral of the arrival current over the interval."""
+    """Time integral of the arrival current over the interval.
+
+    Where the current balances continuity (gamma = 0, or ``corrected``)
+    the integral is exactly the drop S(t1) - S(t2) of the probability right
+    of the origin, two closed-form right-mass reductions.  The uncorrected
+    current at gamma > 0 misses the diffusive flux, so it is integrated by
+    ``quad``.
+    """
+    if params.gamma == 0.0 or corrected:
+        s1, s2 = (
+            _right_mass(propagate_mixture(state, t, params))
+            for t in (interval.t1, interval.t2)
+        )
+        return float(s1 - s2)
     val, _err = quad(
-        lambda t: arrival_current(state, t, params, corrected=corrected),
+        lambda t: arrival_current(state, t, params),
         interval.t1,
         interval.t2,
         limit=400,
@@ -123,40 +154,6 @@ def arrival_probability(
         epsrel=1e-10,
     )
     return float(val)
-
-
-def q_function_current(
-    state: GaussianMixtureState, t: float, params: PhysParams, n: int = 4001
-) -> float:
-    """Arrival current computed in the comoving picture.
-
-    Writing the evolved current as a line integral over the *initial* state
-    smeared with the comoving noise covariance,
-
-        J(t) = int dp (-p/m) (g_At * W0)(p, -p t / m),
-
-    exercises a completely different pipeline from :func:`arrival_current`
-    (covariance transport instead of state transport); the two agree to
-    quadrature accuracy.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if t == 0.0:
-        smeared = state
-    else:
-        smeared = convolve_state(state, qbm_covariance_comoving(t, params))
-    return _line_current(smeared, t, params.mass, n, 9.0)
-
-
-def _line_current(
-    state: GaussianMixtureState, t: float, mass: float, n: int, widths: float
-) -> float:
-    """int dp (-p/m) W(p, -p t / m), trapezoid over mean_p +- widths sigma_p."""
-    mean, cov = moments(state)
-    sp = math.sqrt(cov.pp)
-    p = np.linspace(mean[0] - widths * sp, mean[0] + widths * sp, n)
-    line = evaluate_state(state, p, -p * t / mass)
-    return float(np.trapezoid(-p / mass * line, p))
 
 
 # ---------------------------------------------------------------------------
@@ -296,47 +293,6 @@ def build_povm_E(
     return PovmEffect(interval=interval, params=params, s=s_val, t_ref=t_ref, a0=a0, b=b)
 
 
-def povm_F_expectation(
-    state: GaussianMixtureState,
-    t: float,
-    params: PhysParams,
-    s: float | None = None,
-    n: int = 768,
-    widths: float = 9.0,
-) -> float:
-    """Instantaneous arrival-rate operator paired with the Husimi function.
-
-    Uses the per-time split A(t)~ = A0 + B(t): the symbol is the smeared
-    weighted line density
-
-        S_F(z) = -(1/m) [z_p - (B n)_p (n.z) / (n^T B n)]
-                 * phi(n.z / sigma) / sigma,      sigma^2 = n^T B n,
-
-    with n = (t/m, 1).  As B -> 0 this collapses back to the line integral
-    of :func:`q_function_current`; the expectation equals the arrival
-    current for any valid split.
-    """
-    if state.hbar != params.hbar:
-        raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
-    s_val, a0, b = _split_covariance(t, params, s)
-    mass = params.mass
-    nvec = np.array([t / mass, 1.0])
-    sig2 = float(nvec @ b.matrix() @ nvec)
-    q_state = husimi_smear(state, s_val)
-    if sig2 <= 0.0:
-        # degenerate remainder: fall back to the sharp line integral
-        return _line_current(q_state, t, mass, 4001, widths)
-    sig = math.sqrt(sig2)
-    bn_p = float((b.matrix() @ nvec)[0])
-    pax, qax = default_axes(q_state, params, t_max=0.0, n=n, widths=widths)
-    pp, qq = np.meshgrid(pax.points, qax.points, indexing="ij")
-    q_vals = evaluate_state(q_state, pp, qq)
-    ndotz = pp * nvec[0] + qq
-    weight = pp - bn_p * ndotz / sig2
-    gauss = np.exp(-0.5 * (ndotz / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
-    return PhaseSpaceGrid(pax, qax, -(1.0 / mass) * weight * gauss * q_vals).integrate()
-
-
 # ---------------------------------------------------------------------------
 # stochastic (restricted-propagation) route
 
@@ -458,15 +414,17 @@ def backflow_scan(
     corrected: bool = False,
     label: str = "",
 ) -> ArrivalResult:
-    """Sample the arrival current on a time grid (exact engine route)."""
-    times = np.asarray(times, dtype=float)
+    """Sample the arrival current on a time grid (exact engine route).
+
+    All samples come from one array evaluation over (terms x times); the
+    running integral is the trapezoid rule on those samples.
+    """
+    times = _checked_times(times)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need a 1-D array of at least two sample times")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    current = np.array(
-        [arrival_current(state, t, params, corrected=corrected) for t in times]
-    )
+    current = _currents(state, times, params, corrected)
     cumulative = np.concatenate(
         [[0.0], cumulative_trapezoid(current, times)]
     )

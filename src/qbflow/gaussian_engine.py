@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfc, erfcx
 
 from .core_model import PhysParams
 
@@ -34,7 +35,9 @@ __all__ = [
     "is_wigner_admissible",
     "qbm_covariance",
     "qbm_covariance_comoving",
+    "qbm_covariance_entries",
     "qbm_flow",
+    "qbm_flow_entries",
     "propagate_mixture",
     "moments",
     "term_integral",
@@ -47,6 +50,7 @@ __all__ = [
     "position_density",
     "position_density_gradient",
     "flux_density",
+    "origin_line_reductions",
     "husimi_smear",
 ]
 
@@ -133,34 +137,35 @@ def qbm_covariance(t: float, params: PhysParams) -> Cov2:
         raise ValueError(f"propagation time must be non-negative, got {t}")
     if t == 0.0:
         return Cov2.zero()
+    return Cov2(*(float(x) for x in qbm_covariance_entries(np.float64(t), params)))
+
+
+def qbm_covariance_entries(t, params: PhysParams):
+    """(pp, pq, qq) of :func:`qbm_covariance`, elementwise over an array t >= 0."""
     m = params.mass
     if params.gamma == 0.0:
-        return Cov2(
-            pp=2.0 * params.D * t,
-            pq=params.D * t * t / m,
-            qq=2.0 * params.D * t ** 3 / (3.0 * m * m),
-        )
+        return 2.0 * params.D * t, params.D * t * t / m, 2.0 * params.D * t ** 3 / (3.0 * m * m)
     lam = 2.0 * params.gamma
     n1 = 2.0 * params.D
     n2 = params.hbar ** 2 * params.b ** 2
     x = lam * t
     # T1 = (1 - e^{-x})/lam, T2 = (1 - e^{-2x})/(2 lam); the qq bracket
-    # t - 2*T1 + T2 cancels to O(lam^2 t^3), so switch to its series for
-    # small x.
-    t1 = -math.expm1(-x) / lam
-    t2 = -math.expm1(-2.0 * x) / (2.0 * lam)
-    app = n1 * t2
-    if x < 1e-3:
-        pq_b = lam * t * t / 2.0 - lam * lam * t ** 3 / 2.0 + 7.0 * lam ** 3 * t ** 4 / 24.0
-        qq_b = lam * lam * t ** 3 / 3.0 - lam ** 3 * t ** 4 / 4.0 + 7.0 * lam ** 4 * t ** 5 / 60.0
-    else:
-        pq_b = t1 - t2
-        qq_b = t - 2.0 * t1 + t2
-    return Cov2(
-        pp=app,
-        pq=n1 * pq_b / (lam * m),
-        qq=n1 * qq_b / (lam * m) ** 2 + n2 * t,
+    # t - 2*T1 + T2 cancels to O(lam^2 t^3), so each element with small x
+    # takes its series instead.
+    t1 = -np.expm1(-x) / lam
+    t2 = -np.expm1(-2.0 * x) / (2.0 * lam)
+    small = x < 1e-3
+    pq_b = np.where(
+        small,
+        lam * t * t / 2.0 - lam * lam * t ** 3 / 2.0 + 7.0 * lam ** 3 * t ** 4 / 24.0,
+        t1 - t2,
     )
+    qq_b = np.where(
+        small,
+        lam * lam * t ** 3 / 3.0 - lam ** 3 * t ** 4 / 4.0 + 7.0 * lam ** 4 * t ** 5 / 60.0,
+        t - 2.0 * t1 + t2,
+    )
+    return n1 * t2, n1 * pq_b / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
 
 
 def qbm_flow(t: float, params: PhysParams) -> np.ndarray:
@@ -169,12 +174,17 @@ def qbm_flow(t: float, params: PhysParams) -> np.ndarray:
     Pure shear [[1,0],[t/m,1]] for gamma = 0; with dissipation the momentum
     row relaxes as e^{-2 gamma t}.
     """
+    decay, drift = qbm_flow_entries(np.float64(t), params)
+    return np.array([[float(decay), 0.0], [float(drift), 1.0]])
+
+
+def qbm_flow_entries(t, params: PhysParams):
+    """(decay, drift) of flow = [[decay, 0], [drift, 1]], elementwise over an array t."""
     m = params.mass
     if params.gamma == 0.0:
-        return np.array([[1.0, 0.0], [t / m, 1.0]])
+        return np.ones_like(t), t / m
     lam = 2.0 * params.gamma
-    decay = math.exp(-lam * t)
-    return np.array([[decay, 0.0], [-math.expm1(-lam * t) / (lam * m), 1.0]])
+    return np.exp(-lam * t), -np.expm1(-lam * t) / (lam * m)
 
 
 def qbm_covariance_comoving(t: float, params: PhysParams) -> Cov2:
@@ -501,6 +511,52 @@ def propagate_mixture(
     )
 
 
+class _CovArrays(NamedTuple):
+    """Unchecked stand-in for :class:`Cov2` whose entries are arrays."""
+
+    pp: np.ndarray
+    pq: np.ndarray
+    qq: np.ndarray
+
+
+def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> GaussianTerm:
+    """``propagate_mixture(state, t_j)`` for every time t_j of an array t >= 0 at once.
+
+    Returns one GaussianTerm whose fields are (terms x times) arrays and whose
+    cov is a :class:`_CovArrays`.  The algebra is that of :func:`_transform_term`
+    and :func:`convolve_term` written out elementwise, with the 2x2 solves as
+    explicit determinants.  Where the spreading A(t_j) vanishes (t = 0, or no
+    noise at all) the convolution is skipped, as :func:`convolve_term` does.
+    """
+    if state.hbar != params.hbar:
+        raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
+    rows = np.array(
+        [(u.weight, *u.center, u.cov.pp, u.cov.pq, u.cov.qq, *u.k, u.phase) for u in state.terms]
+    )
+    w, cp, cq, pp, pq, qq, kp, kq, phase = rows.T.reshape(9, -1, *(1,) * np.ndim(t))
+    decay, drift = qbm_flow_entries(t, params)
+    a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)
+    # flow F = [[decay, 0], [drift, 1]]: c -> F c, S -> F S F^T, k -> F^{-T} k
+    cp, cq = decay * cp, drift * cp + cq
+    pp, pq, qq = (
+        decay * decay * pp,
+        decay * (drift * pp + pq),
+        (drift * pp + pq) * drift + (drift * pq + qq),
+    )
+    kp = (kp - drift * kq) / decay
+    # convolution with g(.; A): C = S + A, k'' = C^{-1} S k
+    sk_p, sk_q = pp * kp + pq * kq, pq * kp + qq * kq
+    pp, pq, qq = pp + a_pp, pq + a_pq, qq + a_qq
+    det = pp * qq - pq * pq
+    k2p, k2q = (qq * sk_p - pq * sk_q) / det, (pp * sk_q - pq * sk_p) / det
+    noisy = (a_pp != 0.0) | (a_pq != 0.0) | (a_qq != 0.0)
+    damp = (kp * sk_p + kq * sk_q) - (sk_p * k2p + sk_q * k2q)
+    w = np.where(noisy, w * np.exp(-0.5 * damp), w)
+    phase = np.where(noisy, phase + ((kp - k2p) * cp + (kq - k2q) * cq), phase)
+    k = (np.where(noisy, k2p, kp), np.where(noisy, k2q, kq))
+    return GaussianTerm(w, (cp, cq), _CovArrays(pp, pq, qq), k, phase)
+
+
 def husimi_smear(state: GaussianMixtureState, s: float) -> GaussianMixtureState:
     """Convolve with the minimum-uncertainty Gaussian diag(hbar s^2, hbar/4s^2).
 
@@ -558,7 +614,7 @@ def _conditional(term: GaussianTerm, q):
     slope = c.pq / c.qq
     v = c.pp - c.pq * c.pq / c.qq
     mu = cp + slope * (q - cq)
-    marg = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / math.sqrt(2.0 * math.pi * c.qq)
+    marg = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / np.sqrt(2.0 * math.pi * c.qq)
     return marg, mu, v, slope
 
 
@@ -569,13 +625,18 @@ def _gaussian_fourier_below(mu, var, beta, hi):
     w = (mu + i beta var - hi) / sqrt(2 var); both factors overflow /
     underflow separately, so combine them through the scaled erfcx:
     the product equals exp(i beta mu - x0^2 - 2 i x0 y) * erfcx(w) / 2
-    with w = x0 + i y, whose magnitude never exceeds a few units.
+    with w = x0 + i y.  Where x0 < 0 the half-line holds most of the mass
+    and erfcx(w) would overflow far out; there erfc(w) = 2 - erfc(-w) turns
+    the integral into the full transform e^{i beta mu - beta^2 var / 2}
+    minus the mirrored piece, so erfcx only ever sees Re >= 0.
     """
     sig = np.sqrt(var)
     x0 = (mu - hi) / (sig * _SQRT2)
     y = beta * sig / _SQRT2
     w = x0 + 1j * y
-    return 0.5 * erfcx(w) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
+    lower = x0 < 0.0
+    half = 0.5 * erfcx(np.where(lower, -w, w)) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
+    return np.where(lower, np.exp(1j * beta * mu - 0.5 * beta * beta * var) - half, half)
 
 
 def _gaussian_fourier_above(mu, var, beta, lo):
@@ -592,20 +653,11 @@ def _gaussian_fourier_probit(k, mu, var, alpha, beta):
 
         exp(i k mu (1 - beta^2 var / s^2) - k^2 var / (2 s^2))
         * _gaussian_fourier_below(-beta mu, s^2, -k beta var / s^2, alpha).
-
-    Where alpha + beta mu > 0 the half-line holds most of the mass, and the
-    erfcx form would overflow far out; there Phi(x) = 1 - Phi(-x) turns the
-    integral into the full Fourier transform minus the mirrored one.
     """
-    k, mu, alpha, beta = (np.asarray(x, dtype=float) for x in (k, mu, alpha, beta))
-    flip = alpha + beta * mu > 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    alpha, beta = sign * alpha, sign * beta
     s2 = 1.0 + beta * beta * var
-    tail = np.exp(1j * k * mu * (1.0 - beta * beta * var / s2) - 0.5 * k * k * var / s2) * (
+    return np.exp(1j * k * mu * (1.0 - beta * beta * var / s2) - 0.5 * k * k * var / s2) * (
         _gaussian_fourier_below(-beta * mu, s2, -k * beta * var / s2, alpha)
     )
-    return np.where(flip, np.exp(1j * k * mu - 0.5 * k * k * var) - tail, tail)
 
 
 def _term_line_reductions(term: GaussianTerm, q):
@@ -613,13 +665,14 @@ def _term_line_reductions(term: GaussianTerm, q):
 
     Returns (density, flux, gradient): int dp W_term, int dp p W_term and
     d density/dq, all from one :func:`_conditional` split and one cos/sin
-    pair.  An unmodulated term is the case k = 0, phase = 0.
+    pair.  An unmodulated term is the case k = 0, phase = 0.  The fields may
+    also be arrays, as in the stacked term of :func:`_propagate_stacked`.
     """
     q = np.asarray(q, dtype=float)
     marg, mu, v, slope = _conditional(term, q)
     kp, kq = term.k
     # int dp N(p; mu, v) e^{i kp p} = e^{i kp mu - kp^2 v / 2}
-    scale = term.weight * marg * math.exp(-0.5 * kp * kp * v)
+    scale = term.weight * marg * np.exp(-0.5 * kp * kp * v)
     phase = kp * mu + kq * q + term.phase
     cos, sin = np.cos(phase), np.sin(phase)
     dens = scale * cos
@@ -641,3 +694,34 @@ def position_density_gradient(state: GaussianMixtureState, q):
 def flux_density(state: GaussianMixtureState, q, mass: float):
     """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
     return sum(_term_line_reductions(term, q)[1] for term in state.terms) / mass
+
+
+def origin_line_reductions(state: GaussianMixtureState, t, params: PhysParams):
+    """(density, flux, gradient) at q = 0 of the state evolved to every time in t.
+
+    Elementwise over an array t >= 0 this is ``position_density``,
+    ``flux_density * mass`` and ``position_density_gradient`` of
+    ``propagate_mixture(state, t_j)`` at q = 0, computed over (terms x times)
+    arrays without building an evolved state per time.
+    """
+    stacked = _propagate_stacked(state, np.asarray(t, dtype=float), params)
+    return tuple(r.sum(axis=0) for r in _term_line_reductions(stacked, 0.0))
+
+
+def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
+    """Closed-form integral of the position density over q > lo."""
+    total = 0.0
+    for term in state.terms:
+        c = term.cov
+        cq = term.center[1]
+        kp, kq = term.k
+        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
+            total += term.weight * 0.5 * float(erfc((lo - cq) / (math.sqrt(c.qq) * _SQRT2)))
+            continue
+        _, mu0, v, slope = _conditional(term, 0.0)
+        alpha = kp * slope + kq
+        psi = kp * mu0 + term.phase
+        damp = math.exp(-0.5 * kp * kp * v)
+        piece = _gaussian_fourier_above(cq, c.qq, alpha, lo)
+        total += term.weight * damp * float(np.real(np.exp(1j * psi) * piece))
+    return total

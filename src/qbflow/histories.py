@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, sici
+from scipy.special import sici
 
 from .core_model import Interval, PhysParams, derive_timescales
 from .gaussian_engine import (
@@ -43,6 +43,7 @@ from .gaussian_engine import (
     _gaussian_fourier_above,
     _gaussian_fourier_below,
     _gaussian_fourier_probit,
+    _right_mass,
     evaluate_state,
     moments,
     propagate_mixture,
@@ -106,25 +107,6 @@ def f_integral(u):
 
 # ---------------------------------------------------------------------------
 # survival probabilities (linear route)
-
-
-def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
-    """Closed-form integral of the position density over q > lo."""
-    total = 0.0
-    for term in state.terms:
-        c = term.cov
-        cq = term.center[1]
-        kp, kq = term.k
-        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
-            total += term.weight * 0.5 * float(erfc((lo - cq) / (math.sqrt(c.qq) * _SQRT2)))
-            continue
-        _, mu0, v, slope = _conditional(term, 0.0)
-        alpha = kp * slope + kq
-        psi = kp * mu0 + term.phase
-        damp = math.exp(-0.5 * kp * kp * v)
-        piece = _gaussian_fourier_above(cq, c.qq, alpha, lo)
-        total += term.weight * damp * float(np.real(np.exp(1j * psi) * piece))
-    return total
 
 
 def survival_probability(

@@ -14,12 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from qbflow.core_model import Interval, PhysParams
 from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
+from oracles import povm_F_expectation, q_function_current
 
 
 PAR = PhysParams(D=2.0)
@@ -30,7 +32,7 @@ class TestCurrentRoutes:
     def test_comoving_route_matches_engine(self):
         for t in (0.0, 0.3, 0.8, 1.5):
             j_engine = ar.arrival_current(LEFT_GAUSS, t, PAR)
-            j_line = ar.q_function_current(LEFT_GAUSS, t, PAR)
+            j_line = q_function_current(LEFT_GAUSS, t, PAR)
             assert math.isclose(j_engine, j_line, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_grid_route_matches_engine(self):
@@ -237,13 +239,13 @@ class TestExpectationClosedForm:
 class TestInstantaneousOperator:
     def test_matches_current_exactly(self):
         for t in (1.3, 1.5, 2.0):
-            jf = ar.povm_F_expectation(LEFT_GAUSS, t, PAR)
+            jf = povm_F_expectation(LEFT_GAUSS, t, PAR)
             j = ar.arrival_current(LEFT_GAUSS, t, PAR)
             assert math.isclose(jf, j, rel_tol=1e-6, abs_tol=1e-12)
 
     def test_needs_threshold_noise(self):
         with pytest.raises(ValueError, match="too early"):
-            ar.povm_F_expectation(LEFT_GAUSS, 0.5, PAR)
+            povm_F_expectation(LEFT_GAUSS, 0.5, PAR)
 
 
 class TestStochasticRoute:
@@ -276,3 +278,98 @@ class TestStochasticRoute:
                                                 self.PAR, eps=0.05)
         # initial right-half mass ~ 1; what is not absorbed must survive
         assert math.isclose(sto.final_norm + sto.norm_loss, 1.0, abs_tol=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the array current kernel and the closed-form integral
+
+
+def _per_time_current(state, t, params, corrected):
+    """Oracle: one evolved state per sample time, reduced at q = 0."""
+    evolved = ge.propagate_mixture(state, t, params)
+    j = -ge.flux_density(evolved, 0.0, params.mass)
+    if corrected and params.gamma != 0.0:
+        j += 0.5 * (params.hbar * params.b) ** 2 * ge.position_density_gradient(evolved, 0.0)
+    return float(j)
+
+
+def _quad_probability(state, iv, params, corrected):
+    """Oracle: the arrival current integrated by adaptive quadrature."""
+    return quad(
+        lambda t: ar.arrival_current(state, t, params, corrected=corrected),
+        iv.t1, iv.t2, limit=400, epsabs=1e-12, epsrel=1e-10,
+    )[0]
+
+
+KERNEL_STATES = {
+    "gaussian": LEFT_GAUSS,
+    "cat": ge.shift_state(ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=8.0),
+    "two_momentum": ge.make_two_momentum_state(
+        p1=-2.0, p2=-6.0, q0=2.0, sigma=1.0, ratio=0.8, rel_phase=0.4
+    ),
+}
+# (params, corrected); gamma = 0.05 puts the series switch x = 2 gamma t = 1e-3
+# at t = 0.01
+KERNEL_CASES = {
+    "free": (PhysParams(D=0.0), False),
+    "noisy": (PhysParams(D=2.0), False),
+    "dissipative": (PhysParams(D=2.0, gamma=0.05), False),
+    "dissipative_corrected": (PhysParams(D=2.0, gamma=0.05), True),
+}
+KERNEL_TIMES = np.array([0.0, 0.004, 0.0099, 0.0101, 0.02, 0.15, 0.4, 0.8, 1.1, 1.6])
+
+
+class TestArrayCurrent:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("kind", sorted(KERNEL_STATES))
+    def test_matches_per_time_path(self, kind, case):
+        params, corrected = KERNEL_CASES[case]
+        state = KERNEL_STATES[kind]
+        got = ar.backflow_scan(state, params, KERNEL_TIMES, corrected=corrected).current
+        want = np.array([_per_time_current(state, t, params, corrected) for t in KERNEL_TIMES])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (got - want)
+        for t, j in zip(KERNEL_TIMES, got):
+            assert ar.arrival_current(state, t, params, corrected=corrected) == j
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_scan_rejects_bad_time(self, bad):
+        times = np.array([0.1, 0.2, bad, 0.4])
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {bad!r}"):
+            ar.backflow_scan(LEFT_GAUSS, PAR, times)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.1])
+    def test_current_rejects_bad_time(self, bad):
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {bad!r}"):
+            ar.arrival_current(LEFT_GAUSS, bad, PAR)
+
+
+PROBABILITY_STATES = dict(
+    KERNEL_STATES,
+    far_cat=ge.shift_state(ge.make_cat_state(4.0, -10.0, 1.0), dq=40.0),
+)
+
+
+class TestClosedFormProbability:
+    @pytest.mark.parametrize("window", [(0.0, 0.5), (0.3, 1.2), (0.0, 1.6), (1.0, 1.01)])
+    @pytest.mark.parametrize("case", ["free", "noisy", "dissipative_corrected"])
+    @pytest.mark.parametrize("kind", sorted(PROBABILITY_STATES))
+    def test_matches_quadrature(self, kind, case, window):
+        params, corrected = KERNEL_CASES[case]
+        state, iv = PROBABILITY_STATES[kind], Interval(*window)
+        got = ar.arrival_probability(state, iv, params, corrected=corrected)
+        want = _quad_probability(state, iv, params, corrected)
+        # S(t1) - S(t2) carries the absolute round-off of S itself: an ulp of
+        # 1 at gamma = 0, and ~1e-14 at gamma > 0, where the qq entry of
+        # qbm_covariance cancels in t - 2 T1 + T2; quad averages that away
+        floor = 3e-14 if params.gamma else 2.3e-16
+        tol = 1e-14 * abs(want) + floor if abs(want) > 1e-3 else 1e-12
+        assert abs(got - want) <= tol, (got, want)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_STATES))
+    def test_uncorrected_dissipative_keeps_quadrature(self, kind):
+        params, _ = KERNEL_CASES["dissipative"]
+        state, iv = KERNEL_STATES[kind], Interval(0.3, 1.2)
+        got = ar.arrival_probability(state, iv, params)
+        assert got == _quad_probability(state, iv, params, False)
+        # the diffusive flux the uncorrected current misses is visible
+        assert got != ar.arrival_probability(state, iv, params, corrected=True)

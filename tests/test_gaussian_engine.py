@@ -101,6 +101,21 @@ class TestCovarianceLaw:
         with pytest.raises(ValueError, match="non-negative"):
             ge.qbm_covariance(-0.1, PhysParams(D=1.0))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_array_forms_match_scalar_forms(self, gamma):
+        # gamma = 0.05 puts the series switch x = 2 gamma t = 1e-3 at t = 0.01,
+        # so the array straddles it and each element must take its own branch
+        par = PhysParams(D=2.0, mass=1.3, gamma=gamma)
+        ts = np.array([0.0, 0.004, 0.0099, 0.01, 0.0101, 0.3, 2.0, 40.0])
+        entries = np.array(ge.qbm_covariance_entries(ts, par))
+        decay, drift = ge.qbm_flow_entries(ts, par)
+        for i, t in enumerate(ts):
+            cov = ge.qbm_covariance(t, par)
+            np.testing.assert_allclose(entries[:, i], [cov.pp, cov.pq, cov.qq], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(
+                [[decay[i], 0.0], [drift[i], 1.0]], ge.qbm_flow(t, par), rtol=1e-15, atol=0.0
+            )
+
 
 class TestStates:
     def test_gaussian_is_minimum_uncertainty(self):
@@ -386,3 +401,28 @@ class TestGaussianFourierProbit:
         # the far right side holds the whole Fourier transform
         got = ge._gaussian_fourier_probit(2.0, 80.0, 1.0, 0.0, 1.0)
         assert abs(got - np.exp(2j * 80.0 - 2.0)) < 1e-15
+
+
+class TestGaussianFourierHalfLine:
+    def test_finite_far_inside_the_half_line(self):
+        # (mu - hi) / (sigma sqrt 2) < -26.6 overflowed erfcx into a nan;
+        # deep inside the half-line the integral is the whole transform
+        mu = np.array([-10.0, -40.0, -80.0, -400.0])
+        with np.errstate(over="raise", invalid="raise"):
+            got = ge._gaussian_fourier_below(mu, 1.0, 2.0, 0.0)
+        np.testing.assert_allclose(got, np.exp(2j * mu - 2.0), rtol=1e-13, atol=0.0)
+        above = ge._gaussian_fourier_above(-mu, 1.0, 2.0, 0.0)
+        np.testing.assert_allclose(above, np.exp(-2j * mu - 2.0), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("mu", [-3.0, -0.4, 0.0, 0.4, 3.0])
+    def test_both_sides_match_quadrature(self, mu):
+        var, beta, hi = 0.7, 1.7, 0.2
+        got = complex(ge._gaussian_fourier_below(mu, var, beta, hi))
+
+        def gauss(x):
+            return math.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+        lo = mu - 40.0 * math.sqrt(var)
+        re = quad(gauss, lo, hi, weight="cos", wvar=beta, epsabs=1e-15)[0]
+        im = quad(gauss, lo, hi, weight="sin", wvar=beta, epsabs=1e-15)[0]
+        assert abs(got - complex(re, im)) <= 1e-12, (got, re, im)

@@ -189,6 +189,15 @@ class TestSurvivalAndLinear:
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         assert abs(hi.survival_probability(st, 0.0, FREE) - 1.0) < 1e-9
 
+    def test_far_right_fringe_is_finite(self):
+        # the fringe term 40 sigma right of the origin made the half-line
+        # Fourier integral overflow, and S(0) came out nan
+        cat = ge.shift_state(ge.make_cat_state(4.0, -10.0, 1.0), dq=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s0 = hi.survival_probability(cat, 0.0, FREE)
+        assert abs(s0 - 1.0) < 1e-15
+
     def test_telescoping_partition(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         bounds = [0.0, 0.8, 1.5, 1.9, 2.6, 4.0]
