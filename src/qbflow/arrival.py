@@ -4,12 +4,12 @@ Current route
     J(t) = -j(0, t): the (signed) probability current of the evolved state
     through x = 0, taken positive for right-to-left crossings.  With
     dissipation switched on the current picks up the diffusive correction
-    from :mod:`lindblad_dynamics`.  All sample times are evaluated at once,
-    as one (terms x times) array reduction of the exact engine.  By
-    continuity its integral over [t1, t2] is the drop S(t1) - S(t2) of the
-    probability right of the origin, a closed form; only the uncorrected
-    current at gamma > 0, which misses the diffusive flux, is integrated
-    by quadrature.
+    +(hbar^2 b^2 / 2) d rho/dx (``_currents``).  All sample times are
+    evaluated at once, as one (terms x times) array reduction of the exact
+    engine.  By continuity its integral over [t1, t2] is the drop
+    S(t1) - S(t2) of the probability right of the origin, a closed form;
+    only the uncorrected current at gamma > 0, which misses the diffusive
+    flux, is integrated by quadrature.
 
 POVM route
     For measurement intervals the current integral is re-expressed as the
@@ -172,13 +172,12 @@ def povm_threshold_time(params: PhysParams) -> float:
     return math.sqrt(_POVM_THRESHOLD * params.hbar * params.mass / params.D)
 
 
-def _split_covariance(t_ref: float, params: PhysParams, s: float | None):
+def _split_covariance(t_ref: float, params: PhysParams):
     """(s, A0, B) with A0 minimum-uncertainty, B = A(t_ref)~ - A0 PSD."""
     a_t = qbm_covariance_comoving(t_ref, params)
     h = params.hbar
-    if s is None:
-        # equalising choice: maximises det(B) over the A0 family
-        s = float((a_t.pp / (4.0 * a_t.qq)) ** 0.25)
+    # equalising choice: maximises det(B) over the A0 family
+    s = float((a_t.pp / (4.0 * a_t.qq)) ** 0.25)
     a0 = Cov2(h * s * s, 0.0, h / (4.0 * s * s))
     b_pp = a_t.pp - a0.pp
     b_qq = a_t.qq - a0.qq
@@ -272,9 +271,7 @@ class PovmEffect:
         return total
 
 
-def build_povm_E(
-    interval: Interval, params: PhysParams, s: float | None = None
-) -> PovmEffect:
+def build_povm_E(interval: Interval, params: PhysParams) -> PovmEffect:
     """Effect operator for arrival within the interval.
 
     The freeze time is the interval midpoint; midpoints earlier than the
@@ -289,7 +286,7 @@ def build_povm_E(
             f"but the covariance split needs t >= {t_thr!r}"
         )
     t_ref = max(interval.midpoint, t_thr)
-    s_val, a0, b = _split_covariance(t_ref, params, s)
+    s_val, a0, b = _split_covariance(t_ref, params)
     return PovmEffect(interval=interval, params=params, s=s_val, t_ref=t_ref, a0=a0, b=b)
 
 
@@ -353,7 +350,6 @@ def arrival_probability_stochastic(
     params: PhysParams,
     eps: float,
     n: int = 256,
-    q_margin: float = 4.0,
 ) -> StochasticArrival:
     """March the restricted evolution and read off the crossing probability.
 
@@ -366,7 +362,7 @@ def arrival_probability_stochastic(
     pax, qax = default_axes(state, params, t_max=interval.t2, n=n)
     spread = qbm_covariance(interval.t2, params)
     _, cov0 = moments(state)
-    q_lo = min(qax.lo, -q_margin * math.sqrt(cov0.qq + spread.qq))
+    q_lo = min(qax.lo, -4.0 * math.sqrt(cov0.qq + spread.qq))  # 4 evolved widths
     w = wigner_grid_from_state(state, pax, Axis(q_lo, max(qax.hi, 1.0), n))
     norms, currents = restricted_march(w, interval.t2, eps, params)
     return StochasticArrival(

@@ -206,14 +206,14 @@ def energy_localisation_ratio(params: PhysParams, p0: float) -> float:
     return energy * scales.tau_l / params.hbar
 
 
-def validity_window(scales: TimeScales, factor: float = MUCH_LESS) -> Interval:
-    """Window (t_positive, factor * tau_s) where the arrival analysis is clean.
+def validity_window(scales: TimeScales) -> Interval:
+    """Window (t_positive, MUCH_LESS * tau_s) where the arrival analysis is clean.
 
     Below t_positive the smearing kernel is not yet an admissible phase-space
     Gaussian; above ~0.1 tau_s momentum diffusion has randomised the reference
     momentum.  Raises ValueError when the window is empty.
     """
-    upper = factor * scales.tau_s
+    upper = MUCH_LESS * scales.tau_s
     if upper <= scales.t_positive:
         raise ValueError(
             "no near-deterministic validity window for these parameters"

@@ -133,8 +133,8 @@ def qbm_covariance(t: float, params: PhysParams) -> Cov2:
     gamma -> 0); the noise feeding position diffusion directly is the
     hbar^2 b^2 term of the master equation.
     """
-    if t < 0.0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if t == 0.0:
         return Cov2.zero()
     return Cov2(*(float(x) for x in qbm_covariance_entries(np.float64(t), params)))
@@ -493,8 +493,8 @@ def propagate_mixture(
     term family to itself.  Forms an exact semigroup:
     propagate(propagate(s, t1), t2) == propagate(s, t1 + t2).
     """
-    if t < 0.0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if t == 0.0:
         return state
     if state.hbar != params.hbar:

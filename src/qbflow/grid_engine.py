@@ -1,12 +1,10 @@
-"""Brute-force grid representations and propagators.
+"""Grid representations and propagators.
 
-Everything in here is deliberately direct: finite grids, interpolated
-slices, exact factorisations of the evolution.  The grid engine is the
-oracle that the closed-form Gaussian engine is validated against, so the
-two share no numerical pathway — density matrices evolve by the exact
-split-step factorisation of the QBM propagator on an FFT grid, and
-Wigner grids keep the literal evolution kernel by quadrature as an oracle
-next to its fast shear-and-blur decomposition.
+Everything in here works on finite grids and shares no numerical pathway
+with the closed-form Gaussian engine, which it cross-checks: density
+matrices evolve by the exact split-step factorisation of the QBM
+propagator on an FFT grid, and Wigner grids by the exact shear-and-blur
+decomposition of the evolution kernel.
 
 Conventions: phase-space arrays are indexed ``values[i, j] = W(p_i, q_j)``;
 density matrices are ``values[i, j] = rho(x_i, x_j)`` on a common uniform
@@ -39,7 +37,6 @@ __all__ = [
     "default_axes",
     "density_matrix_from_state",
     "wigner_grid_from_state",
-    "wigner_from_density",
     "propagate_wigner_qbm",
     "axis_straddling_zero",
     "slice_at_q0",
@@ -125,9 +122,6 @@ class DensityMatrixGrid:
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values.conj().T)))
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.values))
 
     def with_values(self, values: np.ndarray) -> "DensityMatrixGrid":
         return replace(self, values=values)
@@ -216,48 +210,6 @@ def _density_block(
 
 
 # ---------------------------------------------------------------------------
-# transforms
-
-
-def wigner_from_density(rho: DensityMatrixGrid, p_axis: Axis | None = None) -> PhaseSpaceGrid:
-    """Wigner transform by direct quadrature over the coherence coordinate.
-
-    W(p, q_i) = (1/2 pi hbar) * sum_k e^{-i p xi_k / hbar}
-                rho(q_i + k dx, q_i - k dx) * (2 dx),
-
-    using the exact anti-diagonal samples xi_k = 2 k dx.  Hermiticity makes
-    the +-k pairs combine into a manifestly real result.  The default
-    momentum axis spans the Nyquist window pi hbar / (2 dx).
-    """
-    axis = rho.axis
-    n = axis.n
-    dx = axis.step
-    hbar = rho.hbar
-    if p_axis is None:
-        p_max = math.pi * hbar / (2.0 * dx) * (1.0 - 1.0 / n)
-        p_axis = Axis(-p_max, p_max, n)
-    kmax = n - 1
-    # anti-diagonal extraction: add[k][i] = rho[i+k, i-k] where valid
-    vals = rho.values
-    re = np.zeros((kmax + 1, n))
-    im = np.zeros((kmax + 1, n))
-    for k in range(kmax + 1):
-        i = np.arange(k, n - k)
-        if i.size == 0:
-            break
-        d = vals[i + k, i - k]
-        re[k, i] = d.real
-        im[k, i] = d.imag
-    xi = 2.0 * dx * np.arange(kmax + 1)
-    ph = np.outer(p_axis.points, xi) / hbar
-    cos_m, sin_m = np.cos(ph), np.sin(ph)
-    w = cos_m @ re + sin_m @ im  # real part of e^{-i p xi} rho doubled below
-    w = 2.0 * w - np.outer(cos_m[:, 0], re[0])  # k=0 term counted once
-    w *= 2.0 * dx / (2.0 * math.pi * hbar)
-    return PhaseSpaceGrid(p_axis, axis, w, hbar)
-
-
-# ---------------------------------------------------------------------------
 # Wigner propagation
 
 
@@ -306,78 +258,32 @@ def propagate_wigner_qbm(
     w: PhaseSpaceGrid,
     t: float,
     params: PhysParams,
-    method: str = "fast",
     check_mass: bool = True,
 ) -> PhaseSpaceGrid:
     """Evolve a gridded Wigner function for time t (negligible dissipation).
 
-    method="direct" applies the literal Gaussian evolution kernel
-
-        K = N exp(-alpha (p-p0)^2 - beta v^2 + eps (p-p0) v),
-        v = q - q0 - p0 t/m,
-        alpha = 1/Dt, beta = 3m^2/Dt^3, eps = 3m/Dt^2,
-        N = sqrt(3 m^2 / (4 pi^2 D^2 t^4)),
-
-    by O(n^4) quadrature — simple, auditable, and the oracle for everything
-    else, but limited to modest grids.
-
-    method="fast" (default) applies the exact decomposition of the same
-    kernel, A(t) = S_{t/2m} diag(2Dt, Dt^3/6m^2) S_{t/2m}^T: a shear by t/2m,
-    the two axis-wise Gaussian blurs, and the shear again.  Each shear is a
+    Applies the exact decomposition of the Gaussian evolution kernel,
+    A(t) = S_{t/2m} diag(2Dt, Dt^3/6m^2) S_{t/2m}^T: a shear by t/2m, the
+    two axis-wise Gaussian blurs, and the shear again.  Each shear is a
     per-row 1-D cubic B-spline shift, the interpolant of a 2-D cubic spline.
 
     Raises when evolved mass leaks off the grid ("grid too small for
     requested time").
     """
-    if t < 0.0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if params.gamma != 0.0:
         raise ValueError("grid propagation requires negligible dissipation (gamma = 0)")
     if t == 0.0:
         return w
     m = params.mass
     d = params.D
-    if method == "fast":
-        lam = 0.5 * t / m
-        out = _shear_q(w.values, w.p.points, w.q, lam)
-        if d > 0.0:
-            out = _gauss1d(out, 2.0 * d * t, w.p.step, axis=0)
-            out = _gauss1d(out, d * t ** 3 / (6.0 * m * m), w.q.step, axis=1)
-        out = _shear_q(out, w.p.points, w.q, lam)
-    elif method == "direct":
-        if d <= 0.0:
-            raise ValueError("direct kernel method requires D > 0")
-        if w.p.n * w.q.n > 170 * 170:
-            raise ValueError("direct method is limited to grids up to ~170x170")
-        # the kernel's thin principal width sqrt(det A / A_pp) must be
-        # resolved, else the quadrature rides over a ridge it cannot see
-        thin = math.sqrt(d * t ** 3 / 6.0) / m
-        if thin < 1.2 * w.q.step:
-            raise ValueError("grid too coarse for requested time")
-        alpha = 1.0 / (d * t)
-        beta = 3.0 * m * m / (d * t ** 3)
-        epsl = 3.0 * m / (d * t * t)
-        norm = math.sqrt(3.0 * m * m / (4.0 * math.pi ** 2 * d * d * t ** 4))
-        p = w.p.points
-        q = w.q.points
-        wq = np.full(w.q.n, w.q.step)
-        wq[[0, -1]] *= 0.5
-        wp = np.full(w.p.n, w.p.step)
-        wp[[0, -1]] *= 0.5
-        src = w.values * (wp[:, None] * wq[None, :])
-        out = np.zeros_like(w.values)
-        for k0 in range(w.p.n):
-            p0 = p[k0]
-            dp = p - p0  # (n_p,)
-            v = q[:, None] - q[None, :] - p0 * t / m  # (n_q out, n_q0)
-            kern = np.exp(
-                -alpha * dp[:, None, None] ** 2
-                - beta * v[None, :, :] ** 2
-                + epsl * dp[:, None, None] * v[None, :, :]
-            )
-            out += norm * np.einsum("ijl,l->ij", kern, src[k0])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lam = 0.5 * t / m
+    out = _shear_q(w.values, w.p.points, w.q, lam)
+    if d > 0.0:
+        out = _gauss1d(out, 2.0 * d * t, w.p.step, axis=0)
+        out = _gauss1d(out, d * t ** 3 / (6.0 * m * m), w.q.step, axis=1)
+    out = _shear_q(out, w.p.points, w.q, lam)
     result = w.with_values(out)
     if check_mass:
         before, after = w.integrate(), result.integrate()
@@ -464,8 +370,8 @@ def _propagate_density_split_raw(
     save); restrict the mask, e.g. with ``taskset``, to use fewer.  The
     worker count does not change a bit of the result.
     """
-    if t < 0.0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if params.gamma != 0.0:
         raise ValueError("density propagator requires negligible dissipation (gamma = 0)")
     if t == 0.0:

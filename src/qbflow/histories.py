@@ -57,7 +57,6 @@ from .grid_engine import (
 __all__ = [
     "f_integral",
     "survival_probability",
-    "linear_crossing_probabilities",
     "delta_exact",
     "delta_free",
     "delta_free_asymptotic",
@@ -71,12 +70,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Smallest accepted u_cut for the band of ``delta_free``.  Past |u| = u_cut
-# the band replaces f by its asymptotic step, which is harmless only where
-# f has settled into its ~1/(pi u) ringing.  f overshoots to its first
-# extremum at |u| = pi, so a cut at or below 4 would replace the window's
-# main rise rather than its tail.
-_U_CUT_MIN = 4.0
+# Half-width of the u band in the window estimates; past it f is within
+# 1/(pi _U_CUT) of its asymptotes and is replaced by its step.
+_U_CUT = 200.0
 
 # Ratio realising ">> 1" in the regime classifications: t/tau counts as
 # "many localisation times" from this factor on.  Soft by nature — the
@@ -119,27 +115,15 @@ def survival_probability(
     return _right_mass(propagate_mixture(state, t, params))
 
 
-def linear_crossing_probabilities(
-    state: GaussianMixtureState, boundaries, params: PhysParams
-) -> np.ndarray:
-    """Survival differences S(t_{k-1}) - S(t_k) over a time partition.
-
-    The "linear" arrival probabilities: no projections are inserted, so
-    they ignore interference between crossing at different intervals.
-    """
-    b = _checked_boundaries(boundaries)
-    surv = np.array([survival_probability(state, t, params) for t in b])
-    return -np.diff(surv)
-
-
 def _checked_boundaries(boundaries) -> np.ndarray:
     b = np.asarray(boundaries, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise ValueError("boundaries must be a 1-D sequence of at least two times")
+    bad = ~np.isfinite(b) | (b < 0.0)
+    if bad.any():
+        raise ValueError(f"boundaries must be finite and non-negative, got {b[bad][0]}")
     if not np.all(np.diff(b) > 0.0):
         raise ValueError("boundaries must be strictly increasing")
-    if b[0] < 0.0:
-        raise ValueError(f"boundaries must be non-negative, got first entry {b[0]}")
     return b
 
 
@@ -273,7 +257,6 @@ def delta_free(
     state: GaussianMixtureState,
     window: Interval,
     params: PhysParams,
-    u_cut: float = 200.0,
 ) -> float:
     """Window-function estimate of the crossing probability, free kernel.
 
@@ -282,19 +265,17 @@ def delta_free(
     with W the Wigner function evolved to the window's opening and f the
     sine-integral crossing window.  The phase u = X(mX/dt + p)/hbar runs
     arbitrarily fast in p far from the origin, so there the momentum
-    integral is taken in u itself over the band |u| <= u_cut — where f has
-    settled onto its asymptotes to within 1/(pi u_cut) — plus a
-    closed-form f = 1 step term for the strip u < -u_cut.  Near the origin
+    integral is taken in u itself over the band |u| <= _U_CUT — where f has
+    settled onto its asymptotes to within 1/(pi _U_CUT) — plus a
+    closed-form f = 1 step term for the strip u < -_U_CUT.  Near the origin
     the band degenerates and a plain p-grid resolves the slow phase
     directly, on a grid graded into the origin — the window climbs from 0
     to 1/2 across a layer of width ~hbar/|pbar| there.  Truncation error
-    is bounded by mass/(pi u_cut), and the dropped tails oscillate without
+    is bounded by mass/(pi _U_CUT), and the dropped tails oscillate without
     stationary points, so the bound is very loose in practice.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
-    if u_cut <= _U_CUT_MIN:
-        raise ValueError(f"u_cut must exceed {_U_CUT_MIN}, got {u_cut}")
     hbar, m = params.hbar, params.mass
     dt = window.width
     st = propagate_mixture(state, window.t1, params)
@@ -318,13 +299,13 @@ def delta_free(
         total += float(np.trapezoid(g, xs))
     if near_lo > x_lo:
         xs = _grid(x_lo, near_lo, dx)
-        us = np.linspace(-u_cut, u_cut, 2 * int(u_cut / 0.3) + 1)
+        us = np.linspace(-_U_CUT, _U_CUT, 2 * int(_U_CUT / 0.3) + 1)
         fu = f_integral(us)
         col = xs[:, None]
         pu = us[None, :] * hbar / col - m * col / dt
         w = evaluate_state(st, pu, np.broadcast_to(col, pu.shape))
         band = np.trapezoid(w * fu[None, :], us, axis=1) * (hbar / np.abs(xs))
-        step = _band_step_mass(st, xs, -m * xs / dt + u_cut * hbar / np.abs(xs))
+        step = _band_step_mass(st, xs, -m * xs / dt + _U_CUT * hbar / np.abs(xs))
         total += float(np.trapezoid(band + step, xs))
     return total
 
@@ -397,13 +378,12 @@ def _window_ladders(
     m: float,
     hbar: float,
     dt: float,
-    u_cut: float,
 ) -> list:
     """Adaptive X ladders for F(mu, p0), one per conditional momentum p0.
 
     Each ladder descends from X = 0 in steps that resolve both the noise
     kernel (s_q/10) and the local window phase (0.35 rad); it stops before
-    passing its floor, or once the window has decayed past u_cut.  All
+    passing its floor, or once the window has decayed past _U_CUT.  All
     ladders advance in lockstep as arrays, with each element taking the
     same float operations as a scalar descent.  Returns each ladder in
     ascending order, ending at 0.0.
@@ -419,7 +399,7 @@ def _window_ladders(
         live = live & ~(x < floors)
         xs.append(x)
         kept.append(live)
-        live = live & ~(x * (m * x / dt + p0s) / hbar > u_cut)
+        live = live & ~(x * (m * x / dt + p0s) / hbar > _U_CUT)
     xs, n_kept = np.array(xs), np.sum(kept, axis=0)
     return [xs[n - 1::-1, i] for i, n in enumerate(n_kept)]
 
@@ -428,7 +408,6 @@ def delta_intermediate(
     state: GaussianMixtureState,
     window: Interval,
     params: PhysParams,
-    u_cut: float = 200.0,
 ) -> tuple:
     """Crossing probability with position noise folded into the window,
     together with an a-priori bound on what the fold leaves out.
@@ -493,7 +472,7 @@ def delta_intermediate(
     # on each row's ladder, which serves every mu = X0 + p0 t1/m of it.
     mus = x0s[None, :] + p0s[:, None] * t1 / m
     ladders = _window_ladders(
-        np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt, u_cut
+        np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt
     )
     fmat = np.zeros((n_out, n_out))
     for i, xs in enumerate(ladders):
@@ -664,6 +643,10 @@ def crossing_class_matrix(
     finite box truncates: values then carry a few-percent bias — fine for
     exhibiting large off-diagonals, not for precision work — and the
     border sentinel is disabled in that regime.
+
+    ``n`` is a floor on the grid size, 1024 by default: it is raised to the
+    Nyquist count for the momenta the state reaches and rounded up to a
+    power of two; a state that needs more than 4096 points is refused.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -703,6 +686,9 @@ def class_operator_probability(
     can move freezes the crossing (the Zeno regime), so widths under
     ``max(10 hbar/E, one-cell transit of the fastest resolved momentum)``
     are rejected by default; pass ``eps`` explicitly to override.
+
+    ``n`` floors the chain grid as in :func:`crossing_class_matrix`: the
+    grid is raised to the Nyquist count and a power of two, up to 4096.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")

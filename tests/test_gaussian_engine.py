@@ -20,6 +20,7 @@ from scipy.special import ndtr
 from qbflow.core_model import PhysParams, derive_timescales
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
+from oracles import propagate_wigner_direct
 
 
 def _grid_mass(state, n=400, pad=9.0):
@@ -97,9 +98,10 @@ class TestCovarianceLaw:
         flags = [ge.is_wigner_admissible(ge.qbm_covariance(t, par), par.hbar) for t in ts]
         assert flags == sorted(flags)
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ge.qbm_covariance(-0.1, PhysParams(D=1.0))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
+            ge.qbm_covariance(bad, PhysParams(D=1.0))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_array_forms_match_scalar_forms(self, gamma):
@@ -184,7 +186,7 @@ class TestOracleAgreement:
     def _compare_direct(self, state, t, n=144, t_axes=None):
         pax, qax = gr.default_axes(state, self.PAR, t_max=t_axes or t, n=n)
         w0 = gr.wigner_grid_from_state(state, pax, qax)
-        w_direct = gr.propagate_wigner_qbm(w0, t, self.PAR, method="direct")
+        w_direct = propagate_wigner_direct(w0, t, self.PAR)
         evolved = ge.propagate_mixture(state, t, self.PAR)
         w_engine = gr.wigner_grid_from_state(evolved, pax, qax)
         peak = np.abs(w_engine.values).max()
@@ -209,7 +211,7 @@ class TestOracleAgreement:
         par = self.PAR
         pax, qax = gr.default_axes(tm, par, t_max=0.6, n=512)
         w0 = gr.wigner_grid_from_state(tm, pax, qax)
-        w_fast = gr.propagate_wigner_qbm(w0, 0.6, par, method="fast")
+        w_fast = gr.propagate_wigner_qbm(w0, 0.6, par)
         evolved = ge.propagate_mixture(tm, 0.6, par)
         w_engine = gr.wigner_grid_from_state(evolved, pax, qax)
         peak = np.abs(w_engine.values).max()
@@ -228,6 +230,11 @@ class TestPropagation:
             a = ge.evaluate_state(one, pp, qq)
             b = ge.evaluate_state(two, pp, qq)
             assert np.abs(a - b).max() < 1e-9 * np.abs(a).max()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
+            ge.propagate_mixture(ge.make_gaussian_state(1.0, 0.0, 1.0), bad, PhysParams(D=1.0))
 
     def test_mass_conserved_with_dissipation(self):
         par = PhysParams(D=2.0, gamma=0.4)

@@ -14,6 +14,7 @@ from qbflow.core_model import PhysParams
 from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
+from oracles import propagate_wigner_direct, wigner_from_density
 
 
 PAR = PhysParams(D=2.0)
@@ -46,7 +47,7 @@ class TestWignerTransform:
     def test_matches_closed_form(self):
         ax = gr.Axis(-14.0, 10.0, 256)
         rho = gr.density_matrix_from_state(_cat(), ax)
-        w = gr.wigner_from_density(rho)
+        w = wigner_from_density(rho)
         pp, qq = np.meshgrid(w.p.points, w.q.points, indexing="ij")
         ref = ge.evaluate_state(_cat(), pp, qq)
         assert np.abs(w.values - ref).max() < 1e-12 * np.abs(ref).max()
@@ -54,7 +55,7 @@ class TestWignerTransform:
     def test_mass_and_trace_agree(self):
         ax = gr.Axis(-14.0, 10.0, 256)
         rho = gr.density_matrix_from_state(_cat(), ax)
-        w = gr.wigner_from_density(rho)
+        w = wigner_from_density(rho)
         assert math.isclose(rho.trace(), 1.0, rel_tol=1e-9)
         assert math.isclose(w.integrate(), 1.0, rel_tol=1e-9)
 
@@ -74,8 +75,8 @@ class TestWignerPropagation:
         g = ge.make_gaussian_state(p0=1.0, q0=-1.0, sigma=0.9)
         pax, qax = gr.default_axes(g, PAR, t_max=1.0, n=144)
         w = gr.wigner_grid_from_state(g, pax, qax)
-        a = gr.propagate_wigner_qbm(w, 1.0, PAR, method="fast")
-        b = gr.propagate_wigner_qbm(w, 1.0, PAR, method="direct")
+        a = gr.propagate_wigner_qbm(w, 1.0, PAR)
+        b = propagate_wigner_direct(w, 1.0, PAR)
         assert np.abs(a.values - b.values).max() < 1e-3 * np.abs(b.values).max()
 
     def test_mass_conserved(self):
@@ -92,11 +93,17 @@ class TestWignerPropagation:
         with pytest.raises(ValueError, match="grid too small"):
             gr.propagate_wigner_qbm(w, 2.0, PAR)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_time_rejected(self, bad):
+        w = gr.wigner_grid_from_state(_cat(), *gr.default_axes(_cat(), PAR, n=64))
+        with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
+            gr.propagate_wigner_qbm(w, bad, PAR)
+
     def test_direct_guards_small_time(self):
         pax, qax = gr.default_axes(_cat(), PAR, t_max=1.0, n=144)
         w = gr.wigner_grid_from_state(_cat(), pax, qax)
         with pytest.raises(ValueError, match="too coarse"):
-            gr.propagate_wigner_qbm(w, 0.01, PAR, method="direct")
+            propagate_wigner_direct(w, 0.01, PAR)
 
     def test_shear_matches_2d_spline_reference(self):
         # the 2-D cubic spline shear that the per-row 1-D shift replaced
@@ -272,6 +279,11 @@ class TestDensityPropagation:
         assert step(128) == [5, 5, 5, 5]
         monkeypatch.setattr(gr.os, "cpu_count", lambda: None)
         assert step(128) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
+            gr._propagate_density_split_raw(np.ones((8, 8)), gr.Axis(-1.0, 1.0, 8), bad, PAR)
 
     def test_rejects_dissipation(self):
         ax = gr.Axis(-5.0, 5.0, 64)

@@ -1,4 +1,4 @@
-"""Tests for the differential dynamics and current constructions.
+"""Tests for the master-equation oracles and the continuity residual.
 
 The time-derivative matches are the coefficient police: the exact engine
 supplies rho(t +- dt) in closed form, so a wrong drift factor or a wrong
@@ -16,6 +16,7 @@ from qbflow.core_model import PhysParams
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 from qbflow import lindblad_dynamics as ld
+from oracles import diffusive_current, master_rhs_position, master_rhs_wigner, probability_current
 
 
 PAR_G = PhysParams(D=2.0, gamma=0.3, mass=1.2)
@@ -37,21 +38,21 @@ class TestPositionRHS:
         ax = gr.Axis(-4.0, 4.0, 16)
         rho = gr.density_matrix_from_state(ge.make_gaussian_state(0, 0, 1.0), ax)
         with pytest.raises(ValueError, match="at least 32"):
-            ld.master_rhs_position(rho, PAR_D)
+            master_rhs_position(rho, PAR_D)
 
     def test_preserves_trace(self):
         for par in (PAR_D, PAR_G):
-            rhs = ld.master_rhs_position(_rho_at(0.5, par), par)
+            rhs = master_rhs_position(_rho_at(0.5, par), par)
             drift = np.trapezoid(np.real(np.diag(rhs)), dx=(17.0 / 383))
             assert abs(drift) < 1e-8
 
     def test_preserves_hermiticity(self):
-        rhs = ld.master_rhs_position(_rho_at(0.5, PAR_G), PAR_G)
+        rhs = master_rhs_position(_rho_at(0.5, PAR_G), PAR_G)
         assert np.abs(rhs - rhs.conj().T).max() < 1e-12 * np.abs(rhs).max()
 
     def test_matches_exact_time_derivative(self):
         dt = 2e-3
-        rhs = ld.master_rhs_position(_rho_at(0.5, PAR_G), PAR_G)
+        rhs = master_rhs_position(_rho_at(0.5, PAR_G), PAR_G)
         lhs = (_rho_at(0.5 + dt, PAR_G).values - _rho_at(0.5 - dt, PAR_G).values) / (2 * dt)
         assert np.abs(lhs - rhs).max() < 0.01 * np.abs(lhs).max()
 
@@ -65,7 +66,7 @@ class TestPositionRHS:
             return gr.density_matrix_from_state(
                 ge.propagate_mixture(_tm(hbar=2.0), t, par), ax)
 
-        rhs = ld.master_rhs_position(rho(0.5), par)
+        rhs = master_rhs_position(rho(0.5), par)
         lhs = (rho(0.5 + dt).values - rho(0.5 - dt).values) / (2 * dt)
         assert np.abs(lhs - rhs).max() < 0.01 * np.abs(lhs).max()
 
@@ -73,7 +74,7 @@ class TestPositionRHS:
         # negative control: halving the damping term must break the match
         dt = 2e-3
         rho0 = _rho_at(0.5, PAR_G)
-        rhs = ld.master_rhs_position(rho0, PAR_G)
+        rhs = master_rhs_position(rho0, PAR_G)
         x = rho0.axis.points
         sep = x[:, None] - x[None, :]
         ddx = np.gradient(rho0.values, rho0.axis.step, axis=0, edge_order=2)
@@ -89,7 +90,7 @@ class TestPositionRHS:
         errs = []
         for dt in (4e-3, 2e-3):
             rho0 = _rho_at(0.4, par)
-            stepped = rho0.values + dt * ld.master_rhs_position(rho0, par)
+            stepped = rho0.values + dt * master_rhs_position(rho0, par)
             exact = _rho_at(0.4 + dt, par).values
             errs.append(np.abs(stepped - exact).max())
         assert 3.0 < errs[0] / errs[1] < 5.0
@@ -106,7 +107,7 @@ class TestWignerRHS:
             return gr.wigner_grid_from_state(ge.propagate_mixture(tm, t, par), pax, qax)
 
         lhs = (w_at(0.5 + dt).values - w_at(0.5 - dt).values) / (2 * dt)
-        rhs = ld.master_rhs_wigner(w_at(0.5), par)
+        rhs = master_rhs_wigner(w_at(0.5), par)
         assert np.abs(lhs - rhs).max() < 0.01 * np.abs(lhs).max()
 
     def test_wrong_drift_coefficient_detected(self):
@@ -121,7 +122,7 @@ class TestWignerRHS:
 
         w0 = w_at(0.5)
         lhs = (w_at(0.5 + dt).values - w_at(0.5 - dt).values) / (2 * dt)
-        rhs = ld.master_rhs_wigner(w0, par)
+        rhs = master_rhs_wigner(w0, par)
         bad = rhs - par.gamma * np.gradient(
             pax.points[:, None] * w0.values, pax.step, axis=0, edge_order=2)
         assert np.abs(lhs - bad).max() > 10.0 * np.abs(lhs - rhs).max()
@@ -131,7 +132,7 @@ class TestWignerRHS:
         tm = _tm()
         pax, qax = gr.default_axes(tm, par, t_max=0.8, n=256)
         w0 = gr.wigner_grid_from_state(ge.propagate_mixture(tm, 0.5, par), pax, qax)
-        rhs = ld.master_rhs_wigner(w0, par)
+        rhs = master_rhs_wigner(w0, par)
         drift = np.trapezoid(np.trapezoid(rhs, dx=qax.step, axis=1), dx=pax.step)
         assert abs(drift) < 1e-6 * np.abs(rhs).max()
 
@@ -141,7 +142,7 @@ class TestCurrents:
         st = ge.propagate_mixture(_tm(), 0.5, PAR_G)
         ax = gr.Axis(-8.0, 9.0, 512)
         rho = gr.density_matrix_from_state(st, ax)
-        j = ld.probability_current(rho, PAR_G)
+        j = probability_current(rho, PAR_G)
         ref = ge.flux_density(st, ax.points, PAR_G.mass)
         assert np.abs(j - ref).max() < 5e-3 * np.abs(ref).max()
 
@@ -149,7 +150,7 @@ class TestCurrents:
         st = ge.propagate_mixture(_tm(), 0.5, PAR_G)
         ax = gr.Axis(-8.0, 9.0, 512)
         rho = gr.density_matrix_from_state(st, ax)
-        jd = ld.diffusive_current(rho, PAR_G)
+        jd = diffusive_current(rho, PAR_G)
         coeff = 0.5 * (PAR_G.hbar * PAR_G.b) ** 2
         ref = -coeff * ge.position_density_gradient(st, ax.points)
         assert np.abs(jd - ref).max() < 5e-3 * np.abs(ref).max()
@@ -157,7 +158,7 @@ class TestCurrents:
     def test_diffusive_current_vanishes_without_dissipation(self):
         ax = gr.Axis(-6.0, 6.0, 128)
         rho = gr.density_matrix_from_state(ge.make_gaussian_state(0, 0, 1.0), ax)
-        assert np.abs(ld.diffusive_current(rho, PAR_D)).max() == 0.0
+        assert np.abs(diffusive_current(rho, PAR_D)).max() == 0.0
 
 
 class TestContinuity:
@@ -187,6 +188,12 @@ class TestContinuity:
             ld.continuity_residual(_tm(), 0.5, PAR_G, self.X, dx=0.0, dt=0.01)
         with pytest.raises(ValueError, match="t - dt"):
             ld.continuity_residual(_tm(), 0.01, PAR_G, self.X, dx=0.01, dt=0.02)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_steps_rejected(self, bad):
+        for steps in (dict(dx=bad, dt=0.01), dict(dx=0.01, dt=bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ld.continuity_residual(_tm(), 0.5, PAR_G, self.X, **steps)
 
     def test_report_csv(self, tmp_path):
         rep = ld.continuity_residual(_tm(), 0.5, PAR_G, self.X[:5], dx=0.02, dt=0.01)
