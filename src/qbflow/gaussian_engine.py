@@ -140,6 +140,17 @@ def qbm_covariance(t: float, params: PhysParams) -> Cov2:
     return Cov2(*(float(x) for x in qbm_covariance_entries(np.float64(t), params)))
 
 
+# lam (T1 - T2) = sum_{n>=2} (-1)^n (2^(n-1) - 1) x^n / n! and
+# lam (t - 2 T1 + T2) = sum_{n>=3} (-1)^n (2 - 2^(n-1)) x^n / n!, here as
+# coefficients of x^(n-2) and x^(n-3) through n = 24.  Against 40-digit
+# arithmetic the series stays within 5e-16 relative for x < 1, where the
+# closed form errs by up to 2e-15 (4.7e-14 at x = 0.1); above x = 1 the
+# closed form is within 1e-15 and the truncated series falls behind.
+_SERIES_MAX_X = 1.0
+_PQ_SERIES = np.array([(-1) ** n * (2 ** (n - 1) - 1) / math.factorial(n) for n in range(2, 25)])
+_QQ_SERIES = np.array([(-1) ** n * (2 - 2 ** (n - 1)) / math.factorial(n) for n in range(3, 25)])
+
+
 def qbm_covariance_entries(t, params: PhysParams):
     """(pp, pq, qq) of :func:`qbm_covariance`, elementwise over an array t >= 0."""
     m = params.mass
@@ -149,21 +160,15 @@ def qbm_covariance_entries(t, params: PhysParams):
     n1 = 2.0 * params.D
     n2 = params.hbar ** 2 * params.b ** 2
     x = lam * t
-    # T1 = (1 - e^{-x})/lam, T2 = (1 - e^{-2x})/(2 lam); the qq bracket
-    # t - 2*T1 + T2 cancels to O(lam^2 t^3), so each element with small x
-    # takes its series instead.
+    # T1 = (1 - e^{-x})/lam, T2 = (1 - e^{-2x})/(2 lam); the brackets
+    # T1 - T2 and t - 2*T1 + T2 cancel to O(x^2) and O(x^3), losing about
+    # 2 eps/x and 3 eps/x^2, so each element with x < 1 takes its series.
     t1 = -np.expm1(-x) / lam
     t2 = -np.expm1(-2.0 * x) / (2.0 * lam)
-    small = x < 1e-3
-    pq_b = np.where(
-        small,
-        lam * t * t / 2.0 - lam * lam * t ** 3 / 2.0 + 7.0 * lam ** 3 * t ** 4 / 24.0,
-        t1 - t2,
-    )
+    small = x < _SERIES_MAX_X
+    pq_b = np.where(small, x * x * np.polynomial.polynomial.polyval(x, _PQ_SERIES) / lam, t1 - t2)
     qq_b = np.where(
-        small,
-        lam * lam * t ** 3 / 3.0 - lam ** 3 * t ** 4 / 4.0 + 7.0 * lam ** 4 * t ** 5 / 60.0,
-        t - 2.0 * t1 + t2,
+        small, x ** 3 * np.polynomial.polynomial.polyval(x, _QQ_SERIES) / lam, t - 2.0 * t1 + t2
     )
     return n1 * t2, n1 * pq_b / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
 

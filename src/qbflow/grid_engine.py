@@ -93,13 +93,6 @@ class PhaseSpaceGrid:
             np.trapezoid(np.trapezoid(self.values, dx=self.q.step, axis=1), dx=self.p.step)
         )
 
-    def momentum_marginal(self) -> np.ndarray:
-        """int dq W(p, q) per momentum row."""
-        return np.trapezoid(self.values, dx=self.q.step, axis=1)
-
-    def position_marginal(self) -> np.ndarray:
-        return np.trapezoid(self.values, dx=self.p.step, axis=0)
-
     def with_values(self, values: np.ndarray) -> "PhaseSpaceGrid":
         return replace(self, values=values)
 
@@ -116,15 +109,6 @@ class DensityMatrixGrid:
         n = self.axis.n
         if self.values.shape != (n, n):
             raise ValueError(f"values shape {self.values.shape} != ({n}, {n})")
-
-    def trace(self) -> float:
-        return float(np.trapezoid(np.real(np.diag(self.values)), dx=self.axis.step))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
-
-    def with_values(self, values: np.ndarray) -> "DensityMatrixGrid":
-        return replace(self, values=values)
 
 
 def default_axes(
@@ -221,11 +205,26 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     fractional shift.  This is the interpolant of the 2-D cubic
     ``map_coordinates(mode="constant")``, whose p-axis prefilter read at
     whole rows gives back its input; sources off [0, n_q - 1] give 0.
+
+    The prefilter runs on the grid scaled by 2^e, which puts its peak near
+    2^800, and the taps carry 2^-e back.  Both scalings are exact, so the
+    result is the unscaled one; what changes is speed.  scipy's mirror start
+    multiplies sample k by z^k, z = sqrt(3) - 2, down to z^(n_q - 1) ~ 1e-292
+    at n_q = 512: on the unscaled grid every sample below ~1e-16 of the peak
+    gives a subnormal product there, which costs 2-4x the prefilter time on
+    decaying states.  Scaled, samples down to ~1e-257 of the peak stay
+    normal, and so does 2^-e times the smallest tap (f^3/6 >= 1.7e-37, as
+    shifts within 1e-12 of a whole cell snap to it).  The gain reaches only
+    n_q up to about 540: beyond that z^k itself goes subnormal inside scipy.
     """
     n_p, n_q = values.shape
+    peak = max(values.max(), -values.min())
+    e = 800 - math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
     # coefficients c[-1 .. n_q + 1], mirrored: c[-1] = c[1], c[n_q] = c[n_q - 2], ...
     coef = np.empty((n_p, n_q + 3))
-    ndimage.spline_filter1d(values, order=3, axis=1, mode="mirror", output=coef[:, 1:-2])
+    body = coef[:, 1:-2]
+    np.ldexp(values, e, out=body)
+    ndimage.spline_filter1d(body, order=3, axis=1, mode="mirror", output=body)
     coef[:, [0, -2, -1]] = coef[:, [2, -4, -5]]
     shift = -lam * p_pts / q_axis.step
     # whole cells within round-off snap to them, so sources on a grid end count
@@ -235,6 +234,7 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     g = 1.0 - f
     taps = np.hstack([g ** 3, 3.0 * f ** 3 - 6.0 * f * f + 4.0,
                       3.0 * g ** 3 - 6.0 * g * g + 4.0, f ** 3]) / 6.0
+    taps = np.ldexp(taps, -e)
     # wide[i, n_q + b]: row i's spline at b + f_i from c[b-1 .. b+2] for b in
     # [0, n_q - 1], with n_q zeros either side; row i of the result is the
     # n_q-wide window starting at b = k_i, so sources off [0, n_q - 1] read 0
@@ -247,11 +247,16 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
 
 
 def _gauss1d(values: np.ndarray, var: float, step: float, axis: int) -> np.ndarray:
-    if var <= 0.0:
+    """Gaussian blur of variance ``var`` along ``axis``, zero outside the grid.
+
+    Returns ``values`` itself when the kernel truncated at 8 sigma has
+    radius 0 (sigma under 1/16 cell): ``gaussian_filter1d``'s kernel is
+    then the single tap 1.0, so the pass would only copy.
+    """
+    sigma = math.sqrt(var) / step if var > 0.0 else 0.0
+    if int(8.0 * sigma + 0.5) == 0:
         return values
-    return ndimage.gaussian_filter1d(
-        values, math.sqrt(var) / step, axis=axis, mode="constant", truncate=8.0
-    )
+    return ndimage.gaussian_filter1d(values, sigma, axis=axis, mode="constant", truncate=8.0)
 
 
 def propagate_wigner_qbm(
@@ -354,6 +359,9 @@ def _propagate_density_split_raw(
     is diagonal in momentum space as exp(-v_q (k_x + k_y)^2 / 2), with
     v_p = 2 D t and v_q = D t^3 / 6 m^2.  No splitting error — the
     factorisation is algebraically exact — only periodic wrap-around.
+    At D = 0 there is no channel between the half-steps, so the step is one
+    free step: one ``fft2``, the full phase exp(-i hbar t k^2 / 2m), one
+    ``ifft2``.
 
     ``values`` is left untouched: the first FFT writes a fresh array and
     every later FFT and factor works in place on it.  The free half-step
@@ -365,10 +373,11 @@ def _propagate_density_split_raw(
     keeps coherent algebraic tails that reach any finite box edge, so the
     check is off there.
 
-    The four FFTs run on every CPU in the process affinity mask (one
-    worker below 128 points a side, where threads cost more than they
-    save); restrict the mask, e.g. with ``taskset``, to use fewer.  The
-    worker count does not change a bit of the result.
+    The FFTs (four with D > 0, two at D = 0) run on every CPU in the
+    process affinity mask (one worker below 128 points a side, where
+    threads cost more than they save); restrict the mask, e.g. with
+    ``taskset``, to use fewer.  The worker count does not change a bit of
+    the result.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
@@ -379,39 +388,42 @@ def _propagate_density_split_raw(
     hbar, m, d = params.hbar, params.mass, params.D
     n, dx = axis.n, axis.step
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    workers = _fft_workers(n)
+    out = fft.fft2(values, workers=workers)
+    if d == 0.0:
+        # no noise channel between the half-steps: they are one free step
+        full = np.exp(-0.5j * hbar * t * k * k / m)
+        out *= full[:, None]
+        out *= full.conj()[None, :]
+        return fft.ifft2(out, overwrite_x=True, workers=workers)
     # exp(-i hbar (t/2) (k_x^2 - k_y^2) / 2m) = half[i] * conj(half[j])
     half = np.exp(-0.25j * hbar * t * k * k / m)
     half_bra = half.conj()
-    workers = _fft_workers(n)
-    out = fft.fft2(values, workers=workers)
     out *= half[:, None]
     out *= half_bra[None, :]
-    if d > 0.0:
-        v_q = d * t ** 3 / (6.0 * m * m)
-        # every value of k_i + k_j, from 2 min(f) to 2 max(f)
-        f_sum = np.arange(-2 * (n // 2), 2 * ((n - 1) // 2) + 1)
-        k_sum = (2.0 * math.pi / (n * dx)) * f_sum
-        _apply_sum_kernel(out, np.exp(-0.5 * v_q * k_sum * k_sum))
+    v_q = d * t ** 3 / (6.0 * m * m)
+    # every value of k_i + k_j, from 2 min(f) to 2 max(f)
+    f_sum = np.arange(-2 * (n // 2), 2 * ((n - 1) // 2) + 1)
+    k_sum = (2.0 * math.pi / (n * dx)) * f_sum
+    _apply_sum_kernel(out, np.exp(-0.5 * v_q * k_sum * k_sum))
     out = fft.ifft2(out, overwrite_x=True, workers=workers)
-    if d > 0.0:
-        v_p = 2.0 * d * t
-        xi = (dx / hbar) * np.arange(-(n - 1), n)
-        # read-only n x n view K[i, j] = table[n - 1 + j - i]; the table is
-        # even in xi, so this is exp(-v_p (x_i - x_j)^2 / 2 hbar^2)
-        out *= sliding_window_view(np.exp(-0.5 * v_p * xi * xi), n)[::-1]
+    v_p = 2.0 * d * t
+    xi = (dx / hbar) * np.arange(-(n - 1), n)
+    # read-only n x n view K[i, j] = table[n - 1 + j - i]; the table is
+    # even in xi, so this is exp(-v_p (x_i - x_j)^2 / 2 hbar^2)
+    out *= sliding_window_view(np.exp(-0.5 * v_p * xi * xi), n)[::-1]
     out = fft.fft2(out, overwrite_x=True, workers=workers)
     out *= half[:, None]
     out *= half_bra[None, :]
     out = fft.ifft2(out, overwrite_x=True, workers=workers)
-    if d > 0.0:
-        # the peak over row slabs, so no n x n magnitude array is formed
-        peak = max(np.abs(out[i:i + 64]).max() for i in range(0, n, 64))
-        border = max(
-            np.abs(out[:2, :]).max(), np.abs(out[-2:, :]).max(),
-            np.abs(out[:, :2]).max(), np.abs(out[:, -2:]).max(),
-        )
-        if peak > 0.0 and border > 2e-3 * peak:
-            raise ValueError("grid too small for requested time")
+    # the peak over row slabs, so no n x n magnitude array is formed
+    peak = max(np.abs(out[i:i + 64]).max() for i in range(0, n, 64))
+    border = max(
+        np.abs(out[:2, :]).max(), np.abs(out[-2:, :]).max(),
+        np.abs(out[:, :2]).max(), np.abs(out[:, -2:]).max(),
+    )
+    if peak > 0.0 and border > 2e-3 * peak:
+        raise ValueError("grid too small for requested time")
     return out
 
 

@@ -192,13 +192,18 @@ def delta_exact(
         cq = term.center[1]
         kp, kq = term.k
         _, mu0, v, slope = _conditional(term, 0.0)
-        for eta in (+1.0, -1.0):
+        # an unmodulated term's eta = -1 pass repeats eta = +1: one pass at weight 1
+        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
+            passes = ((+1.0, 1.0),)
+        else:
+            passes = ((+1.0, 0.5), (-1.0, 0.5))
+        for eta, share in passes:
             a = eta * kp + xi / hbar
             b = eta * kq + m * xi / (hbar * dt)
             beta = b + a * slope
             piece = _gaussian_fourier_below(cq, c.qq, beta, -0.5 * xi)
             g += (
-                0.5
+                share
                 * term.weight
                 * np.exp(1j * eta * term.phase + 1j * a * mu0 - 0.5 * a * a * v)
                 * piece

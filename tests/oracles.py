@@ -2,7 +2,8 @@
 
 None of these is used by qbflow itself: each recomputes a library quantity
 (arrival current, master-equation right-hand sides and grid currents, Wigner
-transform and evolution, linear crossing probabilities) through different
+transform and evolution, grid marginals and traces, linear crossing
+probabilities) through different
 numerics, so agreement is a check of the engine.
 """
 
@@ -191,6 +192,26 @@ def diffusive_current(rho: DensityMatrixGrid, params: PhysParams) -> np.ndarray:
     coeff = 0.5 * (params.hbar * params.b) ** 2
     dens = np.real(np.diag(rho.values))
     return -coeff * np.gradient(dens, rho.axis.step, edge_order=2)
+
+
+def momentum_marginal(w: PhaseSpaceGrid) -> np.ndarray:
+    """int dq W(p, q) per momentum row."""
+    return np.trapezoid(w.values, dx=w.q.step, axis=1)
+
+
+def position_marginal(w: PhaseSpaceGrid) -> np.ndarray:
+    """int dp W(p, q) per position column."""
+    return np.trapezoid(w.values, dx=w.p.step, axis=0)
+
+
+def density_trace(rho: DensityMatrixGrid) -> float:
+    """Trapezoid of the diagonal, Tr rho."""
+    return float(np.trapezoid(np.real(np.diag(rho.values)), dx=rho.axis.step))
+
+
+def hermiticity_defect(rho: DensityMatrixGrid) -> float:
+    """max |rho - rho^dagger|."""
+    return float(np.max(np.abs(rho.values - rho.values.conj().T)))
 
 
 def wigner_from_density(rho: DensityMatrixGrid) -> PhaseSpaceGrid:

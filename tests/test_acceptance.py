@@ -33,6 +33,7 @@ from qbflow.core_model import (
 )
 from qbflow.lindblad_dynamics import continuity_residual
 from qbflow.scenario_cli import bundled_examples, load_config
+from oracles import momentum_marginal
 
 FREE = PhysParams(hbar=1.0, mass=1.0, D=0.0)
 NOISY = PhysParams(hbar=1.0, mass=1.0, D=2.0)  # tau_l = 1
@@ -138,7 +139,7 @@ class TestAcceptance:
         w0 = gr.wigner_grid_from_state(state, pax, qax)
 
         def pvar(w):
-            marg = w.momentum_marginal()
+            marg = momentum_marginal(w)
             norm = np.trapezoid(marg, dx=w.p.step)
             mean = np.trapezoid(w.p.points * marg, dx=w.p.step) / norm
             return float(

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from qbflow.core_model import PhysParams, derive_timescales
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
-from oracles import propagate_wigner_direct
+from oracles import position_marginal, propagate_wigner_direct
 
 
 def _grid_mass(state, n=400, pad=9.0):
@@ -103,12 +103,34 @@ class TestCovarianceLaw:
         with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
             ge.qbm_covariance(bad, PhysParams(D=1.0))
 
+    @pytest.mark.parametrize("t", [0.0099, 0.0101, 0.1, 1.0])
+    def test_dissipative_covariance_matches_40_digits(self, t):
+        # the exact relaxation factors evaluated in 40-digit arithmetic; the
+        # brackets T1 - T2 and t - 2 T1 + T2 cancel to O(x^2) and O(x^3) at
+        # small x = 2 gamma t, which the series must carry to round-off
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        par = PhysParams(D=2.0, gamma=0.05)
+        lam, tm, m = 2 * mp.mpf(par.gamma), mp.mpf(t), mp.mpf(par.mass)
+        t1 = -mp.expm1(-lam * tm) / lam
+        t2 = -mp.expm1(-2 * lam * tm) / (2 * lam)
+        n1 = 2 * mp.mpf(par.D)
+        ref = (
+            n1 * t2,
+            n1 * (t1 - t2) / (lam * m),
+            n1 * (tm - 2 * t1 + t2) / (lam * m) ** 2 + (mp.mpf(par.hbar) * mp.mpf(par.b)) ** 2 * tm,
+        )
+        cov = ge.qbm_covariance(t, par)
+        for got, want in zip((cov.pp, cov.pq, cov.qq), ref):
+            assert abs(mp.mpf(got) / want - 1) < 5e-16
+
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_array_forms_match_scalar_forms(self, gamma):
-        # gamma = 0.05 puts the series switch x = 2 gamma t = 1e-3 at t = 0.01,
-        # so the array straddles it and each element must take its own branch
+        # gamma = 0.05 puts the series switch x = 2 gamma t = 1 at t = 10, so
+        # the array straddles it and each element must take its own branch
         par = PhysParams(D=2.0, mass=1.3, gamma=gamma)
-        ts = np.array([0.0, 0.004, 0.0099, 0.01, 0.0101, 0.3, 2.0, 40.0])
+        ts = np.array([0.0, 0.004, 0.0099, 0.01, 0.0101, 0.3, 2.0, 9.9, 10.0, 10.1, 40.0])
         entries = np.array(ge.qbm_covariance_entries(ts, par))
         decay, drift = ge.qbm_flow_entries(ts, par)
         for i, t in enumerate(ts):
@@ -318,7 +340,7 @@ class TestLineReductions:
         pax, qax = gr.default_axes(tm, par, t_max=0.4, n=600)
         w = gr.wigner_grid_from_state(evolved, pax, qax)
         dens = ge.position_density(evolved, qax.points)
-        assert np.abs(w.position_marginal() - dens).max() < 1e-8 * dens.max()
+        assert np.abs(position_marginal(w) - dens).max() < 1e-8 * dens.max()
 
     def test_flux_matches_grid_quadrature(self):
         par = PhysParams(D=2.0)

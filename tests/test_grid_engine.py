@@ -8,13 +8,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft, ndimage
 
 from qbflow.core_model import PhysParams
 from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
-from oracles import propagate_wigner_direct, wigner_from_density
+from oracles import (
+    density_trace,
+    hermiticity_defect,
+    propagate_wigner_direct,
+    wigner_from_density,
+)
 
 
 PAR = PhysParams(D=2.0)
@@ -56,13 +62,13 @@ class TestWignerTransform:
         ax = gr.Axis(-14.0, 10.0, 256)
         rho = gr.density_matrix_from_state(_cat(), ax)
         w = wigner_from_density(rho)
-        assert math.isclose(rho.trace(), 1.0, rel_tol=1e-9)
+        assert math.isclose(density_trace(rho), 1.0, rel_tol=1e-9)
         assert math.isclose(w.integrate(), 1.0, rel_tol=1e-9)
 
     def test_density_matrix_hermitian(self):
         ax = gr.Axis(-14.0, 10.0, 128)
         rho = gr.density_matrix_from_state(_cat(), ax)
-        assert rho.hermiticity_defect() < 1e-14
+        assert hermiticity_defect(rho) < 1e-14
 
 
 class TestWignerPropagation:
@@ -105,7 +111,36 @@ class TestWignerPropagation:
         with pytest.raises(ValueError, match="too coarse"):
             propagate_wigner_direct(w, 0.01, PAR)
 
-    def test_shear_matches_2d_spline_reference(self):
+    @staticmethod
+    def _normal(n):
+        # one generator draws the 64-point grid, then the 257-point one
+        rng = np.random.default_rng(7)
+        first = rng.standard_normal((64, 64))
+        return first if n == 64 else rng.standard_normal((n, n))
+
+    @staticmethod
+    def _deep_tails(n):
+        # Gaussian rows whose q-tails fall to ~1e-280 of the peak (below 1e-250)
+        p = gr.Axis(-4.1, 3.9, n).points
+        q = gr.Axis(-3.0, 5.0, n).points
+        return np.exp(-0.5 * (p[:, None] / 1.5) ** 2 - 0.5 * ((q[None, :] - 1.0) / 0.11) ** 2)
+
+    @pytest.mark.parametrize(
+        "n, make",
+        [
+            # random values keep the borders non-zero, so the mirror end
+            # conditions of the prefilter count
+            (64, lambda n: TestWignerPropagation._normal(n)),
+            (257, lambda n: TestWignerPropagation._normal(n)),
+            # tails that make subnormal products in an unscaled prefilter
+            (512, lambda n: TestWignerPropagation._deep_tails(n)),
+            # the scale comes from the peak magnitude, here from the minimum
+            (128, lambda n: -1.0 - np.random.default_rng(9).random((n, n))),
+            (64, lambda n: np.zeros((n, n))),
+        ],
+        ids=["normal-64", "normal-257", "deep-tails-512", "all-negative", "all-zero"],
+    )
+    def test_shear_matches_2d_spline_reference(self, n, make):
         # the 2-D cubic spline shear that the per-row 1-D shift replaced
         def reference(values, p_pts, q_axis, lam):
             n_p, n_q = values.shape
@@ -113,22 +148,69 @@ class TestWignerPropagation:
             cols = (q_axis.points[None, :] - lam * p_pts[:, None] - q_axis.lo) / q_axis.step
             return ndimage.map_coordinates(values, [rows, cols], order=3, mode="constant", cval=0.0)
 
-        rng = np.random.default_rng(7)
-        for n in (64, 257):
-            # random values keep the borders non-zero, so the mirror end
-            # conditions of the prefilter count.  These axes and lambdas put
-            # no source index within round-off of a grid end, where the two
-            # ways of forming it may round to opposite sides of the edge.
-            p_pts = gr.Axis(-4.1, 3.9, n).points
-            q_axis = gr.Axis(-3.0, 5.0, n)
-            values = rng.standard_normal((n, n))
-            # row shifts from under one cell (0.006) to whole rows off the grid
-            for lam in (0.006, -0.006, 0.05, -0.3, 0.3, 1.3, -2.7, 2.7):
-                out = gr._shear_q(values, p_pts, q_axis, lam)
-                ref = reference(values, p_pts, q_axis, lam)
-                assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max(), (n, lam)
-                if abs(lam) > 2.0:
-                    assert not out.any(axis=1).all()
+        # These axes and lambdas put no source index within round-off of a
+        # grid end, where the two ways of forming it may round to opposite
+        # sides of the edge.
+        p_pts = gr.Axis(-4.1, 3.9, n).points
+        q_axis = gr.Axis(-3.0, 5.0, n)
+        values = make(n)
+        # row shifts from under one cell (0.006) to whole rows off the grid
+        for lam in (0.006, -0.006, 0.05, -0.3, 0.3, 1.3, -2.7, 2.7):
+            out = gr._shear_q(values, p_pts, q_axis, lam)
+            ref = reference(values, p_pts, q_axis, lam)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max(), (n, lam)
+            if abs(lam) > 2.0:
+                assert not out.any(axis=1).all()
+
+    @pytest.mark.parametrize("n", [64, 257, 512])
+    def test_shear_scaling_is_exact(self, n):
+        # the prefilter on the grid as given and taps without 2^-e: the
+        # composition before the power-of-two scaling, which must not move a bit
+        def unscaled(values, p_pts, q_axis, lam):
+            n_p, n_q = values.shape
+            coef = np.empty((n_p, n_q + 3))
+            ndimage.spline_filter1d(values, order=3, axis=1, mode="mirror", output=coef[:, 1:-2])
+            coef[:, [0, -2, -1]] = coef[:, [2, -4, -5]]
+            shift = -lam * p_pts / q_axis.step
+            shift = np.where(np.abs(shift - np.rint(shift)) < 1e-12, np.rint(shift), shift)
+            k = np.floor(shift)
+            f = (shift - k)[:, None]
+            g = 1.0 - f
+            taps = np.hstack([g ** 3, 3.0 * f ** 3 - 6.0 * f * f + 4.0,
+                              3.0 * g ** 3 - 6.0 * g * g + 4.0, f ** 3]) / 6.0
+            wide = np.zeros((n_p, 3 * n_q))
+            np.matmul(sliding_window_view(coef, 4, axis=1), taps[:, :, None],
+                      out=wide[:, n_q:2 * n_q, None])
+            wide[f[:, 0] > 0.0, 2 * n_q - 1] = 0.0
+            start = n_q + np.clip(k, -n_q, n_q).astype(np.intp)
+            return sliding_window_view(wide, n_q, axis=1)[np.arange(n_p), start]
+
+        p_pts = gr.Axis(-4.1, 3.9, n).points
+        q_axis = gr.Axis(-3.0, 5.0, n)
+        values = np.random.default_rng(n).standard_normal((n, n))
+        for lam in (0.006, -0.3, 1.3, -4.0):
+            assert np.array_equal(
+                gr._shear_q(values, p_pts, q_axis, lam), unscaled(values, p_pts, q_axis, lam)
+            ), (n, lam)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_tap_blur_returns_input(self, axis):
+        # sigma under 1/16 cell: the 8-sigma kernel has radius 0, a single
+        # tap of 1.0, so the blur hands back its input unchanged
+        values = np.random.default_rng(5).standard_normal((40, 48))
+        step = 0.1
+        for sigma in (1e-6, 0.005, 0.03, 0.0624):
+            var = (sigma * step) ** 2
+            out = gr._gauss1d(values, var, step, axis)
+            assert out is values
+            ref = ndimage.gaussian_filter1d(values, sigma, axis=axis, mode="constant", truncate=8.0)
+            assert np.array_equal(out, ref)
+        # from 1/16 cell on the kernel has three taps and the blur runs
+        var = (0.0626 * step) ** 2
+        out = gr._gauss1d(values, var, step, axis)
+        assert out is not values
+        ref = ndimage.gaussian_filter1d(values, 0.0626, axis=axis, mode="constant", truncate=8.0)
+        assert np.array_equal(out, ref)
 
     def test_shear_by_whole_cells_keeps_grid_ends(self):
         # lam p_i / dq = 4i - 126 cells: every sample is an input sample or 0,
@@ -192,12 +274,12 @@ class TestDensityPropagation:
         ax = gr.Axis(-14.0, 10.0, 256)
         rho0 = gr.density_matrix_from_state(_cat(), ax)
         t = 0.7
-        rho_t = rho0.with_values(gr._propagate_density_split_raw(rho0.values, ax, t, PAR))
+        rho_t = gr.DensityMatrixGrid(ax, gr._propagate_density_split_raw(rho0.values, ax, t, PAR))
         ref = gr.density_matrix_from_state(ge.propagate_mixture(_cat(), t, PAR), ax)
         scale = np.abs(ref.values).max()
         assert np.abs(rho_t.values - ref.values).max() < 1e-4 * scale
-        assert abs(rho_t.trace() - 1.0) < 1e-4
-        assert rho_t.hermiticity_defect() < 1e-12
+        assert abs(density_trace(rho_t) - 1.0) < 1e-4
+        assert hermiticity_defect(rho_t) < 1e-12
 
     def test_free_unitary_case(self):
         g = ge.make_gaussian_state(p0=1.5, q0=-3.0, sigma=0.9)
@@ -225,6 +307,25 @@ class TestDensityPropagation:
         ref = gr.density_matrix_from_state(ge.propagate_mixture(state, 0.8, par), ax)
         assert np.abs(out - ref.values).max() < 1e-12
         assert np.array_equal(rho0.values, before)  # the input is left untouched
+
+    def test_free_step_matches_two_half_steps(self):
+        # at D = 0 the step is one free step; written out here as the free
+        # half-step, an identity channel and the second half-step, four FFTs
+        ax = gr.axis_straddling_zero(-12.0, 12.0, 384)
+        x = ax.points
+        cut = int(np.count_nonzero(x < 0.0))
+        block = np.zeros((384, 384), dtype=complex)
+        block[cut:, :cut] = gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), x[cut:], x[:cut]
+        )
+        t = 0.8
+        k = 2.0 * math.pi * np.fft.fftfreq(ax.n, d=ax.step)
+        half = np.exp(-0.25j * t * k * k)  # hbar = m = 1
+        phase = half[:, None] * half.conj()[None, :]
+        ref = np.fft.ifft2(phase * np.fft.fft2(block))
+        ref = np.fft.ifft2(phase * np.fft.fft2(ref))
+        out = gr._propagate_density_split_raw(block, ax, t, PhysParams(D=0.0))
+        assert np.abs(out - ref).max() < 1e-14 * np.abs(ref).max()
 
     def test_worker_count_leaves_bits_unchanged(self, monkeypatch):
         # the FFT worker count follows the affinity mask; it must not move a
@@ -264,14 +365,15 @@ class TestDensityPropagation:
         monkeypatch.setattr(gr, "fft", SimpleNamespace(fft2=spy("fft2"), ifft2=spy("ifft2")))
         monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
-        def step(n):
+        def step(n, par=PAR):
             seen.clear()
             ax = gr.Axis(-8.0, 8.0, n)
             rho = gr.density_matrix_from_state(ge.make_gaussian_state(0.5, 0.0, 1.0), ax)
-            gr._propagate_density_split_raw(rho.values, ax, 0.5, PAR)
+            gr._propagate_density_split_raw(rho.values, ax, 0.5, par)
             return seen
 
         assert step(128) == [3, 3, 3, 3]
+        assert step(128, PhysParams(D=0.0)) == [3, 3]  # D = 0: one free step
         assert step(64) == [1, 1, 1, 1]  # small grids stay on one worker
         # without sched_getaffinity the count falls back to os.cpu_count()
         monkeypatch.delattr(gr.os, "sched_getaffinity")
