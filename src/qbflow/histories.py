@@ -545,8 +545,14 @@ def _chain_axis(state, times, params, n):
     Returns ``(axis, p_reach)``: the grid, and the largest momentum it
     resolves (mean reach plus six widths across the whole schedule); the
     point count is rounded up to a power of two satisfying Nyquist for
-    that reach.
+    that reach.  ``n``, the floor on that count, is None (1024) or an
+    integer in [2, 4096]; anything else raises ``ValueError``.
     """
+    if n is not None:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"n must be None or an integer in [2, 4096], got {n!r}")
+        if n > 4096:
+            raise ValueError(f"n = {n} is above the chain grid's 4096-point limit")
     hbar = params.hbar
     k_need = 0.0
     lo = math.inf
@@ -563,7 +569,7 @@ def _chain_axis(state, times, params, n):
     if lo >= 0.0 or hi <= 0.0:
         raise ValueError("the partition never brings the state near the origin")
     n_min = int((hi - lo) * k_need / math.pi) + 1
-    n_use = 1 << (max(n_min, n or 1024) - 1).bit_length()
+    n_use = 1 << (max(n_min, 1024 if n is None else int(n)) - 1).bit_length()
     if n_use > 4096:
         raise ValueError("state too broad for the chain grid (needs > 4096 points)")
     return axis_straddling_zero(lo, hi, n_use), k_need * hbar
@@ -592,7 +598,7 @@ def _class_matrix(state, windows, params, axis):
     for k, (a_k, b_k) in enumerate(windows):
         st = propagate_mixture(state, a_k, params)
         projected = np.zeros((axis.n, axis.n), dtype=complex)
-        projected[cut:, cut:] = _density_block(st, x[cut:], x[cut:])
+        _density_block(st, axis, cut, cut, projected[cut:, cut:])
         sym = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
         # Tr[(P_< U P_>) rho (P_< U P_>)^dag] is real by construction; the
         # grid trace leaves a phantom imaginary part at discretisation level.
@@ -600,7 +606,7 @@ def _class_matrix(state, windows, params, axis):
         del sym
         if k + 1 == n_classes:
             break
-        projected[cut:, :cut] = _density_block(st, x[cut:], x[:cut])
+        _density_block(st, axis, cut, 0, projected[cut:, :cut])
         chain = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
         del projected
         chain[cut:, :] = 0.0
@@ -652,6 +658,14 @@ def crossing_class_matrix(
     ``n`` is a floor on the grid size, 1024 by default: it is raised to the
     Nyquist count for the momenta the state reaches and rounded up to a
     power of two; a state that needs more than 4096 points is refused.
+    ``n`` must be None or an integer in [2, 4096] (``ValueError``
+    otherwise).
+
+    A larger ``n`` is not a monotone error bound: the grid bias of the
+    diagonal has no fixed sign in ``n``.  For p0 = -6, q0 = 10, sigma = 1
+    at D = 2 on classes [2, 2.2] and [2.2, 2.4], the gap of D[0, 0] to the
+    grid-free reflected :func:`delta_exact` reads -7.7e-5, -1.9e-5 and
+    +1.2e-5 at n = 1024, 2048 and 4096.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")

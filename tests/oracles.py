@@ -2,8 +2,8 @@
 
 None of these is used by qbflow itself: each recomputes a library quantity
 (arrival current, master-equation right-hand sides and grid currents, Wigner
-transform and evolution, grid marginals and traces, linear crossing
-probabilities) through different
+transform and evolution, grid marginals and traces, density-matrix blocks,
+linear crossing probabilities) through different
 numerics, so agreement is a check of the engine.
 """
 
@@ -17,6 +17,7 @@ from qbflow.arrival import _split_covariance
 from qbflow.core_model import PhysParams
 from qbflow.gaussian_engine import (
     GaussianMixtureState,
+    _conditional,
     convolve_state,
     evaluate_state,
     husimi_smear,
@@ -212,6 +213,35 @@ def density_trace(rho: DensityMatrixGrid) -> float:
 def hermiticity_defect(rho: DensityMatrixGrid) -> float:
     """max |rho - rho^dagger|."""
     return float(np.max(np.abs(rho.values - rho.values.conj().T)))
+
+
+def density_block_direct(
+    state: GaussianMixtureState, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """rho(rows[i], cols[j]) of a Gaussian mixture, one ``exp`` per entry.
+
+    The formula of :func:`qbflow.grid_engine.density_matrix_from_state`
+    evaluated entry by entry on the full (Xbar, xi) grid, for arbitrary
+    row and column points; the library factors it into 1-D tables.
+    """
+    hbar = state.hbar
+    xb = 0.5 * (rows[:, None] + cols[None, :])
+    xi = rows[:, None] - cols[None, :]
+    out = np.zeros(xb.shape, dtype=complex)
+    for term in state.terms:
+        marg, mu, v, _ = _conditional(term, xb)
+        envelope = term.weight * marg
+        kp, kq = term.k
+        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
+            u = xi / hbar
+            out += envelope * np.exp(1j * mu * u - 0.5 * v * u * u)
+            continue
+        for eta in (+1.0, -1.0):
+            u = xi / hbar + eta * kp
+            out += 0.5 * envelope * np.exp(
+                1j * eta * (kq * xb + term.phase) + 1j * mu * u - 0.5 * v * u * u
+            )
+    return out
 
 
 def wigner_from_density(rho: DensityMatrixGrid) -> PhaseSpaceGrid:

@@ -16,6 +16,7 @@ from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 from oracles import (
+    density_block_direct,
     density_trace,
     hermiticity_defect,
     propagate_wigner_direct,
@@ -69,6 +70,54 @@ class TestWignerTransform:
         ax = gr.Axis(-14.0, 10.0, 128)
         rho = gr.density_matrix_from_state(_cat(), ax)
         assert hermiticity_defect(rho) < 1e-14
+
+
+_BLOCK_STATES = {
+    "gaussian": ge.make_gaussian_state(p0=1.5, q0=-1.0, sigma=0.9),
+    "shifted_cat": ge.shift_state(
+        ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=2.0
+    ),
+    "two_momentum": ge.make_two_momentum_state(p1=-2.0, p2=-6.0, q0=2.0, sigma=1.0),
+}
+
+
+_BLOCK_AXIS = gr.axis_straddling_zero(-16.0, 16.0, 384)
+_CUT = int(np.count_nonzero(_BLOCK_AXIS.points < 0.0))
+
+
+class TestDensityBlock:
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(_CUT, 384), slice(_CUT, 384)),  # right-right
+            (slice(_CUT, 384), slice(0, _CUT)),  # right-left
+            (slice(200, 201), slice(0, 384)),  # one row
+            (slice(0, 384), slice(170, 171)),  # one column
+            (slice(150, 230), slice(120, 310)),  # non-square
+        ],
+        ids=["right_right", "right_left", "one_row", "one_col", "non_square"],
+    )
+    @pytest.mark.parametrize("t", [0.0, 0.5], ids=["unevolved", "evolved"])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_STATES))
+    def test_matches_per_entry_formula(self, name, t, rows, cols):
+        # the Hankel x Toeplitz x rank-1 phase product against one exp per
+        # entry; the gate is relative to the peak of the full matrix
+        state = ge.propagate_mixture(_BLOCK_STATES[name], t, PAR)
+        x = _BLOCK_AXIS.points
+        full = density_block_direct(state, x, x)
+        out = np.full(full[rows, cols].shape, np.nan, dtype=complex)
+        gr._density_block(state, _BLOCK_AXIS, rows.start, cols.start, out)
+        assert np.abs(out - full[rows, cols]).max() < 1e-12 * np.abs(full).max()
+
+    def test_writes_into_caller_slice(self):
+        # the block fills a view of the caller's matrix and leaves the rest
+        x = _BLOCK_AXIS.points
+        state = _BLOCK_STATES["shifted_cat"]
+        projected = np.zeros((384, 384), dtype=complex)
+        gr._density_block(state, _BLOCK_AXIS, _CUT, 0, projected[_CUT:, :_CUT])
+        ref = density_block_direct(state, x[_CUT:], x[:_CUT])
+        assert np.abs(projected[_CUT:, :_CUT] - ref).max() < 1e-12 * np.abs(ref).max()
+        assert not projected[:_CUT].any() and not projected[_CUT:, _CUT:].any()
 
 
 class TestWignerPropagation:
@@ -315,8 +364,8 @@ class TestDensityPropagation:
         x = ax.points
         cut = int(np.count_nonzero(x < 0.0))
         block = np.zeros((384, 384), dtype=complex)
-        block[cut:, :cut] = gr._density_block(
-            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), x[cut:], x[:cut]
+        gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), ax, cut, 0, block[cut:, :cut]
         )
         t = 0.8
         k = 2.0 * math.pi * np.fft.fftfreq(ax.n, d=ax.step)
@@ -336,8 +385,9 @@ class TestDensityPropagation:
         x = half_ax.points
         cut = int(np.count_nonzero(x < 0.0))
         block = np.zeros((512, 512), dtype=complex)
-        block[cut:, :cut] = gr._density_block(
-            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), x[cut:], x[:cut]
+        gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), half_ax, cut, 0,
+            block[cut:, :cut],
         )
         cases = [(cat, cat_ax, PAR), (block, half_ax, PhysParams(D=0.0))]
         outputs = []

@@ -674,6 +674,33 @@ class TestCrossingChain:
                 st, [Interval(1.0, 2.0), Interval(1.5, 3.0)], NOISY, eps=0.1
             )
 
+    @pytest.mark.parametrize(
+        "n, match",
+        [
+            (1024.0, "n must be None or an integer"),
+            (0, "n must be None or an integer"),
+            (-4, "n must be None or an integer"),
+            (math.nan, "n must be None or an integer"),
+            (True, "n must be None or an integer"),
+            (2.5, "n must be None or an integer"),
+            (5000, "n = 5000 is above the chain grid's 4096-point limit"),
+        ],
+        ids=["float", "zero", "negative", "nan", "bool", "fraction", "above_limit"],
+    )
+    def test_grid_floor_validated(self, n, match):
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        with pytest.raises(ValueError, match=match):
+            hi.crossing_class_matrix(st, [2.0, 2.4], NOISY, n=n)
+
+    def test_grid_floor_accepts_numpy_integers(self):
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        times = [2.0, 2.4]
+        ref = hi._chain_axis(st, times, NOISY, 1024)
+        assert hi._chain_axis(st, times, NOISY, np.int64(1024)) == ref
+        assert hi._chain_axis(st, times, NOISY, None) == ref
+        assert hi._chain_axis(st, times, NOISY, 2) == ref
+        assert hi._chain_axis(st, times, NOISY, 4096)[0].n == 4096
+
     def test_state_never_near_origin_rejected(self):
         far = ge.make_gaussian_state(p0=-1.0, q0=500.0, sigma=1.0)
         with pytest.raises(ValueError, match="near the origin"):
