@@ -356,8 +356,12 @@ def arrival_probability_stochastic(
     Two estimators from one march:  the drop of the restricted norm across
     the interval, and the trapezoid of the boundary current sampled at the
     step times.  They differ at O(eps); their mutual disagreement is the
-    cheapest convergence diagnostic.
+    cheapest convergence diagnostic.  ``n``, the points per grid axis, is an
+    integer (numpy integers too, not bool) in [16, 4096]; anything else
+    raises ``ValueError``.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 16 <= n <= 4096:
+        raise ValueError(f"n must be an integer in [16, 4096], got {n!r}")
     k1 = _whole_steps("t1", interval.t1, eps)
     pax, qax = default_axes(state, params, t_max=interval.t2, n=n)
     spread = qbm_covariance(interval.t2, params)

@@ -55,7 +55,8 @@ _GRID_N_MIN = 16
 # each current sample propagates the mixture (40-100 us), so this caps the
 # sweep at ~10 s; grid.n needs no cap, only `stochastic` reads it, clamped to 512
 _N_T_MAX = 100_000
-# at ~35 ms a step on the stochastic analysis's 512² grid: about six minutes
+# at ~18 ms a step on the stochastic analysis's 512² grid (one BLAS thread,
+# 2-core x86 host): about three minutes
 _MARCH_STEPS_MAX = 10_000
 # One rule per config field: (kind, required, default).  A kind is a sign
 # rule on a finite number ("real", "positive", "nonneg"), an inclusive

@@ -2,9 +2,9 @@
 
 None of these is used by qbflow itself: each recomputes a library quantity
 (arrival current, master-equation right-hand sides and grid currents, Wigner
-transform and evolution, grid marginals and traces, density-matrix blocks,
-linear crossing probabilities) through different
-numerics, so agreement is a check of the engine.
+transform and evolution, the Wigner march's Gaussian blur, grid marginals and
+traces, density-matrix blocks, linear crossing probabilities) through
+different numerics, so agreement is a check of the engine.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from qbflow.arrival import _split_covariance
 from qbflow.core_model import PhysParams
@@ -325,6 +326,16 @@ def propagate_wigner_direct(w: PhaseSpaceGrid, t: float, params: PhysParams) -> 
         )
         out += norm * np.einsum("ijl,l->ij", kern, src[k0])
     return w.with_values(out)
+
+
+def gauss1d_ndimage(values: np.ndarray, var: float, step: float, axis: int) -> np.ndarray:
+    """Gaussian blur of variance ``var`` along ``axis`` by ``ndimage``.
+
+    The 8-sigma ``gaussian_filter1d`` correlation with a zero boundary,
+    which ``grid_engine._gauss1d`` computes as block-banded BLAS products.
+    """
+    sigma = math.sqrt(var) / step if var > 0.0 else 0.0
+    return ndimage.gaussian_filter1d(values, sigma, axis=axis, mode="constant", truncate=8.0)
 
 
 def linear_crossing_probabilities(

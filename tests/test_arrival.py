@@ -273,6 +273,20 @@ class TestStochasticRoute:
             ar.arrival_probability_stochastic(self.STATE, Interval(0.5, 1.5),
                                               self.PAR, eps=0.4)
 
+    @pytest.mark.parametrize(
+        "n", [2, 3, 15, 4097, 64.0, np.float64(64.0), True, "64", None],
+        ids=["2", "3", "15", "4097", "float", "numpy-float", "bool", "str", "None"],
+    )
+    def test_grid_size_validated(self, n):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[16, 4096\], got"):
+            ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=n)
+
+    def test_grid_size_accepts_numpy_integers(self):
+        a = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=16)
+        b = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1,
+                                              n=np.int64(16))
+        assert a == b
+
     def test_survival_complements_loss(self):
         sto = ar.arrival_probability_stochastic(self.STATE, Interval(0.0, 1.5),
                                                 self.PAR, eps=0.05)

@@ -18,6 +18,7 @@ from qbflow import grid_engine as gr
 from oracles import (
     density_block_direct,
     density_trace,
+    gauss1d_ndimage,
     hermiticity_defect,
     propagate_wigner_direct,
     wigner_from_density,
@@ -260,6 +261,39 @@ class TestWignerPropagation:
         assert out is not values
         ref = ndimage.gaussian_filter1d(values, 0.0626, axis=axis, mode="constant", truncate=8.0)
         assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize(
+        "shape", [(40, 48), (256, 256), (512, 300), (50, 50)],
+        ids=["40x48", "256x256", "512x300", "50x50"],
+    )
+    def test_blur_matches_ndimage(self, shape, axis):
+        # sigma from the first three-tap kernel through the march's p-axis
+        # blurs (3.45 and 4.73 cells) to past n/8 cells, where the kernel
+        # radius passes the grid; 50x50 also takes radii over 2n
+        n = shape[axis]
+        sigmas = [0.0626, 0.3, 1.0, 3.45, 4.73, 0.13 * n]
+        if shape == (50, 50):
+            sigmas += [7.0, 13.0, 40.0]
+        values = np.random.default_rng(n + axis).standard_normal(shape)
+        step = 0.1
+        for sigma in sigmas:
+            var = (sigma * step) ** 2
+            out = gr._gauss1d(values, var, step, axis)
+            ref = gauss1d_ndimage(values, var, step, axis)
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(values).max(), (shape, axis, sigma)
+
+    def test_march_matches_ndimage_blur(self, monkeypatch):
+        # a short restricted march whose p blur spans 6 cells and q blur
+        # 0.3 cells, so both axes run; norms and currents keep 1e-12
+        g = ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8)
+        w = gr.wigner_grid_from_state(g, gr.Axis(-12.0, 4.0, 192), gr.Axis(-14.0, 10.0, 192))
+        par = PhysParams(D=0.5)
+        norms, currents = ar.restricted_march(w, 1.0, 0.25, par)
+        monkeypatch.setattr(gr, "_gauss1d", gauss1d_ndimage)
+        ref_norms, ref_currents = ar.restricted_march(w, 1.0, 0.25, par)
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(currents, ref_currents, rtol=1e-12, atol=0.0)
 
     def test_shear_by_whole_cells_keeps_grid_ends(self):
         # lam p_i / dq = 4i - 126 cells: every sample is an input sample or 0,
