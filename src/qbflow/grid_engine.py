@@ -411,10 +411,18 @@ def axis_straddling_zero(lo: float, hi: float, n: int) -> Axis:
 
 
 # Below 128 points a side, a two-worker fft2 + ifft2 pair is slower than
-# one worker; above it the pair only gains (2 cores, median of 5: 32²
-# 0.044 -> 0.149 ms, 64² 0.12 -> 0.24 ms, 128² 0.49 ms either way, 512²
-# 10.4 -> 5.6 ms, 2048² 272 -> 170 ms).  Outputs are bit-identical.
+# one worker; from 512 up the pair gains, and in between it is even to
+# within 10% (in place on the padded working array, 2 shared cores, one
+# worker -> two, medians of alternating pairs: 32² 0.057 -> 0.096 ms, 64²
+# 0.12 -> 0.19 ms, 128² 0.46 -> 0.52 ms, 256² 1.9 -> 2.1 ms, 512² 7.2 ->
+# 5.7 ms, 2048² 168 -> 100 ms).  Outputs are bit-identical.
 _FFT_PARALLEL_MIN_N = 128
+
+# Entries of padding per row of the split-step's working array.  One D = 1
+# step (2 shared cores, median of 7 alternating runs) with pads of 0, 8,
+# 16 and 64 took 2085, 1394, 1431 and 1447 ms at n = 4096, and 393, 337,
+# 355 and 358 ms at n = 2048.
+_ROW_PAD = 8
 
 
 def _fft_workers(n: int) -> int:
@@ -459,15 +467,21 @@ def _propagate_density_split_raw(
     free step: one ``fft2``, the full phase exp(-i hbar t k^2 / 2m), one
     ``ifft2``.
 
-    ``values`` is left untouched: the first FFT writes a fresh array and
-    every later FFT and factor works in place on it.  The free half-step
-    is the outer product of a 1-D phase and its conjugate; the noise
-    factors come from 1-D tables, because the position factor depends only
-    on i - j and the momentum factor only on f_i + f_j.  With D > 0 the
-    step raises "grid too small" when the result's two outermost rows or
-    columns exceed 2e-3 of its peak magnitude.  At D = 0 a projected block
-    keeps coherent algebraic tails that reach any finite box edge, so the
-    check is off there.
+    ``values`` is left untouched: it is copied into a working array whose
+    rows are padded by ``_ROW_PAD`` entries, and every FFT and factor works
+    in place there; the result is a view into it.  Unpadded, a row of a
+    power-of-two grid is a power of two in bytes, so the strided column
+    pass of each 2-D FFT maps a column onto the same cache sets (at n =
+    4096 a step took about 1.5x as long).  pocketfft computes each line
+    the same way whatever its stride, so the padding changes no bit.
+
+    The free half-step is the outer product of a 1-D phase and its
+    conjugate; the noise factors come from 1-D tables, because the position
+    factor depends only on i - j and the momentum factor only on f_i + f_j.
+    With D > 0 the step raises "grid too small" when the result's two
+    outermost rows or columns exceed 2e-3 of its peak magnitude.  At D = 0
+    a projected block keeps coherent algebraic tails that reach any finite
+    box edge, so the check is off there.
 
     The FFTs (four with D > 0, two at D = 0) run on every CPU in the
     process affinity mask (one worker below 128 points a side, where
@@ -485,7 +499,9 @@ def _propagate_density_split_raw(
     n, dx = axis.n, axis.step
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     workers = _fft_workers(n)
-    out = fft.fft2(values, workers=workers)
+    out = np.empty((n, n + _ROW_PAD), dtype=complex)[:, :n]
+    out[...] = values
+    out = fft.fft2(out, overwrite_x=True, workers=workers)
     if d == 0.0:
         # no noise channel between the half-steps: they are one free step
         full = np.exp(-0.5j * hbar * t * k * k / m)

@@ -704,11 +704,19 @@ def class_operator_probability(
     ``eps`` floors the window widths.  Projecting faster than the state
     can move freezes the crossing (the Zeno regime), so widths under
     ``max(10 hbar/E, one-cell transit of the fastest resolved momentum)``
-    are rejected by default; pass ``eps`` explicitly to override.
+    are rejected by default; pass ``eps`` explicitly to override (``eps =
+    0`` turns the guard off).  Anything but None or a finite real >= 0
+    raises ``ValueError``.
 
     ``n`` floors the chain grid as in :func:`crossing_class_matrix`: the
     grid is raised to the Nyquist count and a power of two, up to 4096.
     """
+    if eps is not None and (
+        isinstance(eps, bool)
+        or not isinstance(eps, (int, float, np.integer, np.floating))
+        or not 0.0 <= eps < math.inf
+    ):
+        raise ValueError(f"eps must be None or a finite real >= 0, got {eps!r}")
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
     windows = [(float(iv.t1), float(iv.t2)) for iv in intervals]

@@ -466,6 +466,46 @@ class TestDensityPropagation:
         monkeypatch.setattr(gr.os, "cpu_count", lambda: None)
         assert step(128) == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_ffts_stay_in_padded_buffer(self, monkeypatch, d):
+        # every FFT works in place in the row-padded working array; a scipy
+        # that copied would hand the column passes a power-of-two row stride
+        # again, and nothing but the timings would show it
+        in_place = []
+
+        def spy(name):
+            def call(x, *args, **kwargs):
+                y = getattr(fft, name)(x, *args, **kwargs)
+                in_place.append(np.shares_memory(x, y))
+                return y
+            return call
+
+        monkeypatch.setattr(gr, "fft", SimpleNamespace(fft2=spy("fft2"), ifft2=spy("ifft2")))
+        n = 256
+        ax = gr.Axis(-16.0, 16.0, n)
+        rho = gr.density_matrix_from_state(_cat(), ax).values
+        out = gr._propagate_density_split_raw(rho, ax, 0.8, PhysParams(D=d))
+        assert in_place == [True] * (4 if d else 2)
+        assert out.strides[0] > n * out.itemsize
+        assert not np.shares_memory(out, rho)
+
+    @pytest.mark.parametrize("n", [257, 384, 512])
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_stride_leaves_bits_unchanged(self, d, n):
+        # pocketfft computes each line the same way whatever its stride, so
+        # the padded working array gives the bits of a contiguous one
+        ax = gr.Axis(-16.0, 16.0, n)
+        rho = gr.density_matrix_from_state(_cat(), ax).values
+        padded = np.zeros((n + 3, n + 5), dtype=complex)[1:-2, 2:-3]
+        padded[...] = rho
+        layouts = [np.ascontiguousarray(rho), np.asfortranarray(rho), padded]
+        outs = [gr._propagate_density_split_raw(v, ax, 0.8, PhysParams(D=d)) for v in layouts]
+        for other in outs[1:]:
+            assert np.array_equal(outs[0], other)
+        for transform in (fft.fft2, fft.ifft2):
+            padded[...] = rho
+            assert np.array_equal(transform(rho), transform(padded, overwrite_x=True))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):

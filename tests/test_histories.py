@@ -665,6 +665,16 @@ class TestCrossingChain:
         with pytest.raises(ValueError, match="Zeno"):
             hi.class_operator_probability(bat, [Interval(5.0, 5.01)], NOISY)
 
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, -1.0, True],
+        ids=["nan", "inf", "-inf", "negative", "bool"],
+    )
+    def test_eps_validated(self, eps):
+        # a nan or negative floor would switch the Zeno guard off silently
+        bat = ge.make_gaussian_state(p0=-10.0, q0=60.0, sigma=1.0)
+        with pytest.raises(ValueError, match=f"eps must be None or a finite real >= 0, got {eps!r}"):
+            hi.class_operator_probability(bat, [Interval(5.0, 5.02)], NOISY, eps=eps)
+
     def test_interval_validation(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         with pytest.raises(ValueError, match="at least one"):
