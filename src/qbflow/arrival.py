@@ -247,27 +247,26 @@ class PovmEffect:
             raise ValueError(
                 f"state hbar {state.hbar!r} != params hbar {self.params.hbar!r}"
             )
-        smeared = husimi_smear(state, self.s)
+        smeared = husimi_smear(state, self.s)._stacked
+        ksk = np.vecdot(smeared.k, (smeared.cov @ smeared.k[..., None])[..., 0])
         total = 0.0
         for sign, t_i in ((1.0, self.interval.t1), (-1.0, self.interval.t2)):
             nvec = np.array([t_i / self.params.mass, 1.0])
             sig = self._sigma(t_i)
-            for term in smeared.terms:
-                kvec, cov = np.asarray(term.k), term.cov.matrix()
-                sn = cov @ nvec
-                mu_y = float(nvec @ term.center)
-                var_y = float(nvec @ sn)
-                ksn = float(kvec @ sn)
-                gamma = ksn / var_y
-                pre = np.exp(
-                    1j * (float(kvec @ term.center) - gamma * mu_y + term.phase)
-                    - 0.5 * (float(kvec @ cov @ kvec) - ksn * gamma)
-                )
-                if sig == 0.0:
-                    piece = _gaussian_fourier_above(mu_y, var_y, gamma, 0.0)
-                else:
-                    piece = _gaussian_fourier_probit(gamma, mu_y, var_y, 0.0, 1.0 / sig)
-                total += sign * term.weight * float(np.real(pre * piece))
+            sn = smeared.cov @ nvec
+            mu_y = np.vecdot(nvec, smeared.center)
+            var_y = np.vecdot(nvec, sn)
+            ksn = np.vecdot(smeared.k, sn)
+            gamma = ksn / var_y
+            pre = np.exp(
+                1j * (np.vecdot(smeared.k, smeared.center) - gamma * mu_y + smeared.phase)
+                - 0.5 * (ksk - ksn * gamma)
+            )
+            if sig == 0.0:
+                piece = _gaussian_fourier_above(mu_y, var_y, gamma, 0.0)
+            else:
+                piece = _gaussian_fourier_probit(gamma, mu_y, var_y, 0.0, 1.0 / sig)
+            total += sign * float(np.sum(smeared.weight * np.real(pre * piece)))
         return total
 
 

@@ -7,21 +7,29 @@ States are finite sums of (optionally modulated) Gaussian terms
 with z = (p, q) and g(z; A) the normalised bivariate Gaussian.  This family
 is closed under the quantum-Brownian-motion evolution (a linear flow plus a
 Gaussian convolution), so single Gaussians, spatial cat states and
-two-momentum superpositions propagate without any grid error.  The closed
-forms implemented here — in particular the transformation of the modulated
-(interference) terms under shear and convolution — are cross-validated
-against the brute-force grid kernels in the test-suite before anything else
-relies on them.
+two-momentum superpositions propagate without any grid error.
+
+One algebra acts on every term.  A state's terms are stacked into arrays
+(:class:`_Terms`) along a leading terms axis, with optional time axes after
+it, so one call evolves a mixture to every sample time at once.  The flow
+and the convolution are batched ``matmul``, ``solve`` and ``vecdot`` on
+these arrays (:func:`_propagate_stacked`), and every reduction is an array
+expression over the terms axis, summed at the end.  The closed forms, in
+particular those of the modulated (interference) terms under shear and
+convolution, are cross-validated against the brute-force grid kernels in
+the test-suite.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfcx
 
 from .core_model import PhysParams
 
@@ -29,7 +37,6 @@ __all__ = [
     "Cov2",
     "GaussianTerm",
     "GaussianMixtureState",
-    "convolve_term",
     "convolve_state",
     "gaussian_eval",
     "is_wigner_admissible",
@@ -72,6 +79,8 @@ class Cov2:
     qq: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.pp) and math.isfinite(self.pq) and math.isfinite(self.qq)):
+            raise ValueError(f"covariance entries must be finite: {self}")
         scale = max(abs(self.pp), abs(self.qq), abs(self.pq), 1e-300)
         if min(self.pp, self.qq) < -_EIG_FLOOR * scale:
             raise ValueError(f"covariance has negative diagonal: {self}")
@@ -96,12 +105,6 @@ class Cov2:
 
     def det(self) -> float:
         return self.pp * self.qq - self.pq * self.pq
-
-    def is_zero(self) -> bool:
-        return self.pp == 0.0 and self.pq == 0.0 and self.qq == 0.0
-
-    def __add__(self, other: "Cov2") -> "Cov2":
-        return Cov2(self.pp + other.pp, self.pq + other.pq, self.qq + other.qq)
 
     def transform(self, m) -> "Cov2":
         """Congruence M @ cov @ M.T for a 2x2 linear map M."""
@@ -151,11 +154,24 @@ _PQ_SERIES = np.array([(-1) ** n * (2 ** (n - 1) - 1) / math.factorial(n) for n 
 _QQ_SERIES = np.array([(-1) ** n * (2 - 2 ** (n - 1)) / math.factorial(n) for n in range(3, 25)])
 
 
+# math.pow and math.exp as (object) ufuncs.  numpy's vectorised power and exp
+# round a few percent of results differently from the C library's scalar
+# calls; the propagation takes the library's for arrays too, so that stacking
+# terms and times keeps each result bit-identical to one term at one time.
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+_LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
+
+
+def _cube(x):
+    """x**3 through the C library's pow, for scalars (which numpy sends there) and arrays."""
+    return np.asarray(_LIBM_POW(x, 3.0), dtype=float) if isinstance(x, np.ndarray) else x ** 3
+
+
 def qbm_covariance_entries(t, params: PhysParams):
     """(pp, pq, qq) of :func:`qbm_covariance`, elementwise over an array t >= 0."""
     m = params.mass
     if params.gamma == 0.0:
-        return 2.0 * params.D * t, params.D * t * t / m, 2.0 * params.D * t ** 3 / (3.0 * m * m)
+        return 2.0 * params.D * t, params.D * t * t / m, 2.0 * params.D * _cube(t) / (3.0 * m * m)
     lam = 2.0 * params.gamma
     n1 = 2.0 * params.D
     n2 = params.hbar ** 2 * params.b ** 2
@@ -168,7 +184,7 @@ def qbm_covariance_entries(t, params: PhysParams):
     small = x < _SERIES_MAX_X
     pq_b = np.where(small, x * x * np.polynomial.polynomial.polyval(x, _PQ_SERIES) / lam, t1 - t2)
     qq_b = np.where(
-        small, x ** 3 * np.polynomial.polynomial.polyval(x, _QQ_SERIES) / lam, t - 2.0 * t1 + t2
+        small, _cube(x) * np.polynomial.polynomial.polyval(x, _QQ_SERIES) / lam, t - 2.0 * t1 + t2
     )
     return n1 * t2, n1 * pq_b / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
 
@@ -240,6 +256,32 @@ def term_integral(term: GaussianTerm) -> float:
     return term.weight * math.exp(-0.5 * quad) * math.cos(kc + term.phase)
 
 
+# per-term scalar fields of stacked terms, shaped to broadcast against points
+_Scalars = namedtuple("_Scalars", "w cp cq pp pq qq kp kq phase")
+
+
+class _Terms(NamedTuple):
+    """A mixture's terms as arrays, terms along the leading axis.
+
+    weight and phase are (terms, *T), center and k (terms, *T, 2) in (p, q)
+    order and cov (terms, *T, 2, 2), where the optional axes T carry times.
+    """
+
+    weight: np.ndarray
+    center: np.ndarray
+    cov: np.ndarray
+    k: np.ndarray
+    phase: np.ndarray
+
+    def at(self, q) -> _Scalars:
+        """The scalar fields, each with one unit axis per axis of the points q appended."""
+        pad = (...,) + (None,) * np.ndim(q)
+        c, cov, k = self.center, self.cov, self.k
+        fields = (self.weight, c[..., 0], c[..., 1], cov[..., 0, 0], cov[..., 0, 1],
+                  cov[..., 1, 1], k[..., 0], k[..., 1], self.phase)
+        return _Scalars(*(x[pad] for x in fields))
+
+
 @dataclass(frozen=True)
 class GaussianMixtureState:
     """A normalised Wigner function represented as a Gaussian mixture."""
@@ -251,9 +293,25 @@ class GaussianMixtureState:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("mixture needs at least one term")
+        fields = (x for t in self.terms for x in (t.weight, *t.center, *t.k, t.phase))
+        bad = [x for x in fields if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"mixture terms must be finite, got {bad[0]!r}")
         total = self.total_mass()
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"mixture not normalised: integral = {total!r}")
+
+    @cached_property
+    def _stacked(self) -> "_Terms":
+        """The terms as one :class:`_Terms` of arrays, built once per state."""
+        ts = self.terms
+        return _Terms(
+            np.array([t.weight for t in ts], dtype=float),
+            np.array([t.center for t in ts], dtype=float),
+            np.array([t.cov.matrix() for t in ts]),
+            np.array([t.k for t in ts], dtype=float),
+            np.array([t.phase for t in ts], dtype=float),
+        )
 
     def total_mass(self) -> float:
         return sum(term_integral(t) for t in self.terms)
@@ -326,31 +384,19 @@ def shift_state(
     Exact on every term: centres move, and modulation phases pick up
     -k . (dp, dq) so each fringe keeps its value relative to the packet.
     """
-    moved = tuple(
-        GaussianTerm(
-            t.weight,
-            (t.center[0] + dp, t.center[1] + dq),
-            t.cov,
-            k=t.k,
-            phase=t.phase - t.k[0] * dp - t.k[1] * dq,
-        )
-        for t in state.terms
-    )
-    return GaussianMixtureState(terms=moved, hbar=state.hbar, label=state.label)
+    s = state._stacked
+    phase = s.phase - s.k[:, 0] * dp - s.k[:, 1] * dq
+    return _state_from(s._replace(center=s.center + (dp, dq), phase=phase), state)
 
 
 def reflect_state(state: GaussianMixtureState) -> GaussianMixtureState:
     """Parity image W(p, q) -> W(-p, -q): the state reflected through the origin.
 
-    Exact on every term: centres and modulation wavevectors change sign,
-    weights, covariances and phases are kept.  The QBM evolution commutes
+    It is the linear flow -1: centres and modulation wavevectors change
+    sign, weights, covariances and phases are kept.  The QBM evolution commutes
     with parity, so P_left and P_right trade places under it.
     """
-    flipped = tuple(
-        replace(t, center=(-t.center[0], -t.center[1]), k=(-t.k[0], -t.k[1]))
-        for t in state.terms
-    )
-    return GaussianMixtureState(terms=flipped, hbar=state.hbar, label=state.label)
+    return _state_from(_flowed(state._stacked, -np.eye(2)), state)
 
 
 def make_two_momentum_state(
@@ -431,48 +477,84 @@ def evaluate_state(state: GaussianMixtureState, p, q):
 # propagation
 
 
-def _transform_term(term: GaussianTerm, flow: np.ndarray) -> GaussianTerm:
-    """Push a term forward through an invertible linear phase-space map."""
-    c = flow @ np.asarray(term.center)
-    cov = term.cov.transform(flow)
-    kp, kq = term.k
-    if kp == 0.0 and kq == 0.0:
-        k = (0.0, 0.0)
-    else:
-        k = tuple(np.linalg.solve(flow.T, np.asarray(term.k)))
-    return replace(term, center=(float(c[0]), float(c[1])), cov=cov, k=(float(k[0]), float(k[1])))
-
-
-def convolve_term(term: GaussianTerm, a: Cov2) -> GaussianTerm:
-    """Convolve one modulated Gaussian term with a centred Gaussian g(.; a).
-
-    Closed form (validated against the grid oracle):
-
-        C    = cov + a
-        k''  = C^{-1} cov k
-        phi' = phi + ((k - k'') . c)
-        w'   = w * exp(-k^T (cov - cov C^{-1} cov) k / 2)
-
-    and the centre is unchanged.  For unmodulated terms this is the plain
-    covariance addition law.
-    """
-    if a.is_zero():
-        return term
-    new_cov = term.cov + a
-    kp, kq = term.k
-    if kp == 0.0 and kq == 0.0:
-        return replace(term, cov=new_cov)
-    kvec = np.array([kp, kq])
-    sigma = term.cov.matrix()
-    cmat = new_cov.matrix()
-    sk = sigma @ kvec
-    k2 = np.linalg.solve(cmat, sk)          # k'' = C^-1 Sigma k
-    damp_quad = float(kvec @ sk - sk @ np.linalg.solve(cmat, sk))
-    weight = term.weight * math.exp(-0.5 * damp_quad)
-    phase = term.phase + float((kvec - k2) @ np.asarray(term.center))
-    return replace(
-        term, weight=weight, cov=new_cov, k=(float(k2[0]), float(k2[1])), phase=phase
+def _state_from(s: _Terms, like: GaussianMixtureState) -> GaussianMixtureState:
+    """The state of the stacked, time-free terms s, with the hbar and label of ``like``."""
+    terms = tuple(
+        GaussianTerm(w, (cp, cq), Cov2(pp, pq, qq), (kp, kq), phase)
+        for w, (cp, cq), ((pp, pq), (_, qq)), (kp, kq), phase in zip(*(x.tolist() for x in s))
     )
+    return GaussianMixtureState(terms=terms, hbar=like.hbar, label=like.label)
+
+
+def _flowed(s: _Terms, f: np.ndarray) -> _Terms:
+    """Stacked terms pushed through the linear maps f (..., 2, 2), broadcast over terms.
+
+    c -> f c and S -> f S f^T; the wavevector k -> f^{-T} k is solved on the
+    modulated rows only and is exactly 0 on the others.
+    """
+    ft = np.swapaxes(f, -1, -2)
+    center = (f @ s.center[..., None])[..., 0]
+    cov = f @ s.cov @ ft
+    cov[..., 0, 1] = cov[..., 1, 0] = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
+    k = np.zeros(center.shape)
+    rows = (s.k != 0.0).any(axis=-1)
+    if rows.any():
+        rows = np.broadcast_to(rows, k.shape[:-1])
+        lhs = np.broadcast_to(ft, k.shape + (2,))[rows]
+        k[rows] = np.linalg.solve(lhs, np.broadcast_to(s.k, k.shape)[rows][..., None])[..., 0]
+    return _Terms(s.weight, center, cov, k, s.phase)
+
+
+def _convolved(s: _Terms, a: np.ndarray) -> _Terms:
+    """Stacked terms convolved with centred Gaussians g(.; a), a (..., 2, 2).
+
+    With C = S + a the closed form (validated against the grid oracle) is
+
+        k''  = C^{-1} S k
+        phi' = phi + ((k - k'') . c)
+        w'   = w * exp(-k^T (S - S C^{-1} S) k / 2)
+
+    and the centre is unchanged.  Rows where a vanishes are left as they
+    are; unmodulated rows only add the covariances.
+    """
+    cov = s.cov + a
+    rows = (a != 0.0).any(axis=(-2, -1)) & (s.k != 0.0).any(axis=-1)
+    if not rows.any():
+        return s._replace(cov=cov)
+    weight, phase = (np.array(np.broadcast_to(x, rows.shape)) for x in (s.weight, s.phase))
+    sig, kv = s.cov[rows], s.k[rows]
+    sk = (sig @ kv[..., None])[..., 0]
+    k2 = np.linalg.solve(cov[rows], sk[..., None])[..., 0]
+    quad = np.vecdot(kv, sk) - np.vecdot(sk, k2)
+    weight[rows] *= _LIBM_EXP(-0.5 * quad).astype(float)
+    phase[rows] += np.vecdot(kv - k2, s.center[rows])
+    k = s.k.copy()
+    k[rows] = k2
+    return _Terms(weight, s.center, cov, k, phase)
+
+
+def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> _Terms:
+    """The terms of ``propagate_mixture(state, t_j)`` for every time t_j of t >= 0.
+
+    t is an np.float64 or an array of times, whose axes the result carries
+    after its terms axis.  This is the engine's one propagation: the flow
+    (:func:`_flowed`), then the convolution with the accumulated spreading
+    (:func:`_convolved`).  Every element takes the operations of a single
+    time, so each time's slice equals ``propagate_mixture`` at that time
+    bit for bit.
+    """
+    if state.hbar != params.hbar:
+        raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
+    pad = (1,) * np.ndim(t)
+    s = _Terms(*(x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in state._stacked))
+    decay, drift = qbm_flow_entries(t, params)
+    a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)
+    f = np.zeros(np.shape(t) + (2, 2))
+    f[..., 0, 0], f[..., 1, 0], f[..., 1, 1] = decay, drift, 1.0
+    a = np.empty_like(f)
+    a[..., 0, 0], a[..., 1, 1] = a_pp, a_qq
+    a[..., 0, 1] = a[..., 1, 0] = a_pq
+    return _convolved(_flowed(s, f), a)
 
 
 def convolve_state(state: GaussianMixtureState, a: Cov2) -> GaussianMixtureState:
@@ -481,11 +563,7 @@ def convolve_state(state: GaussianMixtureState, a: Cov2) -> GaussianMixtureState
     Total mass is preserved term by term, so the result needs no
     renormalisation.
     """
-    return GaussianMixtureState(
-        terms=tuple(convolve_term(t, a) for t in state.terms),
-        hbar=state.hbar,
-        label=state.label,
-    )
+    return _state_from(_convolved(state._stacked, a.matrix()), state)
 
 
 def propagate_mixture(
@@ -502,64 +580,7 @@ def propagate_mixture(
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if t == 0.0:
         return state
-    if state.hbar != params.hbar:
-        raise ValueError(
-            f"state hbar {state.hbar!r} != params hbar {params.hbar!r}"
-        )
-    flow = qbm_flow(t, params)
-    a = qbm_covariance(t, params)
-    moved = (_transform_term(term, flow) for term in state.terms)
-    return GaussianMixtureState(
-        terms=tuple(convolve_term(term, a) for term in moved),
-        hbar=state.hbar,
-        label=state.label,
-    )
-
-
-class _CovArrays(NamedTuple):
-    """Unchecked stand-in for :class:`Cov2` whose entries are arrays."""
-
-    pp: np.ndarray
-    pq: np.ndarray
-    qq: np.ndarray
-
-
-def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> GaussianTerm:
-    """``propagate_mixture(state, t_j)`` for every time t_j of an array t >= 0 at once.
-
-    Returns one GaussianTerm whose fields are (terms x times) arrays and whose
-    cov is a :class:`_CovArrays`.  The algebra is that of :func:`_transform_term`
-    and :func:`convolve_term` written out elementwise, with the 2x2 solves as
-    explicit determinants.  Where the spreading A(t_j) vanishes (t = 0, or no
-    noise at all) the convolution is skipped, as :func:`convolve_term` does.
-    """
-    if state.hbar != params.hbar:
-        raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
-    rows = np.array(
-        [(u.weight, *u.center, u.cov.pp, u.cov.pq, u.cov.qq, *u.k, u.phase) for u in state.terms]
-    )
-    w, cp, cq, pp, pq, qq, kp, kq, phase = rows.T.reshape(9, -1, *(1,) * np.ndim(t))
-    decay, drift = qbm_flow_entries(t, params)
-    a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)
-    # flow F = [[decay, 0], [drift, 1]]: c -> F c, S -> F S F^T, k -> F^{-T} k
-    cp, cq = decay * cp, drift * cp + cq
-    pp, pq, qq = (
-        decay * decay * pp,
-        decay * (drift * pp + pq),
-        (drift * pp + pq) * drift + (drift * pq + qq),
-    )
-    kp = (kp - drift * kq) / decay
-    # convolution with g(.; A): C = S + A, k'' = C^{-1} S k
-    sk_p, sk_q = pp * kp + pq * kq, pq * kp + qq * kq
-    pp, pq, qq = pp + a_pp, pq + a_pq, qq + a_qq
-    det = pp * qq - pq * pq
-    k2p, k2q = (qq * sk_p - pq * sk_q) / det, (pp * sk_q - pq * sk_p) / det
-    noisy = (a_pp != 0.0) | (a_pq != 0.0) | (a_qq != 0.0)
-    damp = (kp * sk_p + kq * sk_q) - (sk_p * k2p + sk_q * k2q)
-    w = np.where(noisy, w * np.exp(-0.5 * damp), w)
-    phase = np.where(noisy, phase + ((kp - k2p) * cp + (kq - k2q) * cq), phase)
-    k = (np.where(noisy, k2p, kp), np.where(noisy, k2q, kq))
-    return GaussianTerm(w, (cp, cq), _CovArrays(pp, pq, qq), k, phase)
+    return _state_from(_propagate_stacked(state, np.float64(t), params), state)
 
 
 def husimi_smear(state: GaussianMixtureState, s: float) -> GaussianMixtureState:
@@ -568,8 +589,8 @@ def husimi_smear(state: GaussianMixtureState, s: float) -> GaussianMixtureState:
     The result is the (generalised, squeezing parameter s) Husimi
     distribution of the state — non-negative everywhere.
     """
-    if s <= 0.0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     h = state.hbar
     return convolve_state(state, Cov2(pp=h * s * s, pq=0.0, qq=h / (4.0 * s * s)))
 
@@ -585,41 +606,38 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
     moment (none when k = 0 and phase = 0); the formulas follow from
     differentiating the Gaussian characteristic function.
     """
-    mass_total = 0.0
-    first = np.zeros(2)
-    second = np.zeros((2, 2))
-    for term in state.terms:
-        c = np.asarray(term.center)
-        sigma = term.cov.matrix()
-        kvec = np.asarray(term.k)
-        damp = math.exp(-0.5 * float(kvec @ sigma @ kvec))
-        psi = float(kvec @ c) + term.phase
-        cosw = term.weight * damp * math.cos(psi)
-        sinw = term.weight * damp * math.sin(psi)
-        sk = sigma @ kvec
-        mass_total += cosw
-        first += cosw * c - sinw * sk
-        second += (
-            cosw * (sigma + np.outer(c, c) - np.outer(sk, sk))
-            - sinw * (np.outer(c, sk) + np.outer(sk, c))
-        )
-    mean = first / mass_total
+    s = state._stacked
+    c, sigma = s.center, s.cov
+    sk = (sigma @ s.k[..., None])[..., 0]
+    damp = np.exp(-0.5 * np.vecdot(s.k, sk))
+    psi = np.vecdot(s.k, c) + s.phase
+    cosw = (s.weight * damp * np.cos(psi))[:, None]
+    sinw = (s.weight * damp * np.sin(psi))[:, None]
+
+    def outer(x, y):
+        return x[:, :, None] * y[:, None, :]
+
+    mass_total = cosw.sum()
+    mean = (cosw * c - sinw * sk).sum(axis=0) / mass_total
+    second = (
+        cosw[..., None] * (sigma + outer(c, c) - outer(sk, sk))
+        - sinw[..., None] * (outer(c, sk) + outer(sk, c))
+    ).sum(axis=0)
     cov = second / mass_total - np.outer(mean, mean)
     return mean, Cov2.from_matrix(cov)
 
 
-def _conditional(term: GaussianTerm, q):
-    """Split a term's Gaussian as marg(q) * N(p; mu(q), v), marg = N(q; c_q, S_qq).
+def _conditional(u: _Scalars, q):
+    """Split each term's Gaussian as marg(q) * N(p; mu(q), v), marg = N(q; c_q, S_qq).
 
-    Returns (marg, mu, v, slope) with slope = S_pq/S_qq,
-    mu(q) = c_p + slope (q - c_q) and v = S_pp - S_pq^2/S_qq.
+    u holds the terms' scalars shaped against q (:meth:`_Terms.at`).  Returns
+    (marg, mu, v, slope) with slope = S_pq/S_qq, mu(q) = c_p + slope (q - c_q)
+    and v = S_pp - S_pq^2/S_qq.
     """
-    c = term.cov
-    cp, cq = term.center
-    slope = c.pq / c.qq
-    v = c.pp - c.pq * c.pq / c.qq
-    mu = cp + slope * (q - cq)
-    marg = np.exp(-0.5 * (q - cq) ** 2 / c.qq) / np.sqrt(2.0 * math.pi * c.qq)
+    slope = u.pq / u.qq
+    v = u.pp - u.pq * u.pq / u.qq
+    mu = u.cp + slope * (q - u.cq)
+    marg = np.exp(-0.5 * (q - u.cq) ** 2 / u.qq) / np.sqrt(2.0 * math.pi * u.qq)
     return marg, mu, v, slope
 
 
@@ -665,40 +683,41 @@ def _gaussian_fourier_probit(k, mu, var, alpha, beta):
     )
 
 
-def _term_line_reductions(term: GaussianTerm, q):
-    """Per-term pieces of the p-integrals along a fixed-q line.
+def _term_line_reductions(s: _Terms, q):
+    """Per-term pieces of the p-integrals along fixed-q lines, over the terms axis.
 
     Returns (density, flux, gradient): int dp W_term, int dp p W_term and
-    d density/dq, all from one :func:`_conditional` split and one cos/sin
-    pair.  An unmodulated term is the case k = 0, phase = 0.  The fields may
-    also be arrays, as in the stacked term of :func:`_propagate_stacked`.
+    d density/dq, from one :func:`_conditional` split and one cos/sin pair.
+    Each has the shape of s's fields followed by that of q; summing over the
+    leading axis gives the mixture's value.  An unmodulated term is the case
+    k = 0, phase = 0.
     """
     q = np.asarray(q, dtype=float)
-    marg, mu, v, slope = _conditional(term, q)
-    kp, kq = term.k
+    u = s.at(q)
+    marg, mu, v, slope = _conditional(u, q)
     # int dp N(p; mu, v) e^{i kp p} = e^{i kp mu - kp^2 v / 2}
-    scale = term.weight * marg * np.exp(-0.5 * kp * kp * v)
-    phase = kp * mu + kq * q + term.phase
+    scale = u.w * marg * np.exp(-0.5 * u.kp * u.kp * v)
+    phase = u.kp * mu + u.kq * q + u.phase
     cos, sin = np.cos(phase), np.sin(phase)
     dens = scale * cos
-    flux = scale * (mu * cos - kp * v * sin)
-    grad = scale * (-(q - term.center[1]) / term.cov.qq * cos - (kp * slope + kq) * sin)
+    flux = scale * (mu * cos - u.kp * v * sin)
+    grad = scale * (-(q - u.cq) / u.qq * cos - (u.kp * slope + u.kq) * sin)
     return dens, flux, grad
 
 
 def position_density(state: GaussianMixtureState, q):
     """Position marginal rho(q) = int dp W(p, q), exactly."""
-    return sum(_term_line_reductions(term, q)[0] for term in state.terms)
+    return _term_line_reductions(state._stacked, q)[0].sum(axis=0)
 
 
 def position_density_gradient(state: GaussianMixtureState, q):
     """d/dq of the position marginal, in closed form."""
-    return sum(_term_line_reductions(term, q)[2] for term in state.terms)
+    return _term_line_reductions(state._stacked, q)[2].sum(axis=0)
 
 
 def flux_density(state: GaussianMixtureState, q, mass: float):
     """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
-    return sum(_term_line_reductions(term, q)[1] for term in state.terms) / mass
+    return _term_line_reductions(state._stacked, q)[1].sum(axis=0) / mass
 
 
 def origin_line_reductions(state: GaussianMixtureState, t, params: PhysParams):
@@ -706,27 +725,23 @@ def origin_line_reductions(state: GaussianMixtureState, t, params: PhysParams):
 
     Elementwise over an array t >= 0 this is ``position_density``,
     ``flux_density * mass`` and ``position_density_gradient`` of
-    ``propagate_mixture(state, t_j)`` at q = 0, computed over (terms x times)
-    arrays without building an evolved state per time.
+    ``propagate_mixture(state, t_j)`` at q = 0, bit for bit: the same stacked
+    propagation and line reductions, over (terms x times) arrays instead of
+    one evolved state per time.
     """
     stacked = _propagate_stacked(state, np.asarray(t, dtype=float), params)
     return tuple(r.sum(axis=0) for r in _term_line_reductions(stacked, 0.0))
 
 
 def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
-    """Closed-form integral of the position density over q > lo."""
-    total = 0.0
-    for term in state.terms:
-        c = term.cov
-        cq = term.center[1]
-        kp, kq = term.k
-        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
-            total += term.weight * 0.5 * float(erfc((lo - cq) / (math.sqrt(c.qq) * _SQRT2)))
-            continue
-        _, mu0, v, slope = _conditional(term, 0.0)
-        alpha = kp * slope + kq
-        psi = kp * mu0 + term.phase
-        damp = math.exp(-0.5 * kp * kp * v)
-        piece = _gaussian_fourier_above(cq, c.qq, alpha, lo)
-        total += term.weight * damp * float(np.real(np.exp(1j * psi) * piece))
-    return total
+    """Closed-form integral of the position density over q > lo.
+
+    Averaged over its conditional momentum, each term's fringe is a damped
+    plane wave in q against N(q; c_q, S_qq), so every term is one half-line
+    Gaussian Fourier integral.
+    """
+    u = state._stacked.at(0.0)
+    _, mu0, v, slope = _conditional(u, 0.0)
+    piece = _gaussian_fourier_above(u.cq, u.qq, u.kp * slope + u.kq, lo)
+    fringe = np.real(np.exp(1j * (u.kp * mu0 + u.phase)) * piece)
+    return float(np.sum(u.w * np.exp(-0.5 * u.kp * u.kp * v) * fringe))

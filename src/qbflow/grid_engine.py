@@ -208,9 +208,9 @@ def _density_block(
     xi = dx * (r0 - c0 + n_r - 1 - idx)
     x_rows = axis.lo + dx * np.arange(r0, r0 + n_r)
     x_cols = axis.lo + dx * np.arange(c0, c0 + n_c)
+    margs, _, vs, slopes = _conditional(state._stacked.at(xbar), xbar)
     factors = []
-    for term in state.terms:
-        marg, _, v, slope = _conditional(term, xbar)
+    for term, marg, v, slope in zip(state.terms, margs, vs, slopes):
         envelope = term.weight * marg
         cp, cq = term.center
         kp, kq = term.k

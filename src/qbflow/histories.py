@@ -167,47 +167,34 @@ def delta_exact(
 
     # xi range: the integrand dies by e^{-c xi^2} and, per term, by the
     # conditional-momentum factor e^{-v (xi/hbar +- k_p)^2 / 2}.
-    xi_max = 0.0
-    rate = 0.0
-    for term in st.terms:
-        c = term.cov
-        _, _, v, slope = _conditional(term, 0.0)
-        decay = c_damp + 0.5 * v / (hbar * hbar)
-        xi_max = max(xi_max, hbar * abs(term.k[0]) + math.sqrt(41.0 / decay))
-        sq = math.sqrt(c.qq)
-        span = abs(term.center[1]) + 6.0 * sq
-        rate = max(
-            rate,
-            span * (m / (hbar * dt) + abs(slope) / hbar)
-            + abs(term.center[0]) / hbar
-            + abs(term.k[0]) + abs(term.k[1]),
-        )
+    u = st._stacked.at(0.0)
+    _, mu0, v, slope = _conditional(u, 0.0)
+    decay = c_damp + 0.5 * v / (hbar * hbar)
+    xi_max = float(np.max(hbar * np.abs(u.kp) + np.sqrt(41.0 / decay)))
+    span = np.abs(u.cq) + 6.0 * np.sqrt(u.qq)
+    rate = float(np.max(
+        span * (m / (hbar * dt) + np.abs(slope) / hbar)
+        + np.abs(u.cp) / hbar
+        + np.abs(u.kp) + np.abs(u.kq)
+    ))
     n_xi = min(max(int(xi_max * (rate + 0.5 * xi_max * m / (hbar * dt)) / 0.2) + 64, 512), 400_000)
     d_xi = xi_max / n_xi
     xi = (np.arange(n_xi) + 0.5) * d_xi  # midpoint rule: no xi = 0 endpoint
 
-    g = np.zeros(n_xi, dtype=complex)
-    for term in st.terms:
-        c = term.cov
-        cq = term.center[1]
-        kp, kq = term.k
-        _, mu0, v, slope = _conditional(term, 0.0)
-        # an unmodulated term's eta = -1 pass repeats eta = +1: one pass at weight 1
-        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
-            passes = ((+1.0, 1.0),)
-        else:
-            passes = ((+1.0, 0.5), (-1.0, 0.5))
-        for eta, share in passes:
-            a = eta * kp + xi / hbar
-            b = eta * kq + m * xi / (hbar * dt)
-            beta = b + a * slope
-            piece = _gaussian_fourier_below(cq, c.qq, beta, -0.5 * xi)
-            g += (
-                share
-                * term.weight
-                * np.exp(1j * eta * term.phase + 1j * a * mu0 - 0.5 * a * a * v)
-                * piece
-            )
+    # one row per term and eta = +1, then one per modulated term and eta = -1;
+    # an unmodulated term's eta = -1 pass repeats eta = +1, so it has one row
+    # at weight 1 and a modulated term two at weight 1/2
+    plain = (u.kp == 0.0) & (u.kq == 0.0) & (u.phase == 0.0)
+    rows = np.concatenate([np.arange(plain.size), np.flatnonzero(~plain)])
+    eta = np.where(np.arange(rows.size) < plain.size, 1.0, -1.0)[:, None]
+    share = np.where(plain[rows], 1.0, 0.5)[:, None]
+    kp, kq, phase, w, cq, qq, mu0, v, slope = (
+        x[rows, None] for x in (u.kp, u.kq, u.phase, u.w, u.cq, u.qq, mu0, v, slope)
+    )
+    a = eta * kp + xi / hbar
+    b = eta * kq + m * xi / (hbar * dt)
+    piece = _gaussian_fourier_below(cq, qq, b + a * slope, -0.5 * xi)
+    g = np.sum(share * w * np.exp(1j * eta * phase + 1j * a * mu0 - 0.5 * a * a * v) * piece, axis=0)
 
     integral = float(np.sum(np.exp(-c_damp * xi * xi) * np.imag(g) / xi) * d_xi)
     return 0.5 * m_left + integral / math.pi
@@ -246,16 +233,10 @@ def _band_step_mass(state: GaussianMixtureState, xs, p_floor) -> np.ndarray:
     turns into a one-sided Fourier integral.
     """
     xs = np.asarray(xs, dtype=float)
-    p_floor = np.asarray(p_floor, dtype=float)
-    total = np.zeros(xs.shape)
-    for term in state.terms:
-        kp, kq = term.k
-        marg, mu, v, _ = _conditional(term, xs)
-        piece = _gaussian_fourier_above(mu, v, kp, p_floor)
-        total += term.weight * marg * np.real(
-            np.exp(1j * (kq * xs + term.phase)) * piece
-        )
-    return total
+    u = state._stacked.at(xs)
+    marg, mu, v, _ = _conditional(u, xs)
+    piece = _gaussian_fourier_above(mu, v, u.kp, np.asarray(p_floor, dtype=float))
+    return np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
 
 
 def delta_free(
@@ -367,12 +348,10 @@ def delta_strong(
     if x_lo >= x_hi:
         return 0.0
     xs = np.linspace(x_lo, x_hi, 1501)
-    g = np.zeros(xs.shape)
-    for term in st.terms:
-        kp, kq = term.k
-        marg, mu, v, _ = _conditional(term, xs)
-        piece = _gaussian_fourier_probit(kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m)
-        g += term.weight * marg * np.real(np.exp(1j * (kq * xs + term.phase)) * piece)
+    u = st._stacked.at(xs)
+    marg, mu, v, _ = _conditional(u, xs)
+    piece = _gaussian_fourier_probit(u.kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m)
+    g = np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
     return float(np.trapezoid(g, xs))
 
 

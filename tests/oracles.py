@@ -229,8 +229,8 @@ def density_block_direct(
     xb = 0.5 * (rows[:, None] + cols[None, :])
     xi = rows[:, None] - cols[None, :]
     out = np.zeros(xb.shape, dtype=complex)
-    for term in state.terms:
-        marg, mu, v, _ = _conditional(term, xb)
+    margs, mus, vs, _ = _conditional(state._stacked.at(xb), xb)
+    for term, marg, mu, v in zip(state.terms, margs, mus, vs):
         envelope = term.weight * marg
         kp, kq = term.k
         if kp == 0.0 and kq == 0.0 and term.phase == 0.0:

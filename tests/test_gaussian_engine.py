@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +109,6 @@ class TestCovarianceLaw:
         # the exact relaxation factors evaluated in 40-digit arithmetic; the
         # brackets T1 - T2 and t - 2 T1 + T2 cancel to O(x^2) and O(x^3) at
         # small x = 2 gamma t, which the series must carry to round-off
-        mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40
         par = PhysParams(D=2.0, gamma=0.05)
@@ -135,10 +135,8 @@ class TestCovarianceLaw:
         decay, drift = ge.qbm_flow_entries(ts, par)
         for i, t in enumerate(ts):
             cov = ge.qbm_covariance(t, par)
-            np.testing.assert_allclose(entries[:, i], [cov.pp, cov.pq, cov.qq], rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(
-                [[decay[i], 0.0], [drift[i], 1.0]], ge.qbm_flow(t, par), rtol=1e-15, atol=0.0
-            )
+            np.testing.assert_array_equal(entries[:, i], [cov.pp, cov.pq, cov.qq])
+            np.testing.assert_array_equal([[decay[i], 0.0], [drift[i], 1.0]], ge.qbm_flow(t, par))
 
 
 class TestStates:
@@ -179,6 +177,26 @@ class TestStates:
         term = ge.GaussianTerm(weight=0.5, center=(0.0, 0.0), cov=ge.Cov2(1.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="normalis"):
             ge.GaussianMixtureState(terms=(term,))
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: ge.make_gaussian_state(-3.0, 10.0, math.nan), "nan"),
+        (lambda: ge.make_cat_state(math.nan, -2.0, 0.7), "nan"),
+        (lambda: ge.husimi_smear(ge.make_cat_state(4.0, -2.0, 0.7), math.nan), "nan"),
+        (lambda: ge.husimi_smear(ge.make_cat_state(4.0, -2.0, 0.7), math.inf), "inf"),
+        (lambda: ge.shift_state(ge.make_cat_state(4.0, -2.0, 0.7), dq=math.nan), "nan"),
+        (lambda: ge.GaussianMixtureState(
+            terms=(ge.GaussianTerm(math.nan, (0.0, 0.0), ge.Cov2(1.0, 0.0, 1.0)),)), "nan"),
+        (lambda: ge.GaussianMixtureState(
+            terms=(ge.GaussianTerm(1.0, (0.0, 0.0), ge.Cov2(1.0, 0.0, 1.0), k=(0.0, math.inf)),)),
+         "inf"),
+        (lambda: ge.Cov2(1.0, 0.0, math.inf), "inf"),
+        (lambda: ge.Cov2(math.nan, 0.0, 1.0), "nan"),
+    ], ids=["sigma", "separation", "husimi-nan", "husimi-inf", "shift", "weight", "k",
+            "cov-inf", "cov-nan"])
+    def test_non_finite_input_rejected(self, build, value):
+        # each used to return a state with nan or inf in it
+        with pytest.raises(ValueError, match=value):
+            build()
 
     def test_moments_of_pure_phase_term(self):
         # k = 0 with a bare phase still scales every moment by cos(phase)
@@ -257,6 +275,26 @@ class TestPropagation:
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="propagation time must be finite and non-negative"):
             ge.propagate_mixture(ge.make_gaussian_state(1.0, 0.0, 1.0), bad, PhysParams(D=1.0))
+
+    @pytest.mark.parametrize("par", [PhysParams(D=2.0), PhysParams(D=0.0),
+                                     PhysParams(D=0.5, gamma=0.1)], ids=["D2", "D0", "gamma"])
+    def test_origin_line_reductions_equal_per_time_route(self, par):
+        # one stacked algebra: each (terms x times) element takes the operations
+        # of propagate_mixture at its own time, so the two routes agree exactly
+        ts = np.concatenate([[0.3, 1.7, 5.0], np.linspace(0.0, 12.0, 241)])
+        states = (
+            ge.make_gaussian_state(p0=-3.0, q0=10.0, sigma=1.0),
+            ge.make_cat_state(separation=4.0, p0=-2.0, sigma=0.7),
+            ge.make_two_momentum_state(p1=-1.0, p2=-3.0, q0=5.0, sigma=1.0,
+                                       ratio=0.8, rel_phase=0.4),
+        )
+        for state in states:
+            dens, flux, grad = ge.origin_line_reductions(state, ts, par)
+            evolved = [ge.propagate_mixture(state, t, par) for t in ts]
+            assert np.array_equal(dens, [ge.position_density(e, 0.0) for e in evolved])
+            assert np.array_equal(flux / par.mass,
+                                  [ge.flux_density(e, 0.0, par.mass) for e in evolved])
+            assert np.array_equal(grad, [ge.position_density_gradient(e, 0.0) for e in evolved])
 
     def test_mass_conserved_with_dissipation(self):
         par = PhysParams(D=2.0, gamma=0.4)

@@ -175,7 +175,7 @@ class TestSurvivalAndLinear:
     def test_matches_position_density_mass(self):
         states = (
             ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0),
-            # fringe terms exercise the modulated branch of _right_mass
+            # fringe terms exercise the damped plane waves of _right_mass
             ge.shift_state(ge.make_cat_state(4.0, -6.0, 1.0), dq=10.0),
             ge.make_two_momentum_state(-4.0, -8.0, 10.0, 1.5, ratio=0.7, rel_phase=0.4),
         )
