@@ -210,7 +210,6 @@ class PovmEffect:
     params: PhysParams
     s: float          # squeeze of the minimum-uncertainty part A0
     t_ref: float      # covariance freeze time (midpoint, clipped up to threshold)
-    a0: Cov2          # minimum-uncertainty part, absorbed into the state
     b: Cov2           # remainder, absorbed into the symbol
 
     def _sigma(self, t: float) -> float:
@@ -285,8 +284,8 @@ def build_povm_E(interval: Interval, params: PhysParams) -> PovmEffect:
             f"but the covariance split needs t >= {t_thr!r}"
         )
     t_ref = max(interval.midpoint, t_thr)
-    s_val, a0, b = _split_covariance(t_ref, params)
-    return PovmEffect(interval=interval, params=params, s=s_val, t_ref=t_ref, a0=a0, b=b)
+    s_val, _, b = _split_covariance(t_ref, params)
+    return PovmEffect(interval=interval, params=params, s=s_val, t_ref=t_ref, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,7 @@ def restricted_march(
     for _ in range(steps):
         w = propagate_wigner_qbm(w, eps, params, check_mass=False)
         currents.append(current_from_wigner(w, params))
-        w = w.with_values(w.values * mask[None, :])
+        np.multiply(w.values, mask, out=w.values)  # the step returned a fresh grid
         norms.append(w.integrate())
     return np.array(norms), np.array(currents)
 

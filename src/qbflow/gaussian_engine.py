@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -38,7 +38,6 @@ __all__ = [
     "GaussianTerm",
     "GaussianMixtureState",
     "convolve_state",
-    "gaussian_eval",
     "is_wigner_admissible",
     "qbm_covariance",
     "qbm_covariance_comoving",
@@ -288,7 +287,6 @@ class GaussianMixtureState:
 
     terms: tuple[GaussianTerm, ...]
     hbar: float = 1.0
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -317,38 +315,26 @@ class GaussianMixtureState:
         return sum(term_integral(t) for t in self.terms)
 
     @classmethod
-    def from_unnormalised(
-        cls, terms, hbar: float = 1.0, label: str = ""
-    ) -> "GaussianMixtureState":
+    def from_unnormalised(cls, terms, hbar: float = 1.0) -> "GaussianMixtureState":
         terms = tuple(terms)
         total = sum(term_integral(t) for t in terms)
         if total <= 0.0:
             raise ValueError(f"cannot normalise terms with total mass {total!r}")
-        return cls(
-            terms=tuple(replace(t, weight=t.weight / total) for t in terms),
-            hbar=hbar,
-            label=label,
-        )
+        return cls(terms=tuple(replace(t, weight=t.weight / total) for t in terms), hbar=hbar)
 
 
 def make_gaussian_state(
-    p0: float, q0: float, sigma: float, hbar: float = 1.0, label: str = ""
+    p0: float, q0: float, sigma: float, hbar: float = 1.0
 ) -> GaussianMixtureState:
     """Minimum-uncertainty Gaussian: position width sigma, momentum width hbar/2 sigma."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     cov = Cov2(pp=hbar * hbar / (4.0 * sigma * sigma), pq=0.0, qq=sigma * sigma)
-    return GaussianMixtureState(
-        terms=(GaussianTerm(1.0, (p0, q0), cov),), hbar=hbar, label=label
-    )
+    return GaussianMixtureState(terms=(GaussianTerm(1.0, (p0, q0), cov),), hbar=hbar)
 
 
 def make_cat_state(
-    separation: float,
-    p0: float,
-    sigma: float,
-    hbar: float = 1.0,
-    label: str = "",
+    separation: float, p0: float, sigma: float, hbar: float = 1.0
 ) -> GaussianMixtureState:
     """Even superposition of two Gaussians separated by ``separation`` in position.
 
@@ -373,7 +359,7 @@ def make_cat_state(
         # fringe: cos((p - p0) d / hbar) = cos(k.z + phase), k = (d/hbar, 0)
         GaussianTerm(2.0 * c2, (p0, 0.0), cov, k=(kp, 0.0), phase=-p0 * kp),
     )
-    return GaussianMixtureState(terms=terms, hbar=hbar, label=label)
+    return GaussianMixtureState(terms=terms, hbar=hbar)
 
 
 def shift_state(
@@ -407,7 +393,6 @@ def make_two_momentum_state(
     ratio: float = 1.0,
     rel_phase: float = 0.0,
     hbar: float = 1.0,
-    label: str = "",
 ) -> GaussianMixtureState:
     """Superposition of two plane-wave momenta under one Gaussian envelope.
 
@@ -435,41 +420,41 @@ def make_two_momentum_state(
             phase=-rel_phase,
         ),
     )
-    return GaussianMixtureState.from_unnormalised(terms, hbar=hbar, label=label)
+    return GaussianMixtureState.from_unnormalised(terms, hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def gaussian_eval(p, q, center: tuple[float, float], cov: Cov2):
-    """Normalised bivariate Gaussian g(z - center; cov) on arrays p, q."""
-    det = cov.det()
-    if det <= 0.0:
-        raise ValueError(f"covariance must be positive definite, det={det!r}")
-    dp = np.asarray(p, dtype=float) - center[0]
-    dq = np.asarray(q, dtype=float) - center[1]
-    # inverse of [[pp, pq], [pq, qq]]
-    ipp, ipq, iqq = cov.qq / det, -cov.pq / det, cov.pp / det
-    quad = ipp * dp * dp + 2.0 * ipq * dp * dq + iqq * dq * dq
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
-def evaluate_term(term: GaussianTerm, p, q):
-    base = term.weight * gaussian_eval(p, q, term.center, term.cov)
-    kp, kq = term.k
-    if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
-        return base
-    return base * np.cos(kp * np.asarray(p) + kq * np.asarray(q) + term.phase)
-
-
 def evaluate_state(state: GaussianMixtureState, p, q):
-    """Evaluate the mixture Wigner function on broadcastable arrays p, q."""
+    """Evaluate the mixture Wigner function on broadcastable arrays p, q.
+
+    Each term is w marg(q) N(p; mu(q), v) cos(kp p + kq q + phase), from one
+    :func:`_conditional` split over the points q; only the last two factors
+    are formed on the broadcast (p, q) shape, one term at a time.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = np.zeros(np.broadcast(p, q).shape)
-    for term in state.terms:
-        out += evaluate_term(term, p, q)
+    s = state._stacked
+    det = s.cov[:, 0, 0] * s.cov[:, 1, 1] - s.cov[:, 0, 1] * s.cov[:, 1, 0]
+    if not (det > 0.0).all():
+        raise ValueError(f"covariance must be positive definite, det={float(det.min())!r}")
+    u = s.at(q)
+    marg, mu, v, _ = _conditional(u, q)
+    scale = u.w * marg / np.sqrt(2.0 * math.pi * v)
+    modulated = (s.k != 0.0).any(axis=1) | (s.phase != 0.0)
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    term = np.empty_like(out)
+    for j in range(len(s.weight)):
+        np.subtract(p, mu[j], out=term)
+        term *= term
+        term *= -0.5 / v[j]
+        np.exp(term, out=term)
+        term *= scale[j]
+        if modulated[j]:
+            term *= np.cos(u.kp[j] * p + (u.kq[j] * q + u.phase[j]))
+        out += term
     return out
 
 
@@ -478,12 +463,12 @@ def evaluate_state(state: GaussianMixtureState, p, q):
 
 
 def _state_from(s: _Terms, like: GaussianMixtureState) -> GaussianMixtureState:
-    """The state of the stacked, time-free terms s, with the hbar and label of ``like``."""
+    """The state of the stacked, time-free terms s, with the hbar of ``like``."""
     terms = tuple(
         GaussianTerm(w, (cp, cq), Cov2(pp, pq, qq), (kp, kq), phase)
         for w, (cp, cq), ((pp, pq), (_, qq)), (kp, kq), phase in zip(*(x.tolist() for x in s))
     )
-    return GaussianMixtureState(terms=terms, hbar=like.hbar, label=like.label)
+    return GaussianMixtureState(terms=terms, hbar=like.hbar)
 
 
 def _flowed(s: _Terms, f: np.ndarray) -> _Terms:

@@ -141,8 +141,8 @@ def wigner_grid_from_state(
     state: GaussianMixtureState, p_axis: Axis, q_axis: Axis
 ) -> PhaseSpaceGrid:
     """Sample a Gaussian-mixture Wigner function on a grid."""
-    pp, qq = np.meshgrid(p_axis.points, q_axis.points, indexing="ij")
-    return PhaseSpaceGrid(p_axis, q_axis, evaluate_state(state, pp, qq), state.hbar)
+    values = evaluate_state(state, p_axis.points[:, None], q_axis.points[None, :])
+    return PhaseSpaceGrid(p_axis, q_axis, values, state.hbar)
 
 
 def density_matrix_from_state(
@@ -208,19 +208,20 @@ def _density_block(
     xi = dx * (r0 - c0 + n_r - 1 - idx)
     x_rows = axis.lo + dx * np.arange(r0, r0 + n_r)
     x_cols = axis.lo + dx * np.arange(c0, c0 + n_c)
-    margs, _, vs, slopes = _conditional(state._stacked.at(xbar), xbar)
+    s = state._stacked
+    margs, _, vs, slopes = _conditional(s.at(xbar), xbar)
     factors = []
-    for term, marg, v, slope in zip(state.terms, margs, vs, slopes):
-        envelope = term.weight * marg
-        cp, cq = term.center
-        kp, kq = term.k
+    for w, (cp, cq), (kp, kq), phase, marg, v, slope in zip(
+        *(x.tolist() for x in (s.weight, s.center, s.k, s.phase)), margs, vs, slopes
+    ):
+        envelope = w * marg
         # an unmodulated term's eta = -1 pass repeats eta = +1
-        etas = (1.0,) if kp == 0.0 and kq == 0.0 and term.phase == 0.0 else (1.0, -1.0)
+        etas = (1.0,) if kp == 0.0 and kq == 0.0 and phase == 0.0 else (1.0, -1.0)
         views = []
         for eta in etas:
             u = xi / hbar + eta * kp
             hankel = envelope / len(etas) * np.exp(
-                1j * eta * (kq * xbar + term.phase + slope * (xbar - cq) * kp)
+                1j * eta * (kq * xbar + phase + slope * (xbar - cq) * kp)
             )
             toeplitz = np.exp(1j * cp * u - 0.5 * v * u * u)
             # [i, j] views: hankel[i + j] and toeplitz[j - i + n_r - 1]

@@ -289,7 +289,7 @@ def delta_free(
         fu = f_integral(us)
         col = xs[:, None]
         pu = us[None, :] * hbar / col - m * col / dt
-        w = evaluate_state(st, pu, np.broadcast_to(col, pu.shape))
+        w = evaluate_state(st, pu, col)
         band = np.trapezoid(w * fu[None, :], us, axis=1) * (hbar / np.abs(xs))
         step = _band_step_mass(st, xs, -m * xs / dt + _U_CUT * hbar / np.abs(xs))
         total += float(np.trapezoid(band + step, xs))

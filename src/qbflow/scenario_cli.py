@@ -23,7 +23,7 @@ import sys
 import time as _walltime
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -453,7 +453,7 @@ def _table_writer(title, rows):
     return writer
 
 
-def _run_current(cfg: ScenarioConfig, grid_n: int):
+def _run_current(cfg: ScenarioConfig):
     times = np.linspace(cfg.t1, cfg.t2, cfg.n_t)
     res = ar.backflow_scan(
         cfg.state, cfg.params, times, corrected=cfg.params.gamma > 0.0
@@ -487,8 +487,8 @@ def _positivity_time(params: PhysParams) -> float:
     lo, hi = 1e-9 * tau_l, 10.0 * tau_l
     if not ge.is_wigner_admissible(ge.qbm_covariance(hi, params), params.hbar):
         raise RuntimeError("no admissibility flip below 10 localisation times")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # until lo and hi are adjacent doubles and the midpoint rounds onto one of them
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if ge.is_wigner_admissible(ge.qbm_covariance(mid, params), params.hbar):
             hi = mid
         else:
@@ -496,7 +496,7 @@ def _positivity_time(params: PhysParams) -> float:
     return hi
 
 
-def _run_povm(cfg: ScenarioConfig, grid_n: int):
+def _run_povm(cfg: ScenarioConfig):
     params = cfg.params
     tau_l = derive_timescales(params, 0.0).tau_l
     t_pos = _positivity_time(params)
@@ -529,9 +529,9 @@ def _run_povm(cfg: ScenarioConfig, grid_n: int):
     return status, scalars, writers, "; ".join(notes)
 
 
-def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
+def _run_stochastic(cfg: ScenarioConfig):
     march = ar.arrival_probability_stochastic(
-        cfg.state, cfg.window, cfg.params, cfg.eps, n=min(grid_n, 512)
+        cfg.state, cfg.window, cfg.params, cfg.eps, n=min(cfg.grid_n, 512)
     )
     integral = ar.arrival_probability(cfg.state, cfg.window, cfg.params)
     gap = abs(march.norm_loss - integral) / max(abs(integral), 1e-300)
@@ -554,7 +554,7 @@ def _run_stochastic(cfg: ScenarioConfig, grid_n: int):
     return status, scalars, writers, note
 
 
-def _run_histories(cfg: ScenarioConfig, grid_n: int):
+def _run_histories(cfg: ScenarioConfig):
     gates = {k: v for k, v in cfg.thresholds.items() if k in ("delta_max", "energy_min", "t1_min")}
     report = hi.decoherence_verdict(cfg.state, cfg.window, cfg.params, **gates)
     scalars = (
@@ -574,7 +574,7 @@ def _run_histories(cfg: ScenarioConfig, grid_n: int):
     return status, scalars, writers, note
 
 
-def _run_continuity(cfg: ScenarioConfig, grid_n: int):
+def _run_continuity(cfg: ScenarioConfig):
     t_mid = 0.5 * (cfg.t1 + cfg.t2)
     snapshot = ge.propagate_mixture(cfg.state, t_mid, cfg.params)
     mean, cov = ge.moments(snapshot)
@@ -635,12 +635,13 @@ def run_scenario(
     out = Path(out_dir if out_dir is not None else (config.out_dir or "scenario_out"))
     out.mkdir(parents=True, exist_ok=True)
     names = list(config.analyses)
-    n = int(grid_n) if grid_n is not None else config.grid_n
+    if grid_n is not None:
+        config = replace(config, grid_n=int(grid_n))
 
     def _task(name):
         start = _walltime.perf_counter()
         try:
-            status, scalars, writers, note = _RUNNERS[name](config, n)
+            status, scalars, writers, note = _RUNNERS[name](config)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             return name, ("error", (), [], f"{type(exc).__name__}: {exc}"), (
                 _walltime.perf_counter() - start

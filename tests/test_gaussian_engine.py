@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from qbflow.core_model import PhysParams, derive_timescales
 from qbflow import gaussian_engine as ge
@@ -210,6 +211,58 @@ class TestStates:
         m2, c2 = ge.moments(st_mod)
         assert np.allclose(m1, m2)
         assert math.isclose(c1.det(), c2.det(), rel_tol=1e-12)
+
+
+def _scipy_wigner(state, p, q):
+    """Sum of w N((p, q); c, S) cos(k . (p, q) + phase) through scipy's bivariate pdf."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    z = np.stack([p, q], axis=-1)
+    out = np.zeros(p.shape)
+    for t in state.terms:
+        pdf = multivariate_normal(mean=t.center, cov=t.cov.matrix()).pdf(z)
+        out += t.weight * pdf * np.cos(t.k[0] * p + t.k[1] * q + t.phase)
+    return out
+
+
+_D2 = PhysParams(D=2.0)
+_SAMPLED_STATES = {
+    "correlated": ge.GaussianMixtureState(
+        terms=(ge.GaussianTerm(1.0, (0.5, -1.0), ge.Cov2(1.2, 0.7, 0.9)),)
+    ),
+    "cat-D2": ge.propagate_mixture(ge.make_cat_state(4.0, -1.0, 0.8), 0.3, _D2),
+    "two-momentum-D2": ge.propagate_mixture(
+        ge.make_two_momentum_state(-1.0, 3.0, 0.5, 1.0, ratio=0.8, rel_phase=0.4), 0.2, _D2
+    ),
+}
+
+
+class TestEvaluateState:
+    @pytest.mark.parametrize("name", sorted(_SAMPLED_STATES))
+    @pytest.mark.parametrize("shape", ["meshgrid", "column-row", "sheared-column"])
+    def test_matches_scipy_pdf(self, name, shape):
+        state = _SAMPLED_STATES[name]
+        mean, cov = ge.moments(state)
+        ps = mean[0] + 5.0 * math.sqrt(cov.pp) * np.linspace(-1.0, 1.0, 61)
+        qs = mean[1] + 5.0 * math.sqrt(cov.qq) * np.linspace(-1.0, 1.0, 47)
+        if shape == "meshgrid":
+            p, q = np.meshgrid(ps, qs, indexing="ij")
+        elif shape == "column-row":
+            p, q = ps[:, None], qs[None, :]
+        else:
+            # (n, m) momenta against an (n, 1) column of positions
+            q = qs[:, None]
+            p = ps[None, :] + 0.3 * (q - mean[1])
+        ref = _scipy_wigner(state, p, q)
+        out = ge.evaluate_state(state, p, q)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_singular_covariance_rejected(self):
+        # det = 0: no density to sample, though the mixture itself normalises
+        term = ge.GaussianTerm(1.0, (0.0, 0.0), ge.Cov2(1.0, 1.0, 1.0))
+        state = ge.GaussianMixtureState(terms=(term,))
+        with pytest.raises(ValueError, match="positive definite"):
+            ge.evaluate_state(state, np.zeros(3), np.zeros(3))
 
 
 class TestOracleAgreement:

@@ -425,8 +425,8 @@ class TestRunScenario:
     def test_non_finite_scalar_is_an_error(self, tmp_path, monkeypatch):
         real = scenario_cli._RUNNERS["current"]
 
-        def broken(cfg, grid_n):
-            status, scalars, writers, note = real(cfg, grid_n)
+        def broken(cfg):
+            status, scalars, writers, note = real(cfg)
             return status, ((scalars[0][0], math.nan),) + scalars[1:], writers, note
 
         monkeypatch.setitem(scenario_cli._RUNNERS, "current", broken)
