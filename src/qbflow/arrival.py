@@ -385,7 +385,6 @@ class ArrivalResult:
     current: np.ndarray
     cumulative: np.ndarray
     corrected: bool = False
-    label: str = ""
 
     def min_current(self) -> tuple[float, float]:
         """(t, J) at the most negative sampled current."""
@@ -395,22 +394,12 @@ class ArrivalResult:
     def total(self) -> float:
         return float(self.cumulative[-1])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("# arrival-time record\n")
-            fh.write(f"# corrected={self.corrected} label={self.label}\n")
-            fh.write("t,J,P_cum\n")
-            fh.write("1/time,1/time,1\n")
-            for t, j, c in zip(self.times, self.current, self.cumulative):
-                fh.write(f"{float(t)!r},{float(j)!r},{float(c)!r}\n")
-
 
 def backflow_scan(
     state: GaussianMixtureState,
     params: PhysParams,
     times: np.ndarray,
     corrected: bool = False,
-    label: str = "",
 ) -> ArrivalResult:
     """Sample the arrival current on a time grid (exact engine route).
 
@@ -426,7 +415,4 @@ def backflow_scan(
     cumulative = np.concatenate(
         [[0.0], cumulative_trapezoid(current, times)]
     )
-    return ArrivalResult(
-        times=times, current=current, cumulative=cumulative,
-        corrected=corrected, label=label,
-    )
+    return ArrivalResult(times=times, current=current, cumulative=cumulative, corrected=corrected)

@@ -157,13 +157,21 @@ _QQ_SERIES = np.array([(-1) ** n * (2 - 2 ** (n - 1)) / math.factorial(n) for n 
 # round a few percent of results differently from the C library's scalar
 # calls; the propagation takes the library's for arrays too, so that stacking
 # terms and times keeps each result bit-identical to one term at one time.
-_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+def _libm_cube(x: float) -> float:
+    """math.pow(x, 3), or the signed inf numpy's scalar power gives where that overflows."""
+    try:
+        return math.pow(x, 3.0)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+_LIBM_CUBE = np.frompyfunc(_libm_cube, 1, 1)
 _LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _cube(x):
     """x**3 through the C library's pow, for scalars (which numpy sends there) and arrays."""
-    return np.asarray(_LIBM_POW(x, 3.0), dtype=float) if isinstance(x, np.ndarray) else x ** 3
+    return np.asarray(_LIBM_CUBE(x), dtype=float) if isinstance(x, np.ndarray) else x ** 3
 
 
 def qbm_covariance_entries(t, params: PhysParams):
@@ -539,7 +547,16 @@ def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> _T
     a = np.empty_like(f)
     a[..., 0, 0], a[..., 1, 1] = a_pp, a_qq
     a[..., 0, 1] = a[..., 1, 0] = a_pq
-    return _convolved(_flowed(s, f), a)
+    out = _convolved(_flowed(s, f), a)
+    # the one finiteness check for both routes: past the double range the
+    # per-term covariance overflows, and the reductions would turn it into nan
+    bad = ~np.isfinite(out.cov).all(axis=(0, -2, -1))
+    if bad.any():
+        raise ValueError(
+            f"covariance entries must be finite: the propagation overflows at t = "
+            f"{float(np.asarray(t)[bad].flat[0])!r}"
+        )
+    return out
 
 
 def convolve_state(state: GaussianMixtureState, a: Cov2) -> GaussianMixtureState:

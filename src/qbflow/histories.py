@@ -800,27 +800,6 @@ class DecoherenceReport:
         lines.extend(f"  gate failed: {gate}" for gate in self.gates_failed)
         return "\n".join(lines)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("# arrival-window decoherence verdict\n")
-            fh.write(
-                "# thresholds: "
-                + " ".join(f"{name}={value!r}" for name, value in self.thresholds)
-                + "\n"
-            )
-            fh.write(
-                "t1,t2,regime,delta_exact,delta_formula,"
-                "e_dt_over_hbar,t1_over_tau_l,gaussian,decoherent,gates_failed\n"
-            )
-            fh.write("time,time,,1,1,1,1,,,\n")
-            fh.write(
-                f"{self.t1!r},{self.t2!r},{self.regime},{self.delta_exact!r},"
-                f"{self.delta_formula!r},{self.e_dt_over_hbar!r},"
-                f"{self.t1_over_tau_l!r},{self.gaussian},{self.decoherent},"
-                + "; ".join(self.gates_failed)
-                + "\n"
-            )
-
 
 def decoherence_verdict(
     state: GaussianMixtureState,

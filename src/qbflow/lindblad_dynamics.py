@@ -37,14 +37,6 @@ class ContinuityReport:
     dx: float
     dt: float
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# continuity residual: dx={self.dx!r} dt={self.dt!r}\n")
-            fh.write(f"# max_abs={self.max_abs!r} scale={self.scale!r}\n")
-            fh.write("x,residual\n")
-            for xi, ri in zip(self.x, self.residual):
-                fh.write(f"{float(xi)!r},{float(ri)!r}\n")
-
 
 def continuity_residual(
     state: GaussianMixtureState,

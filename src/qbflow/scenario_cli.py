@@ -121,7 +121,6 @@ class ScenarioConfig:
 
     params: PhysParams
     state: object
-    state_kind: str
     grid_n: int
     t1: float
     t2: float
@@ -130,12 +129,6 @@ class ScenarioConfig:
     analyses: tuple
     thresholds: dict     # checked gate values, only the keys the config gives
     out_dir: str | None
-    description: str
-    raw: dict
-
-    def to_json(self) -> str:
-        """Serialise the config back to its on-disk form (lossless)."""
-        return json.dumps(self.raw, indent=2) + "\n"
 
     @property
     def window(self) -> Interval:
@@ -400,7 +393,6 @@ def load_config(path) -> tuple:
     config = ScenarioConfig(
         params=params,
         state=state,
-        state_kind=kind,
         grid_n=checked["grid"]["n"],
         t1=tm["t1"],
         t2=tm["t2"],
@@ -409,8 +401,6 @@ def load_config(path) -> tuple:
         analyses=tuple(tree["analyses"]),
         thresholds=checked["thresholds"],
         out_dir=tree.get("out_dir"),
-        description=tree.get("description", ""),
-        raw=tree,
     )
     return config, []
 
@@ -422,8 +412,19 @@ def validate_config(path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# analyses — each returns (status, scalars, writers, note); writers are
-# (filename, callable) pairs executed serially by the caller
+# analyses — each returns (status, scalars, artifacts, note); artifacts are
+# (file name, text) pairs that the caller writes serially
+
+
+def _csv(comments, column_lines, rows) -> str:
+    """The one artifact CSV layout: ``# `` comment lines, the column lines
+    (names, then units if any), one line per row; text cells as they are,
+    numbers as ``repr(float(x))``, ``\\n`` endings."""
+    lines = [f"# {c}" for c in comments] + list(column_lines)
+    lines.extend(
+        ",".join(c if isinstance(c, str) else repr(float(c)) for c in row) for row in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def _gnuplot_script(csv_name, skip, xlabel, ylabel, title):
@@ -433,24 +434,6 @@ def _gnuplot_script(csv_name, skip, xlabel, ylabel, title):
         f'set xlabel "{xlabel}"\nset ylabel "{ylabel}"\nset grid\n'
         f'plot "{csv_name}" skip {skip} using 1:2 with lines title "{title}"\n'
     )
-
-
-def _write_text(text):
-    def writer(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    return writer
-
-
-def _table_writer(title, rows):
-    """CSV writer for (quantity, value, units) rows with repr floats."""
-    def writer(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# {title}\n")
-            fh.write("quantity,value,units\n")
-            for name, value, units in rows:
-                fh.write(f"{name},{float(value)!r},{units}\n")
-    return writer
 
 
 def _run_current(cfg: ScenarioConfig):
@@ -472,13 +455,15 @@ def _run_current(cfg: ScenarioConfig):
         if not lo <= total <= hi:
             status = "gate-failed"
             note = f"p_interval {total!r} outside mass window [{lo!r}, {hi!r}]"
-    writers = [
-        ("current.csv", res.to_csv),
-        ("current.gnuplot", _write_text(
-            _gnuplot_script("current.csv", 4, "t", "J", "arrival current")
+    artifacts = [
+        ("current.csv", _csv(
+            ["arrival-time record", f"corrected={res.corrected} label="],
+            ["t,J,P_cum", "time,1/time,1"],
+            zip(res.times, res.current, res.cumulative),
         )),
+        ("current.gnuplot", _gnuplot_script("current.csv", 4, "t", "J", "arrival current")),
     ]
-    return status, scalars, writers, note
+    return status, scalars, artifacts, note
 
 
 def _positivity_time(params: PhysParams) -> float:
@@ -525,8 +510,8 @@ def _run_povm(cfg: ScenarioConfig):
         notes.append(f"effect/current gap {gap!r} above {gap_max!r}")
     rows = [(k, v, "time" if k.endswith("time") or k == "tau_l" else "1")
             for k, v in scalars]
-    writers = [("povm.csv", _table_writer("effect-operator analysis", rows))]
-    return status, scalars, writers, "; ".join(notes)
+    artifacts = [("povm.csv", _csv(["effect-operator analysis"], ["quantity,value,units"], rows))]
+    return status, scalars, artifacts, "; ".join(notes)
 
 
 def _run_stochastic(cfg: ScenarioConfig):
@@ -550,28 +535,39 @@ def _run_stochastic(cfg: ScenarioConfig):
         status = "gate-failed"
         note = f"restricted-march/current gap {gap!r} above {gap_max!r}"
     rows = [(k, v, "1") for k, v in scalars]
-    writers = [("stochastic.csv", _table_writer("restricted-propagation analysis", rows))]
-    return status, scalars, writers, note
+    artifacts = [
+        ("stochastic.csv", _csv(["restricted-propagation analysis"], ["quantity,value,units"], rows))
+    ]
+    return status, scalars, artifacts, note
 
 
 def _run_histories(cfg: ScenarioConfig):
     gates = {k: v for k, v in cfg.thresholds.items() if k in ("delta_max", "energy_min", "t1_min")}
-    report = hi.decoherence_verdict(cfg.state, cfg.window, cfg.params, **gates)
+    rep = hi.decoherence_verdict(cfg.state, cfg.window, cfg.params, **gates)
     scalars = (
-        ("delta_exact", report.delta_exact),
-        ("delta_formula", report.delta_formula),
-        ("e_dt_over_hbar", report.e_dt_over_hbar),
+        ("delta_exact", rep.delta_exact),
+        ("delta_formula", rep.delta_formula),
+        ("e_dt_over_hbar", rep.e_dt_over_hbar),
     )
     status = "ok"
-    note = f"decoherent={report.decoherent} regime={report.regime}"
-    if cfg.thresholds.get("require_decoherent") and not report.decoherent:
+    note = f"decoherent={rep.decoherent} regime={rep.regime}"
+    if cfg.thresholds.get("require_decoherent") and not rep.decoherent:
         status = "gate-failed"
         note += "; decoherence required but gates failed"
-    writers = [
-        ("histories.csv", report.to_csv),
-        ("histories.txt", _write_text(report.summary_text())),
+    artifacts = [
+        ("histories.csv", _csv(
+            ["arrival-window decoherence verdict",
+             "thresholds: " + " ".join(f"{name}={value!r}" for name, value in rep.thresholds)],
+            ["t1,t2,regime,delta_exact,delta_formula,"
+             "e_dt_over_hbar,t1_over_tau_l,gaussian,decoherent,gates_failed",
+             "time,time,,1,1,1,1,,,"],
+            [(rep.t1, rep.t2, rep.regime, rep.delta_exact, rep.delta_formula,
+              rep.e_dt_over_hbar, rep.t1_over_tau_l, str(rep.gaussian), str(rep.decoherent),
+              "; ".join(rep.gates_failed))],
+        )),
+        ("histories.txt", rep.summary_text()),
     ]
-    return status, scalars, writers, note
+    return status, scalars, artifacts, note
 
 
 def _run_continuity(cfg: ScenarioConfig):
@@ -598,13 +594,17 @@ def _run_continuity(cfg: ScenarioConfig):
     if factor_min is not None and factor < factor_min:
         status = "gate-failed"
         note = f"stencil refinement gained only {factor!r}x (needs {factor_min!r}x)"
-    writers = [
-        ("continuity.csv", fine.to_csv),
-        ("continuity.gnuplot", _write_text(
-            _gnuplot_script("continuity.csv", 3, "x", "residual", "continuity residual")
+    artifacts = [
+        ("continuity.csv", _csv(
+            [f"continuity residual: dx={fine.dx!r} dt={fine.dt!r}",
+             f"max_abs={fine.max_abs!r} scale={fine.scale!r}"],
+            ["x,residual"],
+            zip(fine.x, fine.residual),
         )),
+        ("continuity.gnuplot",
+         _gnuplot_script("continuity.csv", 3, "x", "residual", "continuity residual")),
     ]
-    return status, scalars, writers, note
+    return status, scalars, artifacts, note
 
 
 _RUNNERS = {
@@ -625,7 +625,8 @@ def run_scenario(
     """Run every analysis in the config and write its artifacts.
 
     Analyses are independent and run on a thread pool when ``threads`` > 1;
-    all file writing happens serially afterwards, in config order, so
+    each returns its artifacts as texts, and all file writing happens
+    serially afterwards, in config order and then ``summary.txt``, so
     concurrency never touches the output bytes.  Each analysis failure is
     contained: the run continues and the failure is reported in the
     summary (and through the exit status of the command-line front end).
@@ -641,7 +642,7 @@ def run_scenario(
     def _task(name):
         start = _walltime.perf_counter()
         try:
-            status, scalars, writers, note = _RUNNERS[name](config)
+            status, scalars, artifacts, note = _RUNNERS[name](config)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             return name, ("error", (), [], f"{type(exc).__name__}: {exc}"), (
                 _walltime.perf_counter() - start
@@ -650,7 +651,7 @@ def run_scenario(
         if bad:
             status = "error"
             note = f"non-finite {', '.join(bad)}" + (f"; {note}" if note else "")
-        return name, (status, scalars, writers, note), _walltime.perf_counter() - start
+        return name, (status, scalars, artifacts, note), _walltime.perf_counter() - start
 
     if threads > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
@@ -658,23 +659,18 @@ def run_scenario(
     else:
         results = [_task(name) for name in names]
 
-    outcomes = []
-    seconds = []
-    for name, (status, scalars, writers, note), wall in results:
-        files = []
-        for filename, writer in writers:
-            writer(out / filename)
-            files.append(filename)
-        outcomes.append(AnalysisOutcome(
-            name=name, status=status, scalars=tuple(scalars),
-            files=tuple(files), note=note,
-        ))
-        seconds.append((name, wall))
-
-    summary = RunSummary(
-        out_dir=str(out), outcomes=tuple(outcomes), seconds=tuple(seconds)
+    outcomes = tuple(
+        AnalysisOutcome(name=name, status=status, scalars=tuple(scalars),
+                        files=tuple(f for f, _ in artifacts), note=note)
+        for name, (status, scalars, artifacts, note), _ in results
     )
-    (out / "summary.txt").write_text(summary.text())
+    summary = RunSummary(
+        out_dir=str(out), outcomes=outcomes,
+        seconds=tuple((name, wall) for name, _, wall in results),
+    )
+    texts = [a for _, (_, _, artifacts, _), _ in results for a in artifacts]
+    for filename, text in texts + [("summary.txt", summary.text())]:
+        (out / filename).write_text(text, newline="\n")
     return summary
 
 

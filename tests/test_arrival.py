@@ -96,16 +96,6 @@ class TestBackflow:
         with pytest.raises(ValueError, match="increasing"):
             ar.backflow_scan(LEFT_GAUSS, PAR, np.array([0.5, 0.4, 0.6]))
 
-    def test_result_csv(self, tmp_path):
-        scan = ar.backflow_scan(LEFT_GAUSS, PAR, np.linspace(0.1, 0.3, 5), label="demo")
-        path = tmp_path / "arrival.csv"
-        scan.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# arrival-time record"
-        assert lines[2] == "t,J,P_cum"
-        assert lines[3] == "1/time,1/time,1"
-        assert len(lines) == 9
-
 
 class TestPovmEffect:
     def test_threshold_time(self):
@@ -344,6 +334,28 @@ class TestArrayCurrent:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (got - want)
         for t, j in zip(KERNEL_TIMES, got):
             assert ar.arrival_current(state, t, params, corrected=corrected) == j
+
+    # t^3 overflows past t ~ 5.6e102: at gamma = 0 the per-time route then
+    # rejects the covariance, at gamma > 0 the series branch that overflows
+    # is discarded and the current stays finite
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e50, 1e110, 1e160])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_huge_times_follow_the_per_time_path(self, gamma, t):
+        params = PhysParams(D=1.0, gamma=gamma)
+        if gamma == 0.0 and t > 1e100:
+            for route in (
+                lambda: _per_time_current(LEFT_GAUSS, t, params, False),
+                lambda: ar.arrival_current(LEFT_GAUSS, t, params),
+                lambda: ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t])),
+            ):
+                with pytest.raises(ValueError, match="covariance entries must be finite"):
+                    route()
+            return
+        want = _per_time_current(LEFT_GAUSS, t, params, False)
+        assert math.isfinite(want)
+        assert ar.arrival_current(LEFT_GAUSS, t, params) == want
+        assert ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t])).current[1] == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_scan_rejects_bad_time(self, bad):

@@ -787,18 +787,3 @@ class TestDecoherenceVerdict:
         text = rep.summary_text()
         assert "NOT decoherent" in text
         assert rep.regime in text
-
-    def test_csv_round_trip(self, tmp_path):
-        bat = ge.make_gaussian_state(p0=-10.0, q0=60.0, sigma=1.0)
-        rep = hi.decoherence_verdict(bat, Interval(5.0, 5.25), NOISY)
-        path = tmp_path / "verdict.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        header = [ln for ln in lines if not ln.startswith("#")]
-        names = header[0].split(",")
-        data = header[2].split(",")
-        assert len(data) == len(names)
-        row = dict(zip(names, data))
-        assert float(row["delta_exact"]) == rep.delta_exact
-        assert row["decoherent"] == "True"
-        assert row["regime"] == "intermediate"

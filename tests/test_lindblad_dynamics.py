@@ -194,12 +194,3 @@ class TestContinuity:
         for steps in (dict(dx=bad, dt=0.01), dict(dx=0.01, dt=bad)):
             with pytest.raises(ValueError, match="finite and positive"):
                 ld.continuity_residual(_tm(), 0.5, PAR_G, self.X, **steps)
-
-    def test_report_csv(self, tmp_path):
-        rep = ld.continuity_residual(_tm(), 0.5, PAR_G, self.X[:5], dx=0.02, dt=0.01)
-        path = tmp_path / "continuity.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[2] == "x,residual"
-        assert len(lines) == 8

@@ -310,9 +310,9 @@ class TestValidation:
     def test_load_config_round_trips(self, tmp_path):
         config, diags = load_config(_write(tmp_path, BASE))
         assert diags == []
-        assert json.loads(config.to_json()) == BASE
-        assert config.state_kind == "gaussian"
         assert config.analyses == ("current",)
+        assert (config.grid_n, config.t1, config.t2, config.n_t) == (256, 0.0, 3.0, 201)
+        assert config.thresholds == {"mass_window": (0.99, 1.01)}
 
 
 _LEAF = hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6)
@@ -664,6 +664,20 @@ class TestCommandLine:
             assert name in out
 
 
+def _body(path) -> list:
+    """The non-comment lines of a CSV artifact, split into cells."""
+    lines = Path(path).read_text().splitlines()
+    return [ln.split(",") for ln in lines if not ln.startswith("#")]
+
+
+def _is_data(line) -> bool:
+    try:
+        [float(cell) for cell in line.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
 class TestCsvFormat:
     def test_current_csv_layout(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
@@ -671,7 +685,7 @@ class TestCsvFormat:
         lines = (tmp_path / "out" / "current.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[2] == "t,J,P_cum"
-        assert lines[3] == "1/time,1/time,1"
+        assert lines[3] == "time,1/time,1"
         # repr floats, '.' decimal separator, one row per sample time
         assert len(lines) == 4 + BASE["time"]["n_t"]
         first = lines[4].split(",")
@@ -680,6 +694,82 @@ class TestCsvFormat:
         script = (tmp_path / "out" / "current.gnuplot").read_text()
         assert 'skip 4' in script
         assert "current.csv" in script
+
+    def test_current_csv_record(self, tmp_path):
+        tree = _variant(**{"physical.D": 2.0, "time.t1": 0.1, "time.t2": 0.3, "time.n_t": 5,
+                           "thresholds.mass_window": None})
+        config, _ = load_config(_write(tmp_path, tree))
+        run_scenario(config, out_dir=tmp_path / "out")
+        lines = (tmp_path / "out" / "current.csv").read_text().splitlines()
+        assert lines[0] == "# arrival-time record"
+        assert lines[1] == "# corrected=False label="
+        assert lines[2] == "t,J,P_cum"
+        assert lines[3] == "time,1/time,1"
+        assert len(lines) == 9
+
+    def test_histories_csv_record(self, tmp_path):
+        tree = _variant(**{
+            "physical.D": 2.0, "state.gaussian.x0": 60.0, "time.t1": 5.0, "time.t2": 5.25,
+            "analyses": ["histories"], "thresholds.mass_window": None,
+        })
+        config, _ = load_config(_write(tmp_path, tree))
+        result = run_scenario(config, out_dir=tmp_path / "out")
+        lines = (tmp_path / "out" / "histories.csv").read_text().splitlines()
+        header = [ln for ln in lines if not ln.startswith("#")]
+        names = header[0].split(",")
+        data = header[2].split(",")
+        assert len(data) == len(names)
+        row = dict(zip(names, data))
+        assert float(row["delta_exact"]) == result.scalar("histories", "delta_exact")
+        assert row["decoherent"] == "True"
+        assert row["regime"] == "intermediate"
+
+    @pytest.mark.parametrize("name", ["povm", "stochastic"])
+    def test_scalar_table_layout(self, runs, summary, name):
+        result = runs["qbm_positivity"] if name == "povm" else summary[0]
+        names, *rows = _body(Path(result.out_dir) / f"{name}.csv")
+        assert names == ["quantity", "value", "units"]
+        assert all(len(r) == len(names) for r in rows)
+        outcome = next(o for o in result.outcomes if o.name == name)
+        assert [r[0] for r in rows] == [k for k, _ in outcome.scalars]
+        for quantity, value, _units in rows:
+            assert float(value) == result.scalar(name, quantity)
+
+    def test_histories_csv_layout(self, summary):
+        result, out = summary
+        names, units, *rows = _body(out / "histories.csv")
+        assert len(units) == len(names) and len(rows) == 1
+        row = dict(zip(names, rows[0], strict=True))
+        for key in ("delta_exact", "delta_formula", "e_dt_over_hbar"):
+            assert float(row[key]) == result.scalar("histories", key)
+        assert (float(row["t1"]), float(row["t2"])) == (MULTI_CONFIG["time"]["t1"],
+                                                        MULTI_CONFIG["time"]["t2"])
+        assert row["decoherent"] == "True" and row["gates_failed"] == ""
+
+    def test_continuity_csv_layout(self, summary):
+        result, out = summary
+        lines = (out / "continuity.csv").read_text().splitlines()
+        assert lines[0].startswith("#")
+        assert lines[2] == "x,residual"
+        assert len(lines) == 3 + 201
+        names, *rows = _body(out / "continuity.csv")
+        assert all(len(r) == len(names) for r in rows)
+        residual = [abs(float(r)) for _, r in rows]
+        assert max(residual) == result.scalar("continuity", "residual_fine")
+        assert float(lines[1].split("scale=")[1]) == result.scalar("continuity", "scale")
+
+    @pytest.mark.parametrize("name, skip", [("current", 4), ("continuity", 3)])
+    def test_gnuplot_skips_the_header_lines(self, tmp_path, name, skip):
+        config, _ = load_config(_write(tmp_path, _variant(analyses=[name])))
+        run_scenario(config, out_dir=tmp_path / "out")
+        script = (tmp_path / "out" / f"{name}.gnuplot").read_text()
+        assert f'plot "{name}.csv" skip {skip} ' in script
+        lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+        assert [_is_data(ln) for ln in lines[:skip + 1]] == [False] * skip + [True]
+
+    def test_formatter_cells(self):
+        text = scenario_cli._csv(["note"], ["a,b,c"], [(np.float64(1.0) / 3.0, str(True), "x y")])
+        assert text == "# note\na,b,c\n0.3333333333333333,True,x y\n"
 
     def test_no_carriage_returns(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
