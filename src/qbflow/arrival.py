@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import ndtr
 
-from .core_model import Interval, PhysParams
+from .core_model import Interval, PhysParams, checked_schedule
 from .gaussian_engine import (
     Cov2,
     GaussianMixtureState,
@@ -82,17 +82,6 @@ __all__ = [
 _POVM_THRESHOLD = 1.5 + math.sqrt(3.0)
 
 
-def _checked_times(times) -> np.ndarray:
-    """Sample times as a float array; raises on a non-finite or negative one."""
-    times = np.asarray(times, dtype=float)
-    bad = ~np.isfinite(times) | (times < 0.0)
-    if bad.any():
-        raise ValueError(
-            f"sample times must be finite and non-negative, got {float(times[bad].flat[0])!r}"
-        )
-    return times
-
-
 def _currents(
     state: GaussianMixtureState, times: np.ndarray, params: PhysParams, corrected: bool
 ) -> np.ndarray:
@@ -116,7 +105,7 @@ def arrival_current(
     +(hbar^2 b^2 / 2) d rho/dx |_0, which is what actually balances the
     continuity equation for gamma > 0 (it vanishes identically otherwise).
     """
-    return float(_currents(state, _checked_times([t]), params, corrected)[0])
+    return float(_currents(state, np.array([t], dtype=float), params, corrected)[0])
 
 
 def current_from_wigner(w: PhaseSpaceGrid, params: PhysParams) -> float:
@@ -406,11 +395,7 @@ def backflow_scan(
     All samples come from one array evaluation over (terms x times); the
     running integral is the trapezoid rule on those samples.
     """
-    times = _checked_times(times)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need a 1-D array of at least two sample times")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
+    times = checked_schedule(times, "sample times")
     current = _currents(state, times, params, corrected)
     cumulative = np.concatenate(
         [[0.0], cumulative_trapezoid(current, times)]

@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "MUCH_GREATER",
     "MUCH_LESS",
     "Interval",
     "PhysParams",
     "TimeScales",
+    "checked_schedule",
     "derive_timescales",
     "energy_localisation_ratio",
     "validity_window",
@@ -103,7 +106,7 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class Interval:
-    """A time interval [t1, t2] with t1 < t2."""
+    """A time interval [t1, t2] with 0 <= t1 < t2, in time since preparation."""
 
     t1: float
     t2: float
@@ -112,6 +115,8 @@ class Interval:
         for name in ("t1", "t2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.t1 < 0.0:
+            raise ValueError(f"t1 must be non-negative (time since preparation), got {self.t1}")
         if not (self.t2 > self.t1):
             raise ValueError(f"interval inverted: t1={self.t1} >= t2={self.t2}")
 
@@ -122,6 +127,22 @@ class Interval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.t1 + self.t2)
+
+
+def checked_schedule(times, what: str) -> np.ndarray:
+    """``times`` as a 1-D float array of two or more finite, >= 0, increasing times.
+
+    Anything else raises ``ValueError``, naming the schedule as ``what``.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError(f"{what} must be a 1-D sequence of at least two times")
+    bad = ~((t >= 0.0) & (t < math.inf))
+    if bad.any():
+        raise ValueError(f"{what} must be finite and non-negative, got {float(t[bad][0])!r}")
+    if not (np.diff(t) > 0.0).all():
+        raise ValueError(f"{what} must be strictly increasing")
+    return t
 
 
 @dataclass(frozen=True)

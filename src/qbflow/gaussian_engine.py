@@ -135,21 +135,15 @@ def qbm_covariance(t: float, params: PhysParams) -> Cov2:
     gamma -> 0); the noise feeding position diffusion directly is the
     hbar^2 b^2 term of the master equation.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
-    if t == 0.0:
-        return Cov2.zero()
     return Cov2(*(float(x) for x in qbm_covariance_entries(np.float64(t), params)))
 
 
-# lam (T1 - T2) = sum_{n>=2} (-1)^n (2^(n-1) - 1) x^n / n! and
 # lam (t - 2 T1 + T2) = sum_{n>=3} (-1)^n (2 - 2^(n-1)) x^n / n!, here as
-# coefficients of x^(n-2) and x^(n-3) through n = 24.  Against 40-digit
-# arithmetic the series stays within 5e-16 relative for x < 1, where the
-# closed form errs by up to 2e-15 (4.7e-14 at x = 0.1); above x = 1 the
-# closed form is within 1e-15 and the truncated series falls behind.
+# coefficients of x^(n-3) through n = 24.  Against 40-digit arithmetic the
+# series stays within 5e-16 relative for x < 1, where the closed form errs
+# by up to 2e-15 (4.7e-14 at x = 0.1); above x = 1 the closed form is within
+# 1e-15 and the truncated series falls behind.
 _SERIES_MAX_X = 1.0
-_PQ_SERIES = np.array([(-1) ** n * (2 ** (n - 1) - 1) / math.factorial(n) for n in range(2, 25)])
 _QQ_SERIES = np.array([(-1) ** n * (2 - 2 ** (n - 1)) / math.factorial(n) for n in range(3, 25)])
 
 
@@ -175,7 +169,15 @@ def _cube(x):
 
 
 def qbm_covariance_entries(t, params: PhysParams):
-    """(pp, pq, qq) of :func:`qbm_covariance`, elementwise over an array t >= 0."""
+    """(pp, pq, qq) of :func:`qbm_covariance`, elementwise over an array t.
+
+    Every exact evolution reads these, so this is the engine's one time check.
+    """
+    if not (isinstance(t, float) and 0.0 <= t < math.inf):
+        bad = np.asarray(t, dtype=float).ravel()
+        bad = bad[~((bad >= 0.0) & (bad < math.inf))].tolist()
+        if bad:
+            raise ValueError(f"propagation time must be finite and non-negative, got {bad[0]!r}")
     m = params.mass
     if params.gamma == 0.0:
         return 2.0 * params.D * t, params.D * t * t / m, 2.0 * params.D * _cube(t) / (3.0 * m * m)
@@ -183,17 +185,16 @@ def qbm_covariance_entries(t, params: PhysParams):
     n1 = 2.0 * params.D
     n2 = params.hbar ** 2 * params.b ** 2
     x = lam * t
-    # T1 = (1 - e^{-x})/lam, T2 = (1 - e^{-2x})/(2 lam); the brackets
-    # T1 - T2 and t - 2*T1 + T2 cancel to O(x^2) and O(x^3), losing about
-    # 2 eps/x and 3 eps/x^2, so each element with x < 1 takes its series.
-    t1 = -np.expm1(-x) / lam
+    # T1 = (1 - e^{-x})/lam, T2 = (1 - e^{-2x})/(2 lam): T1 - T2 = expm1(-x)^2/(2 lam)
+    # exactly, but t - 2*T1 + T2 cancels to O(x^3), so x < 1 takes its series
+    # (on x capped at 1, so that the discarded branch cannot overflow).
+    em1 = np.expm1(-x)
+    t1 = -em1 / lam
     t2 = -np.expm1(-2.0 * x) / (2.0 * lam)
-    small = x < _SERIES_MAX_X
-    pq_b = np.where(small, x * x * np.polynomial.polynomial.polyval(x, _PQ_SERIES) / lam, t1 - t2)
-    qq_b = np.where(
-        small, _cube(x) * np.polynomial.polynomial.polyval(x, _QQ_SERIES) / lam, t - 2.0 * t1 + t2
-    )
-    return n1 * t2, n1 * pq_b / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
+    xs = np.minimum(x, _SERIES_MAX_X)
+    series = _cube(xs) * np.polynomial.polynomial.polyval(xs, _QQ_SERIES) / lam
+    qq_b = np.where(x < _SERIES_MAX_X, series, t - 2.0 * t1 + t2)
+    return n1 * t2, n1 * (em1 * em1 / (2.0 * lam)) / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
 
 
 def qbm_flow(t: float, params: PhysParams) -> np.ndarray:
@@ -538,10 +539,10 @@ def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> _T
     """
     if state.hbar != params.hbar:
         raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
+    a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)  # checks t before the flow uses it
     pad = (1,) * np.ndim(t)
     s = _Terms(*(x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in state._stacked))
     decay, drift = qbm_flow_entries(t, params)
-    a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)
     f = np.zeros(np.shape(t) + (2, 2))
     f[..., 0, 0], f[..., 1, 0], f[..., 1, 1] = decay, drift, 1.0
     a = np.empty_like(f)
@@ -578,8 +579,6 @@ def propagate_mixture(
     term family to itself.  Forms an exact semigroup:
     propagate(propagate(s, t1), t2) == propagate(s, t1 + t2).
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if t == 0.0:
         return state
     return _state_from(_propagate_stacked(state, np.float64(t), params), state)
@@ -735,8 +734,8 @@ def origin_line_reductions(state: GaussianMixtureState, t, params: PhysParams):
     return tuple(r.sum(axis=0) for r in _term_line_reductions(stacked, 0.0))
 
 
-def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
-    """Closed-form integral of the position density over q > lo.
+def _right_mass(state: GaussianMixtureState) -> float:
+    """Closed-form integral of the position density over q > 0.
 
     Averaged over its conditional momentum, each term's fringe is a damped
     plane wave in q against N(q; c_q, S_qq), so every term is one half-line
@@ -744,6 +743,6 @@ def _right_mass(state: GaussianMixtureState, lo: float = 0.0) -> float:
     """
     u = state._stacked.at(0.0)
     _, mu0, v, slope = _conditional(u, 0.0)
-    piece = _gaussian_fourier_above(u.cq, u.qq, u.kp * slope + u.kq, lo)
+    piece = _gaussian_fourier_above(u.cq, u.qq, u.kp * slope + u.kq, 0.0)
     fringe = np.real(np.exp(1j * (u.kp * mu0 + u.phase)) * piece)
     return float(np.sum(u.w * np.exp(-0.5 * u.kp * u.kp * v) * fringe))

@@ -457,7 +457,7 @@ def _run_current(cfg: ScenarioConfig):
             note = f"p_interval {total!r} outside mass window [{lo!r}, {hi!r}]"
     artifacts = [
         ("current.csv", _csv(
-            ["arrival-time record", f"corrected={res.corrected} label="],
+            ["arrival-time record", f"corrected={res.corrected}"],
             ["t,J,P_cum", "time,1/time,1"],
             zip(res.times, res.current, res.cumulative),
         )),

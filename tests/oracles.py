@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from qbflow.arrival import _split_covariance
-from qbflow.core_model import PhysParams
+from qbflow.core_model import PhysParams, checked_schedule
 from qbflow.gaussian_engine import (
     GaussianMixtureState,
     _conditional,
@@ -26,7 +26,7 @@ from qbflow.gaussian_engine import (
     qbm_covariance_comoving,
 )
 from qbflow.grid_engine import Axis, DensityMatrixGrid, PhaseSpaceGrid, default_axes
-from qbflow.histories import _checked_boundaries, survival_probability
+from qbflow.histories import survival_probability
 
 
 def q_function_current(state: GaussianMixtureState, t: float, params: PhysParams) -> float:
@@ -346,6 +346,6 @@ def linear_crossing_probabilities(
     The "linear" arrival probabilities: no projections are inserted, so
     they ignore interference between crossing at different intervals.
     """
-    b = _checked_boundaries(boundaries)
+    b = checked_schedule(boundaries, "boundaries")
     surv = np.array([survival_probability(state, t, params) for t in b])
     return -np.diff(surv)

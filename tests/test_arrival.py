@@ -10,6 +10,7 @@ is trusted alone.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -356,6 +357,15 @@ class TestArrayCurrent:
         assert math.isfinite(want)
         assert ar.arrival_current(LEFT_GAUSS, t, params) == want
         assert ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t])).current[1] == want
+
+    @pytest.mark.parametrize("t", [1e110, 1e160])
+    def test_dissipative_huge_times_raise_no_warning(self, t):
+        params = PhysParams(D=1.0, gamma=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = ar.arrival_current(LEFT_GAUSS, t, params)
+            scan = ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t]))
+        assert math.isfinite(want) and scan.current[1] == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_scan_rejects_bad_time(self, bad):

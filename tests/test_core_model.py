@@ -138,3 +138,13 @@ class TestInterval:
         bounds = {"t1": 0.0, "t2": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Interval(**bounds)
+
+    @pytest.mark.parametrize("t1", [-0.5, -1e-300, -math.ldexp(1.0, -1074)])
+    def test_opens_before_preparation_rejected(self, t1):
+        # every window is a time since the state was prepared at t = 0
+        with pytest.raises(ValueError, match=f"t1 must be non-negative .*got {t1}"):
+            Interval(t1, 1.0)
+
+    def test_opens_at_preparation(self):
+        assert Interval(0.0, 1.0).t1 == 0.0 and Interval(-0.0, 1.0).width == 1.0
+

@@ -9,6 +9,7 @@ the package is allowed to rely on it.
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -125,6 +126,33 @@ class TestCovarianceLaw:
         cov = ge.qbm_covariance(t, par)
         for got, want in zip((cov.pp, cov.pq, cov.qq), ref):
             assert abs(mp.mpf(got) / want - 1) < 5e-16
+
+    @pytest.mark.parametrize("par", [PhysParams(D=2.0, gamma=0.05),
+                                     PhysParams(D=0.3, mass=1.7, gamma=2.0, hbar=0.8)])
+    def test_dissipative_pq_matches_40_digits(self, par):
+        # T1 - T2 = expm1(-x)^2 / (2 lam) has no cancellation at any x
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        ts = np.geomspace(1e-4, 1e3, 57)
+        lam, m = 2 * mp.mpf(par.gamma), mp.mpf(par.mass)
+        for t, got in zip(ts, ge.qbm_covariance_entries(ts, par)[1]):
+            tm = mp.mpf(t)
+            bracket = mp.expm1(-lam * tm) ** 2 / (2 * lam)
+            want = 2 * mp.mpf(par.D) * bracket / (lam * m)
+            assert abs(mp.mpf(got) / want - 1) < 1e-15
+
+    @pytest.mark.parametrize("t", [1e110, 1e160])
+    def test_dissipative_entries_stay_finite_at_huge_times(self, t):
+        # x = 2 gamma t is far past the series switch; the series branch that
+        # np.where discards is evaluated on x capped at 1, so nothing overflows
+        par = PhysParams(D=1.0, gamma=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for entries in (ge.qbm_covariance_entries(np.float64(t), par),
+                            ge.qbm_covariance_entries(np.array([0.5, t]), par)):
+                assert np.isfinite(np.array(entries)).all()
+            cov = ge.qbm_covariance(t, par)
+            assert cov.pq == pytest.approx(par.D / (4.0 * par.gamma ** 2 * par.mass))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_array_forms_match_scalar_forms(self, gamma):

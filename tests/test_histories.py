@@ -24,6 +24,7 @@ from hypothesis import strategies as hst
 from scipy.special import erfc, sici
 
 from qbflow.core_model import Interval, PhysParams
+from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 from qbflow import histories as hi
@@ -226,6 +227,20 @@ class TestSurvivalAndLinear:
         with pytest.raises(ValueError, match="non-negative"):
             linear_crossing_probabilities(st, [-0.5, 1.0], FREE)
 
+    @pytest.mark.parametrize("bad", [
+        [1.0], [[0.5, 1.0], [1.5, 2.0]], [0.5, math.nan], [0.5, math.inf],
+        [-0.5, 1.0], [0.5, 0.5, 1.0], [1.0, 0.5],
+    ])
+    def test_one_schedule_check(self, bad):
+        # the class partition and the current's sample times are both
+        # schedules after preparation, refused by the same check
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        with pytest.raises(ValueError) as scan:
+            ar.backflow_scan(st, NOISY, bad)
+        with pytest.raises(ValueError) as chain:
+            hi.crossing_class_matrix(st, bad, NOISY)
+        assert str(scan.value).replace("sample times", "boundaries") == str(chain.value)
+
 
 def _reflected_diagonal(state, window, n):
     """Grid check of delta_exact: parity swaps the two projectors, so the
@@ -289,6 +304,15 @@ class TestDeltaExact:
         damped = PhysParams(D=2.0, gamma=0.05)
         with pytest.raises(ValueError, match="negligible dissipation"):
             hi.delta_exact(st, Interval(2.0, 2.4), damped)
+
+    @pytest.mark.parametrize("t1", [1e5, 1e6])
+    def test_unresolvable_window_refused(self, t1):
+        # the xi midpoint rule needs tens of millions of points here, and on
+        # fewer it reads garbage (8.7e-3 at t1 = 1e5, resolved 1.4e-6), so the
+        # window is refused with the count it needs
+        st = ge.make_gaussian_state(p0=-10.0, q0=14.0, sigma=1.0)
+        with pytest.raises(ValueError, match=r"needs \d+ xi quadrature points"):
+            hi.delta_exact(st, Interval(t1, t1 + 1.0), NOISY)
 
 
 class TestDeltaFree:

@@ -702,7 +702,7 @@ class TestCsvFormat:
         run_scenario(config, out_dir=tmp_path / "out")
         lines = (tmp_path / "out" / "current.csv").read_text().splitlines()
         assert lines[0] == "# arrival-time record"
-        assert lines[1] == "# corrected=False label="
+        assert lines[1] == "# corrected=False"
         assert lines[2] == "t,J,P_cum"
         assert lines[3] == "time,1/time,1"
         assert len(lines) == 9
