@@ -7,9 +7,7 @@ Current route
     +(hbar^2 b^2 / 2) d rho/dx (``_currents``).  All sample times are
     evaluated at once, as one (terms x times) array reduction of the exact
     engine.  By continuity its integral over [t1, t2] is the drop
-    S(t1) - S(t2) of the probability right of the origin, a closed form;
-    only the uncorrected current at gamma > 0, which misses the diffusive
-    flux, is integrated by quadrature.
+    S(t1) - S(t2) of the probability right of the origin, a closed form.
 
 POVM route
     For measurement intervals the current integral is re-expressed as the
@@ -17,10 +15,11 @@ POVM route
     covariance into a minimum-uncertainty part (absorbed into the state as
     a Husimi smearing) and a positive remainder (absorbed into the symbol)
     yields  Tr(E rho) = int Q(z) S_E(z) dz  with a bounded symbol S_E and a
-    non-negative Q — manifestly a generalised measurement, available once
-    the noise has accumulated past a hard threshold.  The symbol is a
-    difference of probits of linear forms in z, so against each Gaussian
-    term of Q the phase-space integral is a closed form; no grid is built.
+    non-negative Q — manifestly a generalised measurement, available at
+    negligible dissipation once the noise has accumulated past a hard
+    threshold.  The symbol is a difference of probits of linear forms in z,
+    so against each Gaussian term of Q the phase-space integral is a closed
+    form; no grid is built.
 
 Stochastic route
     Repeated propagate-and-truncate on a grid: the norm lost to the
@@ -37,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtr
 
 from .core_model import Interval, PhysParams, checked_schedule
@@ -118,31 +117,18 @@ def arrival_probability(
     state: GaussianMixtureState,
     interval: Interval,
     params: PhysParams,
-    corrected: bool = False,
 ) -> float:
-    """Time integral of the arrival current over the interval.
+    """Time integral of the continuity-balanced arrival current.
 
-    Where the current balances continuity (gamma = 0, or ``corrected``)
-    the integral is exactly the drop S(t1) - S(t2) of the probability right
-    of the origin, two closed-form right-mass reductions.  The uncorrected
-    current at gamma > 0 misses the diffusive flux, so it is integrated by
-    ``quad``.
+    That current (``corrected`` at gamma > 0) balances continuity, so its
+    integral over the interval is exactly the drop S(t1) - S(t2) of the
+    probability right of the origin, two closed-form right-mass reductions.
     """
-    if params.gamma == 0.0 or corrected:
-        s1, s2 = (
-            _right_mass(propagate_mixture(state, t, params))
-            for t in (interval.t1, interval.t2)
-        )
-        return float(s1 - s2)
-    val, _err = quad(
-        lambda t: arrival_current(state, t, params),
-        interval.t1,
-        interval.t2,
-        limit=400,
-        epsabs=1e-12,
-        epsrel=1e-10,
+    s1, s2 = (
+        _right_mass(propagate_mixture(state, t, params))
+        for t in (interval.t1, interval.t2)
     )
-    return float(val)
+    return float(s1 - s2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +249,12 @@ def build_povm_E(interval: Interval, params: PhysParams) -> PovmEffect:
 
     The freeze time is the interval midpoint; midpoints earlier than the
     splitting threshold are clipped up to it, which keeps early tiles valid
-    at the cost of a (recorded) freeze bias.  Raises when even the interval
-    end lies below the threshold.
+    at the cost of a (recorded) freeze bias.  Raises at gamma > 0, where the
+    free-flow symbol does not hold, and when even the interval end lies below
+    the threshold.
     """
+    if params.gamma != 0.0:
+        raise ValueError("POVM construction requires negligible dissipation (gamma = 0)")
     t_thr = povm_threshold_time(params)
     if interval.t2 < t_thr:
         raise ValueError(

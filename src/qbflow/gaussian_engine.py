@@ -95,10 +95,6 @@ class Cov2:
             raise ValueError("covariance matrix must be symmetric")
         return cls(pp=float(m[0, 0]), pq=float(0.5 * (m[0, 1] + m[1, 0])), qq=float(m[1, 1]))
 
-    @classmethod
-    def zero(cls) -> "Cov2":
-        return cls(0.0, 0.0, 0.0)
-
     def matrix(self) -> np.ndarray:
         return np.array([[self.pp, self.pq], [self.pq, self.qq]])
 
@@ -180,7 +176,10 @@ def qbm_covariance_entries(t, params: PhysParams):
             raise ValueError(f"propagation time must be finite and non-negative, got {bad[0]!r}")
     m = params.mass
     if params.gamma == 0.0:
-        return 2.0 * params.D * t, params.D * t * t / m, 2.0 * params.D * _cube(t) / (3.0 * m * m)
+        # past the double range these overflow to inf, which the finiteness checks refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = params.D
+            return 2.0 * d * t, d * t * t / m, 2.0 * d * _cube(t) / (3.0 * m * m)
     lam = 2.0 * params.gamma
     n1 = 2.0 * params.D
     n2 = params.hbar ** 2 * params.b ** 2
@@ -548,7 +547,8 @@ def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> _T
     a = np.empty_like(f)
     a[..., 0, 0], a[..., 1, 1] = a_pp, a_qq
     a[..., 0, 1] = a[..., 1, 0] = a_pq
-    out = _convolved(_flowed(s, f), a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _convolved(_flowed(s, f), a)
     # the one finiteness check for both routes: past the double range the
     # per-term covariance overflows, and the reductions would turn it into nan
     bad = ~np.isfinite(out.cov).all(axis=(0, -2, -1))

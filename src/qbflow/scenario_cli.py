@@ -335,8 +335,8 @@ def _check_tree(tree) -> tuple:
             if t2 / eps > _MARCH_STEPS_MAX:
                 diags.append(f"time.t2/time.eps must be at most {_MARCH_STEPS_MAX} "
                              f"march steps, got {t2 / eps!r}")
-    # the grid routes propagate at negligible dissipation only
-    for name in ("stochastic", "histories"):
+    # the grid routes and the effect operator hold at negligible dissipation only
+    for name in ("povm", "stochastic", "histories"):
         if name in analyses and gamma:
             diags.append(f"{name} analysis needs gamma = 0 (negligible dissipation)")
     if "continuity" in analyses and None not in (t1, t2) and (t1 + t2) / 2.0 <= 0.0:
@@ -466,25 +466,10 @@ def _run_current(cfg: ScenarioConfig):
     return status, scalars, artifacts, note
 
 
-def _positivity_time(params: PhysParams) -> float:
-    """First time the accumulated noise admits a Wigner decomposition."""
-    tau_l = derive_timescales(params, 0.0).tau_l
-    lo, hi = 1e-9 * tau_l, 10.0 * tau_l
-    if not ge.is_wigner_admissible(ge.qbm_covariance(hi, params), params.hbar):
-        raise RuntimeError("no admissibility flip below 10 localisation times")
-    # until lo and hi are adjacent doubles and the midpoint rounds onto one of them
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if ge.is_wigner_admissible(ge.qbm_covariance(mid, params), params.hbar):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _run_povm(cfg: ScenarioConfig):
     params = cfg.params
-    tau_l = derive_timescales(params, 0.0).tau_l
-    t_pos = _positivity_time(params)
+    scales = derive_timescales(params, 0.0)
+    tau_l, t_pos = scales.tau_l, scales.t_positive
     t_thr = ar.povm_threshold_time(params)
     effect = ar.build_povm_E(cfg.window, params)
     expectation = effect.expectation(cfg.state)

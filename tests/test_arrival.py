@@ -65,7 +65,7 @@ class TestCurrentRoutes:
     def test_total_arrival_probability_dissipative(self):
         parg = PhysParams(D=2.0, gamma=0.2)
         g = ge.make_gaussian_state(p0=-10.0, q0=6.0, sigma=1.0)
-        total = ar.arrival_probability(g, Interval(0.0, 2.0), parg, corrected=True)
+        total = ar.arrival_probability(g, Interval(0.0, 2.0), parg)
         assert abs(total - 1.0) < 0.02
 
     def test_corrected_flag_changes_dissipative_current(self):
@@ -111,6 +111,11 @@ class TestPovmEffect:
     def test_too_early_rejected(self):
         with pytest.raises(ValueError, match="too early"):
             ar.build_povm_E(Interval(0.1, 0.5), PAR)
+
+    def test_dissipation_rejected(self):
+        # the symbol's free flow q + p t / m holds at negligible dissipation only
+        with pytest.raises(ValueError, match=r"requires negligible dissipation \(gamma = 0\)"):
+            ar.build_povm_E(Interval(1.3, 1.5), PhysParams(D=2.0, gamma=0.01))
 
     def test_split_is_positive_at_threshold(self):
         t_thr = ar.povm_threshold_time(PAR)
@@ -207,7 +212,7 @@ class TestExpectationClosedForm:
     def test_sharp_symbol_is_a_probit_difference(self):
         # B = 0 makes S_E a difference of two step functions; against one
         # Gaussian the expectation is then Phi(mu_1 / s_1) - Phi(mu_2 / s_2)
-        eff = replace(ar.build_povm_E(Interval(1.3, 1.5), PAR), b=ge.Cov2.zero())
+        eff = replace(ar.build_povm_E(Interval(1.3, 1.5), PAR), b=ge.Cov2(0.0, 0.0, 0.0))
         term = ge.husimi_smear(ORACLE_STATES["gaussian"], eff.s).terms[0]
         want = 0.0
         for sign, t in ((1.0, 1.3), (-1.0, 1.5)):
@@ -220,7 +225,7 @@ class TestExpectationClosedForm:
         # sigma = 0 (step) and a vanishing sigma (steep probit) take the two
         # branches of the closed form and must meet
         eff = ar.build_povm_E(Interval(1.3, 1.5), PAR)
-        sharp = replace(eff, b=ge.Cov2.zero())
+        sharp = replace(eff, b=ge.Cov2(0.0, 0.0, 0.0))
         narrow = replace(eff, b=ge.Cov2(1e-24 * eff.b.pp, 1e-24 * eff.b.pq, 1e-24 * eff.b.qq))
         assert sharp._sigma(1.3) == 0.0 and narrow._sigma(1.3) > 0.0
         state = ORACLE_STATES[kind]
@@ -339,7 +344,6 @@ class TestArrayCurrent:
     # t^3 overflows past t ~ 5.6e102: at gamma = 0 the per-time route then
     # rejects the covariance, at gamma > 0 the series branch that overflows
     # is discarded and the current stays finite
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("t", [1e50, 1e110, 1e160])
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_huge_times_follow_the_per_time_path(self, gamma, t):
@@ -392,7 +396,7 @@ class TestClosedFormProbability:
     def test_matches_quadrature(self, kind, case, window):
         params, corrected = KERNEL_CASES[case]
         state, iv = PROBABILITY_STATES[kind], Interval(*window)
-        got = ar.arrival_probability(state, iv, params, corrected=corrected)
+        got = ar.arrival_probability(state, iv, params)
         want = _quad_probability(state, iv, params, corrected)
         # S(t1) - S(t2) carries the absolute round-off of S itself: an ulp of
         # 1 at gamma = 0, and ~1e-14 at gamma > 0, where the qq entry of
@@ -400,12 +404,3 @@ class TestClosedFormProbability:
         floor = 3e-14 if params.gamma else 2.3e-16
         tol = 1e-14 * abs(want) + floor if abs(want) > 1e-3 else 1e-12
         assert abs(got - want) <= tol, (got, want)
-
-    @pytest.mark.parametrize("kind", sorted(KERNEL_STATES))
-    def test_uncorrected_dissipative_keeps_quadrature(self, kind):
-        params, _ = KERNEL_CASES["dissipative"]
-        state, iv = KERNEL_STATES[kind], Interval(0.3, 1.2)
-        got = ar.arrival_probability(state, iv, params)
-        assert got == _quad_probability(state, iv, params, False)
-        # the diffusive flux the uncorrected current misses is visible
-        assert got != ar.arrival_probability(state, iv, params, corrected=True)

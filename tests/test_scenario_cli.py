@@ -203,24 +203,19 @@ class TestValidation:
         diags = validate_config(_write(tmp_path, _variant(analyses=["povm"])))
         assert any("povm" in d and "D > 0" in d for d in diags)
 
-    def test_histories_rejects_dissipation(self, tmp_path):
+    @pytest.mark.parametrize("analysis", ["povm", "stochastic", "histories"])
+    def test_gamma_zero_routes_reject_dissipation(self, tmp_path, capsys, analysis):
+        # the grid routes propagate, and the effect operator is derived, at gamma = 0 only
         tree = _variant(
-            analyses=["histories"],
-            **{"physical.D": 2.0, "physical.gamma": 0.1, "physical.kT": 10.0},
-        )
-        diags = validate_config(_write(tmp_path, tree))
-        assert any("gamma = 0" in d for d in diags)
-
-    def test_stochastic_rejects_dissipation(self, tmp_path):
-        # the restricted march is a grid route: it refuses gamma > 0 at run time
-        tree = _variant(
-            analyses=["stochastic"],
+            analyses=[analysis],
             **{"physical.D": 2.0, "physical.gamma": 0.1, "physical.kT": 10.0,
                "time.t1": 0.5, "time.t2": 1.0, "time.eps": 0.0125},
         )
-        assert validate_config(_write(tmp_path, tree)) == [
-            "stochastic analysis needs gamma = 0 (negligible dissipation)"
-        ]
+        path = _write(tmp_path, tree)
+        diag = f"{analysis} analysis needs gamma = 0 (negligible dissipation)"
+        assert validate_config(path) == [diag]
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == diag + "\n"
 
     @pytest.mark.parametrize("key, value", [("physical.D", math.nan), ("time.t2", math.inf)])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
