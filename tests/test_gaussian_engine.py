@@ -154,6 +154,19 @@ class TestCovarianceLaw:
             cov = ge.qbm_covariance(t, par)
             assert cov.pq == pytest.approx(par.D / (4.0 * par.gamma ** 2 * par.mass))
 
+    @pytest.mark.parametrize("t", [1e110, 1e160])
+    def test_free_huge_times_raise_without_warning(self, t):
+        # at gamma = 0 the qq entry D t^3 / (3 m^2) overflows past t ~ 5.6e102;
+        # the finiteness check must name that before any RuntimeWarning
+        par = PhysParams(D=1.0)
+        state = ge.make_gaussian_state(p0=-10.0, q0=6.0, sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (lambda: ge.qbm_covariance(t, par),
+                          lambda: ge.propagate_mixture(state, t, par)):
+                with pytest.raises(ValueError, match="covariance entries must be finite"):
+                    route()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_array_forms_match_scalar_forms(self, gamma):
         # gamma = 0.05 puts the series switch x = 2 gamma t = 1 at t = 10, so
