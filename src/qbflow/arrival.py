@@ -1,13 +1,14 @@
 """Arrival-time distributions at the origin, three ways.
 
 Current route
-    J(t) = -j(0, t): the (signed) probability current of the evolved state
-    through x = 0, taken positive for right-to-left crossings.  With
-    dissipation switched on the current picks up the diffusive correction
-    +(hbar^2 b^2 / 2) d rho/dx (``_currents``).  All sample times are
-    evaluated at once, as one (terms x times) array reduction of the exact
-    engine.  By continuity its integral over [t1, t2] is the drop
-    S(t1) - S(t2) of the probability right of the origin, a closed form.
+    J(t) = -(j + J_D)(0, t): the (signed) probability current of the evolved
+    state through x = 0, taken positive for right-to-left crossings.  It is
+    the continuity-balanced current at every gamma: the bare flux j plus the
+    diffusive current J_D = -(hbar^2 b^2 / 2) d rho/dx, which vanishes at
+    gamma = 0.  All sample times are evaluated at once, as one (terms x
+    times) array reduction of the exact engine.  By continuity its integral
+    over [t1, t2] is the drop S(t1) - S(t2) of the probability right of the
+    origin, a closed form.
 
 POVM route
     For measurement intervals the current integral is re-expressed as the
@@ -43,12 +44,13 @@ from .core_model import Interval, PhysParams, checked_schedule
 from .gaussian_engine import (
     Cov2,
     GaussianMixtureState,
+    _balanced_flux,
     _gaussian_fourier_above,
     _gaussian_fourier_probit,
+    _propagate_stacked,
     _right_mass,
     husimi_smear,
     moments,
-    origin_line_reductions,
     propagate_mixture,
     qbm_covariance,
     qbm_covariance_comoving,
@@ -81,30 +83,19 @@ __all__ = [
 _POVM_THRESHOLD = 1.5 + math.sqrt(3.0)
 
 
-def _currents(
-    state: GaussianMixtureState, times: np.ndarray, params: PhysParams, corrected: bool
-) -> np.ndarray:
-    """J(t) = -j(0, t) at every sample time, from one (terms x times) reduction."""
-    _, flux, grad = origin_line_reductions(state, times, params)
-    j = -(flux / params.mass)
-    if corrected and params.gamma != 0.0:
-        j = j + 0.5 * (params.hbar * params.b) ** 2 * grad
-    return j
+def _currents(state: GaussianMixtureState, times: np.ndarray, params: PhysParams) -> np.ndarray:
+    """J(t) = -(j + J_D)(0, t) at every sample time, from one (terms x times) reduction."""
+    return -_balanced_flux(_propagate_stacked(state, times, params), 0.0, params)
 
 
-def arrival_current(
-    state: GaussianMixtureState,
-    t: float,
-    params: PhysParams,
-    corrected: bool = False,
-) -> float:
-    """Arrival current J(t) = -j(0) of the exactly evolved state.
+def arrival_current(state: GaussianMixtureState, t: float, params: PhysParams) -> float:
+    """Arrival current J(t) = -(j + J_D)(0) of the exactly evolved state.
 
-    corrected=True adds the diffusive-current contribution
-    +(hbar^2 b^2 / 2) d rho/dx |_0, which is what actually balances the
-    continuity equation for gamma > 0 (it vanishes identically otherwise).
+    J_D = -(hbar^2 b^2 / 2) d rho/dx is the diffusive current that, with the
+    bare flux j, balances the continuity equation at gamma > 0; at gamma = 0
+    it vanishes and J = -j(0).
     """
-    return float(_currents(state, np.array([t], dtype=float), params, corrected)[0])
+    return float(_currents(state, np.array([t], dtype=float), params)[0])
 
 
 def current_from_wigner(w: PhaseSpaceGrid, params: PhysParams) -> float:
@@ -120,9 +111,9 @@ def arrival_probability(
 ) -> float:
     """Time integral of the continuity-balanced arrival current.
 
-    That current (``corrected`` at gamma > 0) balances continuity, so its
-    integral over the interval is exactly the drop S(t1) - S(t2) of the
-    probability right of the origin, two closed-form right-mass reductions.
+    That current balances continuity, so its integral over the interval is
+    exactly the drop S(t1) - S(t2) of the probability right of the origin,
+    two closed-form right-mass reductions.
     """
     s1, s2 = (
         _right_mass(propagate_mixture(state, t, params))
@@ -362,7 +353,6 @@ class ArrivalResult:
     times: np.ndarray
     current: np.ndarray
     cumulative: np.ndarray
-    corrected: bool = False
 
     def min_current(self) -> tuple[float, float]:
         """(t, J) at the most negative sampled current."""
@@ -374,10 +364,7 @@ class ArrivalResult:
 
 
 def backflow_scan(
-    state: GaussianMixtureState,
-    params: PhysParams,
-    times: np.ndarray,
-    corrected: bool = False,
+    state: GaussianMixtureState, params: PhysParams, times: np.ndarray
 ) -> ArrivalResult:
     """Sample the arrival current on a time grid (exact engine route).
 
@@ -385,8 +372,8 @@ def backflow_scan(
     running integral is the trapezoid rule on those samples.
     """
     times = checked_schedule(times, "sample times")
-    current = _currents(state, times, params, corrected)
+    current = _currents(state, times, params)
     cumulative = np.concatenate(
         [[0.0], cumulative_trapezoid(current, times)]
     )
-    return ArrivalResult(times=times, current=current, cumulative=cumulative, corrected=corrected)
+    return ArrivalResult(times=times, current=current, cumulative=cumulative)

@@ -80,15 +80,6 @@ class PhysParams:
             # is outside the Lindblad family used here.
             raise ValueError("gamma > 0 requires D > 0")
 
-    @classmethod
-    def from_temperature(
-        cls, gamma: float, kT: float, hbar: float = 1.0, mass: float = 1.0
-    ) -> "PhysParams":
-        """Build parameters from a bath temperature, D = 2*m*gamma*kT."""
-        if kT < 0.0:
-            raise ValueError(f"kT must be non-negative, got {kT}")
-        return cls(hbar=hbar, mass=mass, D=2.0 * mass * gamma * kT, gamma=gamma)
-
     @property
     def a(self) -> float:
         """Position coupling of the Lindblad operator, sqrt(2 D)/hbar."""

@@ -38,7 +38,6 @@ __all__ = [
     "GaussianTerm",
     "GaussianMixtureState",
     "convolve_state",
-    "is_wigner_admissible",
     "qbm_covariance",
     "qbm_covariance_comoving",
     "qbm_covariance_entries",
@@ -56,7 +55,6 @@ __all__ = [
     "position_density",
     "position_density_gradient",
     "flux_density",
-    "origin_line_reductions",
     "husimi_smear",
 ]
 
@@ -105,17 +103,6 @@ class Cov2:
         """Congruence M @ cov @ M.T for a 2x2 linear map M."""
         m = np.asarray(m, dtype=float)
         return Cov2.from_matrix(m @ self.matrix() @ m.T)
-
-
-def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:
-    """True when g(z; cov) is itself a valid Wigner function.
-
-    A Gaussian phase-space function is the Wigner function of a (mixed)
-    quantum state iff det(cov) >= hbar**2/4 (inclusive: equality is the
-    minimum-uncertainty boundary).  Convolving any Wigner function with an
-    admissible Gaussian therefore yields a pointwise non-negative result.
-    """
-    return cov.det() >= 0.25 * hbar * hbar and cov.pp >= 0.0 and cov.qq >= 0.0
 
 
 def qbm_covariance(t: float, params: PhysParams) -> Cov2:
@@ -721,17 +708,20 @@ def flux_density(state: GaussianMixtureState, q, mass: float):
     return _term_line_reductions(state._stacked, q)[1].sum(axis=0) / mass
 
 
-def origin_line_reductions(state: GaussianMixtureState, t, params: PhysParams):
-    """(density, flux, gradient) at q = 0 of the state evolved to every time in t.
+def _balanced_flux(s: _Terms, q, params: PhysParams):
+    """The continuity-balanced flux j + J_D of the stacked terms s at the points q.
 
-    Elementwise over an array t >= 0 this is ``position_density``,
-    ``flux_density * mass`` and ``position_density_gradient`` of
-    ``propagate_mixture(state, t_j)`` at q = 0, bit for bit: the same stacked
-    propagation and line reductions, over (terms x times) arrays instead of
-    one evolved state per time.
+    j = int dp (p/m) W and the Fick current J_D = -(hbar^2 b^2 / 2) d rho/dq
+    of the position diffusion, summed over the leading terms axis, from one
+    :func:`_term_line_reductions` pass.  J_D is formed only at gamma != 0
+    (at gamma = 0, b = 0 and it vanishes), so at gamma = 0 this is
+    ``flux_density`` bit for bit.
     """
-    stacked = _propagate_stacked(state, np.asarray(t, dtype=float), params)
-    return tuple(r.sum(axis=0) for r in _term_line_reductions(stacked, 0.0))
+    _, flux, grad = _term_line_reductions(s, q)
+    j = flux.sum(axis=0) / params.mass
+    if params.gamma != 0.0:
+        j = j - 0.5 * (params.hbar * params.b) ** 2 * grad.sum(axis=0)
+    return j
 
 
 def _right_mass(state: GaussianMixtureState) -> float:

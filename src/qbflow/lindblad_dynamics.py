@@ -1,4 +1,4 @@
-"""Continuity check of the corrected arrival current.
+"""Continuity check of the arrival current.
 
 With position diffusion on (gamma > 0) the bare current no longer balances
 the density change; the Fick current J_D = -(hbar^2 b^2 / 2) d rho/dx
@@ -17,9 +17,8 @@ import numpy as np
 from .core_model import PhysParams
 from .gaussian_engine import (
     GaussianMixtureState,
-    flux_density,
+    _balanced_flux,
     position_density,
-    position_density_gradient,
     propagate_mixture,
 )
 
@@ -54,8 +53,8 @@ def continuity_residual(
     give residual = O(dt^2) + O(dx^2), and halving dx and dt together must
     shrink it by about 4.
 
-    Checks the *corrected* current j + J_D; with gamma > 0 the bare j alone
-    does not satisfy continuity (that is the point of the correction).
+    Checks the balanced current j + J_D that the arrival current is made of;
+    with gamma > 0 the bare j alone does not satisfy continuity.
     """
     if not (0.0 < dx < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"stencil steps must be finite and positive, got dx={dx}, dt={dt}")
@@ -67,14 +66,10 @@ def continuity_residual(
     st_minus = propagate_mixture(state, t - dt, params)
     drho_dt = (position_density(st_plus, x) - position_density(st_minus, x)) / (2.0 * dt)
 
-    st_now = propagate_mixture(state, t, params)
-    coeff = 0.5 * (params.hbar * params.b) ** 2
-
-    def total_current(pos):
-        j = flux_density(st_now, pos, params.mass)
-        return j - coeff * position_density_gradient(st_now, pos)
-
-    dflux_dx = (total_current(x + dx) - total_current(x - dx)) / (2.0 * dx)
+    now = propagate_mixture(state, t, params)._stacked
+    dflux_dx = (
+        _balanced_flux(now, x + dx, params) - _balanced_flux(now, x - dx, params)
+    ) / (2.0 * dx)
     residual = drho_dt + dflux_dx
     scale = float(np.abs(drho_dt).max())
     return ContinuityReport(

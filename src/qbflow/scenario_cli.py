@@ -52,8 +52,10 @@ _TOP_KEYS = {
     "analyses", "thresholds", "out_dir",
 }
 _GRID_N_MIN = 16
-# each current sample propagates the mixture (40-100 us), so this caps the
-# sweep at ~10 s; grid.n needs no cap, only `stochastic` reads it, clamped to 512
+# the current reduces every sample at once over (terms x n_t) arrays, whose size
+# this caps: a 100 000-sample scan of a 3-term cat peaks at 57 MiB (tracemalloc)
+# and takes 0.17 s on a 2-core x86 host; grid.n needs no cap, only `stochastic`
+# reads it, clamped to 512
 _N_T_MAX = 100_000
 # at ~18 ms a step on the stochastic analysis's 512² grid (one BLAS thread,
 # 2-core x86 host): about three minutes
@@ -438,9 +440,7 @@ def _gnuplot_script(csv_name, skip, xlabel, ylabel, title):
 
 def _run_current(cfg: ScenarioConfig):
     times = np.linspace(cfg.t1, cfg.t2, cfg.n_t)
-    res = ar.backflow_scan(
-        cfg.state, cfg.params, times, corrected=cfg.params.gamma > 0.0
-    )
+    res = ar.backflow_scan(cfg.state, cfg.params, times)
     t_min, j_min = res.min_current()
     total = res.total()
     scalars = (
@@ -457,7 +457,7 @@ def _run_current(cfg: ScenarioConfig):
             note = f"p_interval {total!r} outside mass window [{lo!r}, {hi!r}]"
     artifacts = [
         ("current.csv", _csv(
-            ["arrival-time record", f"corrected={res.corrected}"],
+            ["arrival-time record", f"corrected={cfg.params.gamma > 0.0}"],
             ["t,J,P_cum", "time,1/time,1"],
             zip(res.times, res.current, res.cumulative),
         )),

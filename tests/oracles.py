@@ -4,7 +4,8 @@ None of these is used by qbflow itself: each recomputes a library quantity
 (arrival current, master-equation right-hand sides and grid currents, Wigner
 transform and evolution, the Wigner march's Gaussian blur, grid marginals and
 traces, density-matrix blocks, linear crossing probabilities) through
-different numerics, so agreement is a check of the engine.
+different numerics, so agreement is a check of the engine.  The Gaussian
+admissibility test pins the positivity time to its closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy import ndimage
 from qbflow.arrival import _split_covariance
 from qbflow.core_model import PhysParams, checked_schedule
 from qbflow.gaussian_engine import (
+    Cov2,
     GaussianMixtureState,
     _conditional,
     convolve_state,
@@ -27,6 +29,17 @@ from qbflow.gaussian_engine import (
 )
 from qbflow.grid_engine import Axis, DensityMatrixGrid, PhaseSpaceGrid, default_axes
 from qbflow.histories import survival_probability
+
+
+def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:
+    """True when g(z; cov) is itself a valid Wigner function.
+
+    A Gaussian phase-space function is the Wigner function of a (mixed)
+    quantum state iff det(cov) >= hbar**2/4 (inclusive: equality is the
+    minimum-uncertainty boundary).  Convolving any Wigner function with an
+    admissible Gaussian therefore yields a pointwise non-negative result.
+    """
+    return cov.det() >= 0.25 * hbar * hbar and cov.pp >= 0.0 and cov.qq >= 0.0
 
 
 def q_function_current(state: GaussianMixtureState, t: float, params: PhysParams) -> float:

@@ -33,7 +33,7 @@ from qbflow.core_model import (
 )
 from qbflow.lindblad_dynamics import continuity_residual
 from qbflow.scenario_cli import bundled_examples, load_config
-from oracles import momentum_marginal
+from oracles import is_wigner_admissible, momentum_marginal
 
 FREE = PhysParams(hbar=1.0, mass=1.0, D=0.0)
 NOISY = PhysParams(hbar=1.0, mass=1.0, D=2.0)  # tau_l = 1
@@ -95,11 +95,11 @@ class TestAcceptance:
         for params in (NOISY, PhysParams(hbar=2.0, mass=3.0, D=0.5)):
             tau_l = derive_timescales(params, p0=-1.0).tau_l
             lo, hi = 0.1 * tau_l, 2.0 * tau_l
-            assert not ge.is_wigner_admissible(ge.qbm_covariance(lo, params), params.hbar)
-            assert ge.is_wigner_admissible(ge.qbm_covariance(hi, params), params.hbar)
+            assert not is_wigner_admissible(ge.qbm_covariance(lo, params), params.hbar)
+            assert is_wigner_admissible(ge.qbm_covariance(hi, params), params.hbar)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if ge.is_wigner_admissible(ge.qbm_covariance(mid, params), params.hbar):
+                if is_wigner_admissible(ge.qbm_covariance(mid, params), params.hbar):
                     hi = mid
                 else:
                     lo = mid
@@ -239,7 +239,7 @@ class TestAcceptance:
     def test_criterion_07_continuity_with_diffusive_current(self):
         """The corrected current closes the continuity equation at 2nd order."""
         start = time.perf_counter()
-        params = PhysParams.from_temperature(gamma=0.25, kT=2.0)  # D = 1
+        params = PhysParams(D=1.0, gamma=0.25)  # a bath at kT = 2: D = 2 m gamma kT
         state = ge.make_gaussian_state(p0=-6.0, q0=6.0, sigma=1.0)
         t = 1.0
         snapshot = ge.propagate_mixture(state, t, params)

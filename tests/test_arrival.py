@@ -68,16 +68,6 @@ class TestCurrentRoutes:
         total = ar.arrival_probability(g, Interval(0.0, 2.0), parg)
         assert abs(total - 1.0) < 0.02
 
-    def test_corrected_flag_changes_dissipative_current(self):
-        parg = PhysParams(D=2.0, gamma=0.3)
-        g = ge.make_gaussian_state(p0=-6.0, q0=3.0, sigma=1.0)
-        t = 0.4
-        a = ar.arrival_current(g, t, parg, corrected=False)
-        b = ar.arrival_current(g, t, parg, corrected=True)
-        assert a != b
-        # and the correction vanishes without dissipation
-        assert ar.arrival_current(g, t, PAR, False) == ar.arrival_current(g, t, PAR, True)
-
 
 class TestBackflow:
     def test_two_momentum_backflow_exists(self):
@@ -294,19 +284,19 @@ class TestStochasticRoute:
 # the array current kernel and the closed-form integral
 
 
-def _per_time_current(state, t, params, corrected):
+def _per_time_current(state, t, params):
     """Oracle: one evolved state per sample time, reduced at q = 0."""
     evolved = ge.propagate_mixture(state, t, params)
     j = -ge.flux_density(evolved, 0.0, params.mass)
-    if corrected and params.gamma != 0.0:
+    if params.gamma != 0.0:
         j += 0.5 * (params.hbar * params.b) ** 2 * ge.position_density_gradient(evolved, 0.0)
     return float(j)
 
 
-def _quad_probability(state, iv, params, corrected):
+def _quad_probability(state, iv, params):
     """Oracle: the arrival current integrated by adaptive quadrature."""
     return quad(
-        lambda t: ar.arrival_current(state, t, params, corrected=corrected),
+        lambda t: ar.arrival_current(state, t, params),
         iv.t1, iv.t2, limit=400, epsabs=1e-12, epsrel=1e-10,
     )[0]
 
@@ -318,13 +308,11 @@ KERNEL_STATES = {
         p1=-2.0, p2=-6.0, q0=2.0, sigma=1.0, ratio=0.8, rel_phase=0.4
     ),
 }
-# (params, corrected); gamma = 0.05 puts the series switch x = 2 gamma t = 1e-3
-# at t = 0.01
+# gamma = 0.05 puts the series switch x = 2 gamma t = 1e-3 at t = 0.01
 KERNEL_CASES = {
-    "free": (PhysParams(D=0.0), False),
-    "noisy": (PhysParams(D=2.0), False),
-    "dissipative": (PhysParams(D=2.0, gamma=0.05), False),
-    "dissipative_corrected": (PhysParams(D=2.0, gamma=0.05), True),
+    "free": PhysParams(D=0.0),
+    "noisy": PhysParams(D=2.0),
+    "dissipative": PhysParams(D=2.0, gamma=0.05),
 }
 KERNEL_TIMES = np.array([0.0, 0.004, 0.0099, 0.0101, 0.02, 0.15, 0.4, 0.8, 1.1, 1.6])
 
@@ -333,13 +321,13 @@ class TestArrayCurrent:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     @pytest.mark.parametrize("kind", sorted(KERNEL_STATES))
     def test_matches_per_time_path(self, kind, case):
-        params, corrected = KERNEL_CASES[case]
+        params = KERNEL_CASES[case]
         state = KERNEL_STATES[kind]
-        got = ar.backflow_scan(state, params, KERNEL_TIMES, corrected=corrected).current
-        want = np.array([_per_time_current(state, t, params, corrected) for t in KERNEL_TIMES])
+        got = ar.backflow_scan(state, params, KERNEL_TIMES).current
+        want = np.array([_per_time_current(state, t, params) for t in KERNEL_TIMES])
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (got - want)
         for t, j in zip(KERNEL_TIMES, got):
-            assert ar.arrival_current(state, t, params, corrected=corrected) == j
+            assert ar.arrival_current(state, t, params) == j
 
     # t^3 overflows past t ~ 5.6e102: at gamma = 0 the per-time route then
     # rejects the covariance, at gamma > 0 the series branch that overflows
@@ -350,14 +338,14 @@ class TestArrayCurrent:
         params = PhysParams(D=1.0, gamma=gamma)
         if gamma == 0.0 and t > 1e100:
             for route in (
-                lambda: _per_time_current(LEFT_GAUSS, t, params, False),
+                lambda: _per_time_current(LEFT_GAUSS, t, params),
                 lambda: ar.arrival_current(LEFT_GAUSS, t, params),
                 lambda: ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t])),
             ):
                 with pytest.raises(ValueError, match="covariance entries must be finite"):
                     route()
             return
-        want = _per_time_current(LEFT_GAUSS, t, params, False)
+        want = _per_time_current(LEFT_GAUSS, t, params)
         assert math.isfinite(want)
         assert ar.arrival_current(LEFT_GAUSS, t, params) == want
         assert ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t])).current[1] == want
@@ -388,19 +376,36 @@ PROBABILITY_STATES = dict(
     far_cat=ge.shift_state(ge.make_cat_state(4.0, -10.0, 1.0), dq=40.0),
 )
 
+# (state, window): the scan samples the continuity-balanced current, so at
+# gamma > 0 its trapezoid matches S(t1) - S(t2) to the rule's error (below
+# 1e-6 on 801 points); the bare flux alone misses it by 2.6e-4, 5.5e-4, 1.2e-3
+DISSIPATIVE_SCANS = {
+    "gaussian": (ge.make_gaussian_state(p0=-6.0, q0=3.0, sigma=1.0), (0.2, 1.0)),
+    "cat": (KERNEL_STATES["cat"], (0.3, 1.2)),
+    "two_momentum": (KERNEL_STATES["two_momentum"], (0.05, 1.5)),
+}
+
 
 class TestClosedFormProbability:
     @pytest.mark.parametrize("window", [(0.0, 0.5), (0.3, 1.2), (0.0, 1.6), (1.0, 1.01)])
-    @pytest.mark.parametrize("case", ["free", "noisy", "dissipative_corrected"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     @pytest.mark.parametrize("kind", sorted(PROBABILITY_STATES))
     def test_matches_quadrature(self, kind, case, window):
-        params, corrected = KERNEL_CASES[case]
+        params = KERNEL_CASES[case]
         state, iv = PROBABILITY_STATES[kind], Interval(*window)
         got = ar.arrival_probability(state, iv, params)
-        want = _quad_probability(state, iv, params, corrected)
+        want = _quad_probability(state, iv, params)
         # S(t1) - S(t2) carries the absolute round-off of S itself: an ulp of
         # 1 at gamma = 0, and ~1e-14 at gamma > 0, where the qq entry of
         # qbm_covariance cancels in t - 2 T1 + T2; quad averages that away
         floor = 3e-14 if params.gamma else 2.3e-16
         tol = 1e-14 * abs(want) + floor if abs(want) > 1e-3 else 1e-12
         assert abs(got - want) <= tol, (got, want)
+
+    @pytest.mark.parametrize("kind", sorted(DISSIPATIVE_SCANS))
+    def test_dissipative_scan_total_matches(self, kind):
+        params = PhysParams(D=2.0, gamma=0.3)
+        state, window = DISSIPATIVE_SCANS[kind]
+        total = ar.backflow_scan(state, params, np.linspace(*window, 801)).total()
+        want = ar.arrival_probability(state, Interval(*window), params)
+        assert abs(total - want) <= 1e-5 * abs(want), (total, want)

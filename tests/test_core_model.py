@@ -31,10 +31,6 @@ class TestPhysParams:
         # hbar*a*b recovers gamma exactly
         assert p.hbar * p.a * p.b == pytest.approx(p.gamma, rel=1e-14)
 
-    def test_thermal_construction(self):
-        p = PhysParams.from_temperature(gamma=0.5, kT=3.0, mass=2.0)
-        assert p.D == pytest.approx(2.0 * 2.0 * 0.5 * 3.0, rel=1e-15)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PhysParams(hbar=0.0)
@@ -51,10 +47,6 @@ class TestPhysParams:
         kwargs = {"D": 2.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PhysParams(**kwargs)
-
-    def test_infinite_temperature_rejected(self):
-        with pytest.raises(ValueError, match="D must be finite"):
-            PhysParams.from_temperature(gamma=0.5, kT=math.inf)
 
     def test_b_undefined_without_noise(self):
         assert PhysParams().b == 0.0

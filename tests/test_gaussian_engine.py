@@ -23,7 +23,7 @@ from scipy.stats import multivariate_normal
 from qbflow.core_model import PhysParams, derive_timescales
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
-from oracles import position_marginal, propagate_wigner_direct
+from oracles import is_wigner_admissible, position_marginal, propagate_wigner_direct
 
 
 def _grid_mass(state, n=400, pad=9.0):
@@ -94,11 +94,11 @@ class TestCovarianceLaw:
         par = PhysParams(D=2.0)
         scales = derive_timescales(par, p0=-10.0)
         t_star = scales.t_positive
-        assert not ge.is_wigner_admissible(ge.qbm_covariance(0.999 * t_star, par), par.hbar)
-        assert ge.is_wigner_admissible(ge.qbm_covariance(1.001 * t_star, par), par.hbar)
+        assert not is_wigner_admissible(ge.qbm_covariance(0.999 * t_star, par), par.hbar)
+        assert is_wigner_admissible(ge.qbm_covariance(1.001 * t_star, par), par.hbar)
         # the flip is unique: admissibility is monotone along the scan
         ts = np.linspace(0.05, 3.0, 500) * scales.tau_l
-        flags = [ge.is_wigner_admissible(ge.qbm_covariance(t, par), par.hbar) for t in ts]
+        flags = [is_wigner_admissible(ge.qbm_covariance(t, par), par.hbar) for t in ts]
         assert flags == sorted(flags)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
@@ -372,7 +372,7 @@ class TestPropagation:
 
     @pytest.mark.parametrize("par", [PhysParams(D=2.0), PhysParams(D=0.0),
                                      PhysParams(D=0.5, gamma=0.1)], ids=["D2", "D0", "gamma"])
-    def test_origin_line_reductions_equal_per_time_route(self, par):
+    def test_balanced_flux_equals_per_time_route(self, par):
         # one stacked algebra: each (terms x times) element takes the operations
         # of propagate_mixture at its own time, so the two routes agree exactly
         ts = np.concatenate([[0.3, 1.7, 5.0], np.linspace(0.0, 12.0, 241)])
@@ -383,12 +383,17 @@ class TestPropagation:
                                        ratio=0.8, rel_phase=0.4),
         )
         for state in states:
-            dens, flux, grad = ge.origin_line_reductions(state, ts, par)
+            stacked = ge._propagate_stacked(state, ts, par)
+            _, flux, grad = ge._term_line_reductions(stacked, 0.0)
             evolved = [ge.propagate_mixture(state, t, par) for t in ts]
-            assert np.array_equal(dens, [ge.position_density(e, 0.0) for e in evolved])
-            assert np.array_equal(flux / par.mass,
-                                  [ge.flux_density(e, 0.0, par.mass) for e in evolved])
-            assert np.array_equal(grad, [ge.position_density_gradient(e, 0.0) for e in evolved])
+            want_flux = np.array([ge.flux_density(e, 0.0, par.mass) for e in evolved])
+            want_grad = np.array([ge.position_density_gradient(e, 0.0) for e in evolved])
+            assert np.array_equal(flux.sum(axis=0) / par.mass, want_flux)
+            assert np.array_equal(grad.sum(axis=0), want_grad)
+            want = want_flux
+            if par.gamma:  # J_D is formed at gamma != 0 only
+                want = want_flux - 0.5 * (par.hbar * par.b) ** 2 * want_grad
+            assert np.array_equal(ge._balanced_flux(stacked, 0.0, par), want)
 
     def test_mass_conserved_with_dissipation(self):
         par = PhysParams(D=2.0, gamma=0.4)

@@ -690,14 +690,20 @@ class TestCsvFormat:
         assert 'skip 4' in script
         assert "current.csv" in script
 
-    def test_current_csv_record(self, tmp_path):
+    # the current is continuity-balanced at every gamma; the header line
+    # records whether its diffusive term J_D is non-zero
+    @pytest.mark.parametrize("bath, corrected", [
+        ({}, False),
+        ({"physical.gamma": 0.5, "physical.kT": 2.0}, True),
+    ], ids=["gamma0", "gamma_positive"])
+    def test_current_csv_record(self, tmp_path, bath, corrected):
         tree = _variant(**{"physical.D": 2.0, "time.t1": 0.1, "time.t2": 0.3, "time.n_t": 5,
-                           "thresholds.mass_window": None})
+                           "thresholds.mass_window": None, **bath})
         config, _ = load_config(_write(tmp_path, tree))
         run_scenario(config, out_dir=tmp_path / "out")
         lines = (tmp_path / "out" / "current.csv").read_text().splitlines()
         assert lines[0] == "# arrival-time record"
-        assert lines[1] == "# corrected=False"
+        assert lines[1] == f"# corrected={corrected}"
         assert lines[2] == "t,J,P_cum"
         assert lines[3] == "time,1/time,1"
         assert len(lines) == 9
