@@ -68,6 +68,17 @@ class TestCurrentRoutes:
         total = ar.arrival_probability(g, Interval(0.0, 2.0), parg)
         assert abs(total - 1.0) < 0.02
 
+    def test_diffusive_term_changes_dissipative_current(self):
+        # -(j + J_D): at gamma > 0 the current is not the bare flux, and at
+        # gamma = 0 (J_D = 0) it is the bare flux to the bit
+        parg = PhysParams(D=2.0, gamma=0.3)
+        g = ge.make_gaussian_state(p0=-6.0, q0=3.0, sigma=1.0)
+        t = 0.4
+        bare = -ge.flux_density(ge.propagate_mixture(g, t, parg), 0.0, parg.mass)
+        assert ar.arrival_current(g, t, parg) != bare
+        bare0 = -ge.flux_density(ge.propagate_mixture(g, t, PAR), 0.0, PAR.mass)
+        assert ar.arrival_current(g, t, PAR) == bare0
+
 
 class TestBackflow:
     def test_two_momentum_backflow_exists(self):

@@ -108,6 +108,22 @@ class TestValidation:
         config, _ = load_config(path)
         assert config.params.D == pytest.approx(2.0 * 0.25 * 2.0)
 
+    def test_thermal_construction(self, tmp_path):
+        # the mass enters the bath product: D = 2 m gamma kT = 2 * 2 * 0.5 * 3
+        tree = _variant(**{"physical.mass": 2.0, "physical.D": None,
+                           "physical.gamma": 0.5, "physical.kT": 3.0})
+        config, _ = load_config(_write(tmp_path, tree))
+        assert config.params.D == pytest.approx(2.0 * 2.0 * 0.5 * 3.0, rel=1e-15)
+        assert config.params.mass == 2.0
+
+    def test_infinite_temperature_rejected(self, tmp_path, capsys):
+        tree = _variant(**{"physical.D": None, "physical.gamma": 0.5, "physical.kT": math.inf})
+        path = _write(tmp_path, tree)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "physical.kT must be finite, got inf" in err
+        assert "Traceback" not in err
+
     def test_no_noise_spec_at_all(self, tmp_path):
         diags = validate_config(_write(tmp_path, _variant(**{"physical.D": None})))
         assert any("physical.D" in d and "gamma" in d for d in diags)
