@@ -265,8 +265,6 @@ def build_povm_E(interval: Interval, params: PhysParams) -> PovmEffect:
 class StochasticArrival:
     """Arrival probability from the truncate-and-propagate march."""
 
-    interval: Interval
-    eps: float
     norm_loss: float      # restricted-norm drop over the interval
     boundary_flux: float  # time-integrated current of the restricted state
     final_norm: float     # survival probability at interval end
@@ -337,7 +335,7 @@ def arrival_probability_stochastic(
     w = wigner_grid_from_state(state, pax, Axis(q_lo, max(qax.hi, 1.0), n))
     norms, currents = restricted_march(w, interval.t2, eps, params)
     return StochasticArrival(
-        interval=interval, eps=eps, norm_loss=float(norms[k1] - norms[-1]),
+        norm_loss=float(norms[k1] - norms[-1]),
         boundary_flux=float(np.trapezoid(currents[k1:], dx=eps)), final_norm=float(norms[-1]),
     )
 

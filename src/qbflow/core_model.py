@@ -152,14 +152,11 @@ class TimeScales:
     t_positive : float
         (3/16)**(1/4) * tau_l — the exact threshold past which the evolution
         kernel is an admissible (positive-smearing) phase-space Gaussian.
-    relaxation : float
-        Dissipative relaxation time 1/gamma (inf for gamma = 0).
     """
 
     tau_l: float
     tau_s: float
     t_positive: float
-    relaxation: float
 
 
 _T_POSITIVE_FACTOR = (3.0 / 16.0) ** 0.25
@@ -197,13 +194,7 @@ def derive_timescales(params: PhysParams, p0: float) -> TimeScales:
         )
     tau_l = math.sqrt(2.0 * params.mass * params.hbar / params.D)
     tau_s = p0 * p0 / params.D
-    relaxation = math.inf if params.gamma == 0.0 else 1.0 / params.gamma
-    return TimeScales(
-        tau_l=tau_l,
-        tau_s=tau_s,
-        t_positive=_T_POSITIVE_FACTOR * tau_l,
-        relaxation=relaxation,
-    )
+    return TimeScales(tau_l=tau_l, tau_s=tau_s, t_positive=_T_POSITIVE_FACTOR * tau_l)
 
 
 def energy_localisation_ratio(params: PhysParams, p0: float) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "qbm_covariance",
     "qbm_covariance_comoving",
     "qbm_covariance_entries",
-    "qbm_flow",
     "qbm_flow_entries",
     "propagate_mixture",
     "moments",
@@ -53,8 +52,6 @@ __all__ = [
     "reflect_state",
     "evaluate_state",
     "position_density",
-    "position_density_gradient",
-    "flux_density",
     "husimi_smear",
 ]
 
@@ -183,18 +180,12 @@ def qbm_covariance_entries(t, params: PhysParams):
     return n1 * t2, n1 * (em1 * em1 / (2.0 * lam)) / (lam * m), n1 * qq_b / (lam * m) ** 2 + n2 * t
 
 
-def qbm_flow(t: float, params: PhysParams) -> np.ndarray:
-    """Deterministic part of the evolution: z(t) = flow @ z(0).
-
-    Pure shear [[1,0],[t/m,1]] for gamma = 0; with dissipation the momentum
-    row relaxes as e^{-2 gamma t}.
-    """
-    decay, drift = qbm_flow_entries(np.float64(t), params)
-    return np.array([[float(decay), 0.0], [float(drift), 1.0]])
-
-
 def qbm_flow_entries(t, params: PhysParams):
-    """(decay, drift) of flow = [[decay, 0], [drift, 1]], elementwise over an array t."""
+    """(decay, drift) of the flow z(t) = [[decay, 0], [drift, 1]] z(0), elementwise over t.
+
+    The flow is the deterministic part of the evolution: pure shear, decay = 1 and drift = t/m, for gamma = 0; with dissipation the
+    momentum row relaxes as e^{-2 gamma t}.
+    """
     m = params.mass
     if params.gamma == 0.0:
         return np.ones_like(t), t / m
@@ -210,7 +201,8 @@ def qbm_covariance_comoving(t: float, params: PhysParams) -> Cov2:
     *initial* Wigner function when currents are written as line integrals
     over classical crossing loci.
     """
-    flow_inv = np.linalg.inv(qbm_flow(t, params))
+    decay, drift = qbm_flow_entries(np.float64(t), params)
+    flow_inv = np.linalg.inv(np.array([[decay, 0.0], [drift, 1.0]]))
     return qbm_covariance(t, params).transform(flow_inv)
 
 
@@ -232,9 +224,6 @@ class GaussianTerm:
     cov: Cov2
     k: tuple[float, float] = (0.0, 0.0)  # modulation wavevector, (p, q) duals
     phase: float = 0.0
-
-    def integral(self) -> float:
-        return term_integral(self)
 
 
 def term_integral(term: GaussianTerm) -> float:
@@ -698,24 +687,14 @@ def position_density(state: GaussianMixtureState, q):
     return _term_line_reductions(state._stacked, q)[0].sum(axis=0)
 
 
-def position_density_gradient(state: GaussianMixtureState, q):
-    """d/dq of the position marginal, in closed form."""
-    return _term_line_reductions(state._stacked, q)[2].sum(axis=0)
-
-
-def flux_density(state: GaussianMixtureState, q, mass: float):
-    """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
-    return _term_line_reductions(state._stacked, q)[1].sum(axis=0) / mass
-
-
 def _balanced_flux(s: _Terms, q, params: PhysParams):
     """The continuity-balanced flux j + J_D of the stacked terms s at the points q.
 
     j = int dp (p/m) W and the Fick current J_D = -(hbar^2 b^2 / 2) d rho/dq
     of the position diffusion, summed over the leading terms axis, from one
     :func:`_term_line_reductions` pass.  J_D is formed only at gamma != 0
-    (at gamma = 0, b = 0 and it vanishes), so at gamma = 0 this is
-    ``flux_density`` bit for bit.
+    (at gamma = 0, b = 0 and it vanishes), so at gamma = 0 this is j bit for
+    bit.
     """
     _, flux, grad = _term_line_reductions(s, q)
     j = flux.sum(axis=0) / params.mass

@@ -1,10 +1,14 @@
 """Grid representations and propagators.
 
-Everything in here works on finite grids and shares no numerical pathway
-with the closed-form Gaussian engine, which it cross-checks: density
-matrices evolve by the exact split-step factorisation of the QBM
+Everything in here works on finite grids.  States are sampled from the
+closed-form Gaussian engine (``evaluate_state``, and its ``_conditional``
+split for density matrices); from there the grid numerics are their own:
+density matrices evolve by the exact split-step factorisation of the QBM
 propagator on an FFT grid, and Wigner grids by the exact shear-and-blur
-decomposition of the evolution kernel.
+decomposition of the evolution kernel.  These propagators are library
+routes in their own right (the crossing-class matrix of ``histories`` and
+the restricted march of ``arrival`` run on them), and the tests hold them
+against the exact engine.
 
 Conventions: phase-space arrays are indexed ``values[i, j] = W(p_i, q_j)``;
 density matrices are ``values[i, j] = rho(x_i, x_j)`` on a common uniform
@@ -80,7 +84,6 @@ class PhaseSpaceGrid:
     p: Axis
     q: Axis
     values: np.ndarray  # shape (p.n, q.n)
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.p.n, self.q.n):
@@ -142,7 +145,7 @@ def wigner_grid_from_state(
 ) -> PhaseSpaceGrid:
     """Sample a Gaussian-mixture Wigner function on a grid."""
     values = evaluate_state(state, p_axis.points[:, None], q_axis.points[None, :])
-    return PhaseSpaceGrid(p_axis, q_axis, values, state.hbar)
+    return PhaseSpaceGrid(p_axis, q_axis, values)
 
 
 def density_matrix_from_state(

@@ -3,7 +3,7 @@
 The other modules ask "how much probability current flows through the
 origin"; this one asks the sharper question "what is the probability that
 the particle is on the right at one time and on the left at another", built
-from projected, environment-smoothed evolution.  Three layers:
+from projected, environment-smoothed evolution.  Four layers:
 
 * window functions — the free crossing window ``f_integral`` (a scaled
   sine-integral) and its strong-decoherence Gaussian limit;

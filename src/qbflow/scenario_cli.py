@@ -46,19 +46,20 @@ __all__ = [
     "main",
 ]
 
-_ANALYSES = ("current", "povm", "stochastic", "histories", "continuity")
 _TOP_KEYS = {
     "description", "physical", "state", "grid", "time",
     "analyses", "thresholds", "out_dir",
 }
-_GRID_N_MIN = 16
+# points per axis of the stochastic analysis's march grid, the only reader of
+# grid.n, default 512: the march-step budget below is measured there, and past
+# about 540 points grid_engine._shear_q's prefilter runs into subnormals
+_GRID_N_MIN, _GRID_N_MAX = 16, 512
 # the current reduces every sample at once over (terms x n_t) arrays, whose size
 # this caps: a 100 000-sample scan of a 3-term cat peaks at 57 MiB (tracemalloc)
-# and takes 0.17 s on a 2-core x86 host; grid.n needs no cap, only `stochastic`
-# reads it, clamped to 512
+# and takes 0.17 s on a 2-core x86 host
 _N_T_MAX = 100_000
-# at ~18 ms a step on the stochastic analysis's 512² grid (one BLAS thread,
-# 2-core x86 host): about three minutes
+# a whole restricted_march step on a 512² grid takes about 11 ms (median 11.2 ms
+# over 80-step marches, one BLAS thread, 2-core x86 host): about two minutes
 _MARCH_STEPS_MAX = 10_000
 # One rule per config field: (kind, required, default).  A kind is a sign
 # rule on a finite number ("real", "positive", "nonneg"), an inclusive
@@ -93,7 +94,7 @@ _FIELDS = {
         "ratio": ("positive", False, 1.0),
         "rel_phase": ("real", False, 0.0),
     },
-    "grid": {"n": ((_GRID_N_MIN, math.inf), False, 1024)},
+    "grid": {"n": ((_GRID_N_MIN, _GRID_N_MAX), False, _GRID_N_MAX)},
     "time": {
         "t1": ("nonneg", True, None),
         "t2": ("real", True, None),
@@ -501,7 +502,7 @@ def _run_povm(cfg: ScenarioConfig):
 
 def _run_stochastic(cfg: ScenarioConfig):
     march = ar.arrival_probability_stochastic(
-        cfg.state, cfg.window, cfg.params, cfg.eps, n=min(cfg.grid_n, 512)
+        cfg.state, cfg.window, cfg.params, cfg.eps, n=cfg.grid_n
     )
     integral = ar.arrival_probability(cfg.state, cfg.window, cfg.params)
     gap = abs(march.norm_loss - integral) / max(abs(integral), 1e-300)
@@ -599,12 +600,12 @@ _RUNNERS = {
     "histories": _run_histories,
     "continuity": _run_continuity,
 }
+_ANALYSES = tuple(_RUNNERS)
 
 
 def run_scenario(
     config: ScenarioConfig,
     out_dir=None,
-    grid_n: int | None = None,
     threads: int = 1,
 ) -> RunSummary:
     """Run every analysis in the config and write its artifacts.
@@ -621,8 +622,6 @@ def run_scenario(
     out = Path(out_dir if out_dir is not None else (config.out_dir or "scenario_out"))
     out.mkdir(parents=True, exist_ok=True)
     names = list(config.analyses)
-    if grid_n is not None:
-        config = replace(config, grid_n=int(grid_n))
 
     def _task(name):
         start = _walltime.perf_counter()
@@ -712,18 +711,19 @@ def _seedless_guard():
 # command line
 
 
-def _int_arg(what: str, minimum: int):
-    """argparse type: an integer >= ``minimum``, else exit 2 naming the rule."""
+def _int_arg(what: str, low: int, high=math.inf):
+    """argparse type: an integer in [``low``, ``high``], else exit 2 with
+    ``_check_value``'s diagnostic naming the rule."""
 
     def parse(text: str) -> int:
         try:
-            n = int(text)
+            val = int(text)
         except ValueError:
-            n = None
-        if n is None or n < minimum:
-            raise argparse.ArgumentTypeError(
-                f"{what} must be an integer >= {minimum}, got {text!r}"
-            )
+            val = text
+        diags = []
+        n = _check_value(val, (low, high), what, diags)
+        if diags:
+            raise argparse.ArgumentTypeError(diags[0])
         return n
 
     return parse
@@ -740,7 +740,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a scenario JSON file")
     run_p.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
     # --grid obeys the same rule as the config's grid.n
-    run_p.add_argument("--grid", metavar="N", type=_int_arg("grid points", _GRID_N_MIN),
+    run_p.add_argument("--grid", metavar="N",
+                       type=_int_arg("grid points", _GRID_N_MIN, _GRID_N_MAX),
                        help="grid points (overrides the config)")
     run_p.add_argument("--threads", metavar="K", type=_int_arg("threads", 1), default=1,
                        help="run independent analyses on K threads")
@@ -776,11 +777,11 @@ def main(argv=None) -> int:
         for diag in diags:
             print(diag, file=sys.stderr)
         return 2
+    if args.grid is not None:
+        config = replace(config, grid_n=args.grid)
     try:
         with _seedless_guard() if args.seedless else nullcontext():
-            summary = run_scenario(
-                config, out_dir=args.out, grid_n=args.grid, threads=args.threads
-            )
+            summary = run_scenario(config, out_dir=args.out, threads=args.threads)
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 1

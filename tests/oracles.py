@@ -5,7 +5,11 @@ None of these is used by qbflow itself: each recomputes a library quantity
 transform and evolution, the Wigner march's Gaussian blur, grid marginals and
 traces, density-matrix blocks, linear crossing probabilities) through
 different numerics, so agreement is a check of the engine.  The Gaussian
-admissibility test pins the positivity time to its closed form.
+admissibility test pins the positivity time to its closed form.  The two
+line reductions ``flux_density`` and ``position_density_gradient`` are the
+exception: they are the engine's own reduction taken one state at a time,
+the reference that its array routes over (terms x times) must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from qbflow.gaussian_engine import (
     Cov2,
     GaussianMixtureState,
     _conditional,
+    _term_line_reductions,
     convolve_state,
     evaluate_state,
     husimi_smear,
@@ -40,6 +45,16 @@ def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:
     admissible Gaussian therefore yields a pointwise non-negative result.
     """
     return cov.det() >= 0.25 * hbar * hbar and cov.pp >= 0.0 and cov.qq >= 0.0
+
+
+def flux_density(state: GaussianMixtureState, q, mass: float):
+    """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
+    return _term_line_reductions(state._stacked, q)[1].sum(axis=0) / mass
+
+
+def position_density_gradient(state: GaussianMixtureState, q):
+    """d/dq of the position marginal, in closed form."""
+    return _term_line_reductions(state._stacked, q)[2].sum(axis=0)
 
 
 def q_function_current(state: GaussianMixtureState, t: float, params: PhysParams) -> float:
@@ -292,7 +307,7 @@ def wigner_from_density(rho: DensityMatrixGrid) -> PhaseSpaceGrid:
     w = cos_m @ re + sin_m @ im  # real part of e^{-i p xi} rho doubled below
     w = 2.0 * w - np.outer(cos_m[:, 0], re[0])  # k=0 term counted once
     w *= 2.0 * dx / (2.0 * math.pi * hbar)
-    return PhaseSpaceGrid(p_axis, axis, w, hbar)
+    return PhaseSpaceGrid(p_axis, axis, w)
 
 
 def propagate_wigner_direct(w: PhaseSpaceGrid, t: float, params: PhysParams) -> PhaseSpaceGrid:

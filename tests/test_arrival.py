@@ -22,7 +22,7 @@ from qbflow.core_model import Interval, PhysParams
 from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
-from oracles import povm_F_expectation, q_function_current
+from oracles import flux_density, position_density_gradient, povm_F_expectation, q_function_current
 
 
 PAR = PhysParams(D=2.0)
@@ -74,9 +74,9 @@ class TestCurrentRoutes:
         parg = PhysParams(D=2.0, gamma=0.3)
         g = ge.make_gaussian_state(p0=-6.0, q0=3.0, sigma=1.0)
         t = 0.4
-        bare = -ge.flux_density(ge.propagate_mixture(g, t, parg), 0.0, parg.mass)
+        bare = -flux_density(ge.propagate_mixture(g, t, parg), 0.0, parg.mass)
         assert ar.arrival_current(g, t, parg) != bare
-        bare0 = -ge.flux_density(ge.propagate_mixture(g, t, PAR), 0.0, PAR.mass)
+        bare0 = -flux_density(ge.propagate_mixture(g, t, PAR), 0.0, PAR.mass)
         assert ar.arrival_current(g, t, PAR) == bare0
 
 
@@ -298,9 +298,9 @@ class TestStochasticRoute:
 def _per_time_current(state, t, params):
     """Oracle: one evolved state per sample time, reduced at q = 0."""
     evolved = ge.propagate_mixture(state, t, params)
-    j = -ge.flux_density(evolved, 0.0, params.mass)
+    j = -flux_density(evolved, 0.0, params.mass)
     if params.gamma != 0.0:
-        j += 0.5 * (params.hbar * params.b) ** 2 * ge.position_density_gradient(evolved, 0.0)
+        j += 0.5 * (params.hbar * params.b) ** 2 * position_density_gradient(evolved, 0.0)
     return float(j)
 
 

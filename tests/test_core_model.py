@@ -60,15 +60,10 @@ class TestTimescales:
         assert ts.tau_s == pytest.approx(50.0, rel=1e-15)
         assert ts.t_positive == pytest.approx((3.0 / 16.0) ** 0.25, rel=1e-15)
         assert ts.t_positive == pytest.approx(0.65804, abs=5e-6)
-        assert ts.relaxation == math.inf
 
     def test_positive_time_precedes_localisation_time(self):
         ts = derive_timescales(_params(D=0.7, hbar=2.0, mass=3.0), p0=4.0)
         assert ts.t_positive < ts.tau_l
-
-    def test_relaxation_time(self):
-        ts = derive_timescales(_params(D=2.0, gamma=0.2), p0=1.0)
-        assert ts.relaxation == pytest.approx(5.0, rel=1e-15)
 
     def test_unitary_regime_rejected(self):
         with pytest.raises(ValueError, match="unitary regime"):

@@ -16,7 +16,14 @@ from qbflow.core_model import PhysParams
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 from qbflow import lindblad_dynamics as ld
-from oracles import diffusive_current, master_rhs_position, master_rhs_wigner, probability_current
+from oracles import (
+    diffusive_current,
+    flux_density,
+    master_rhs_position,
+    master_rhs_wigner,
+    position_density_gradient,
+    probability_current,
+)
 
 
 PAR_G = PhysParams(D=2.0, gamma=0.3, mass=1.2)
@@ -143,7 +150,7 @@ class TestCurrents:
         ax = gr.Axis(-8.0, 9.0, 512)
         rho = gr.density_matrix_from_state(st, ax)
         j = probability_current(rho, PAR_G)
-        ref = ge.flux_density(st, ax.points, PAR_G.mass)
+        ref = flux_density(st, ax.points, PAR_G.mass)
         assert np.abs(j - ref).max() < 5e-3 * np.abs(ref).max()
 
     def test_diffusive_current_matches_closed_form(self):
@@ -152,7 +159,7 @@ class TestCurrents:
         rho = gr.density_matrix_from_state(st, ax)
         jd = diffusive_current(rho, PAR_G)
         coeff = 0.5 * (PAR_G.hbar * PAR_G.b) ** 2
-        ref = -coeff * ge.position_density_gradient(st, ax.points)
+        ref = -coeff * position_density_gradient(st, ax.points)
         assert np.abs(jd - ref).max() < 5e-3 * np.abs(ref).max()
 
     def test_diffusive_current_vanishes_without_dissipation(self):
@@ -177,8 +184,8 @@ class TestContinuity:
         stp = ge.propagate_mixture(_tm(), t + dt, PAR_G)
         stm = ge.propagate_mixture(_tm(), t - dt, PAR_G)
         drho = (ge.position_density(stp, self.X) - ge.position_density(stm, self.X)) / (2 * dt)
-        dj = (ge.flux_density(st, self.X + dx, PAR_G.mass)
-              - ge.flux_density(st, self.X - dx, PAR_G.mass)) / (2 * dx)
+        dj = (flux_density(st, self.X + dx, PAR_G.mass)
+              - flux_density(st, self.X - dx, PAR_G.mass)) / (2 * dx)
         bare = np.abs(drho + dj).max()
         full = ld.continuity_residual(_tm(), t, PAR_G, self.X, dx=dx, dt=dt).max_abs
         assert bare > 20.0 * full

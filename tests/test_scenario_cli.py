@@ -275,14 +275,19 @@ class TestValidation:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_n_t_upper_bound(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, at_cap, diag", [
         # a 1e9-sample current scan would allocate 8 GB and run for hours
-        path = _write(tmp_path, _variant(**{"time.n_t": 1_000_000_000}))
+        ("time.n_t", 1_000_000_000, 100_000, "time.n_t must be an integer in [2, 100000]"),
+        # the march grid runs at the size given, so a size it cannot take is refused
+        ("grid.n", 1024, 512, "grid.n must be an integer in [16, 512], got 1024"),
+    ])
+    def test_integer_upper_bounds(self, tmp_path, capsys, key, value, at_cap, diag):
+        path = _write(tmp_path, _variant(**{key: value}))
         assert main(["validate", path]) == 2
-        assert "time.n_t must be an integer in [2, 100000]" in capsys.readouterr().err
+        assert diag in capsys.readouterr().err
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-        assert validate_config(_write(tmp_path, _variant(**{"time.n_t": 100_000}))) == []
+        assert validate_config(_write(tmp_path, _variant(**{key: at_cap}))) == []
 
     def test_march_steps_upper_bound(self, tmp_path, capsys):
         # eps = 1e-8 on [0.5, 1] would march 1e8 steps of a grid up to 512²
@@ -463,8 +468,20 @@ class TestRunScenario:
 
     def test_grid_override(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
-        summary = run_scenario(config, out_dir=tmp_path / "out", grid_n=64)
+        summary = run_scenario(dataclasses.replace(config, grid_n=64), out_dir=tmp_path / "out")
         assert summary.all_ok  # the current analysis is grid-free anyway
+
+    def test_default_grid_is_the_512_march(self, tmp_path):
+        # an omitted grid.n marches the same 512² grid as an explicit one
+        window = {"physical.D": 2.0, "time.t1": 0.5, "time.t2": 0.6, "time.eps": 0.05}
+        scalars = []
+        for grid in (None, {"n": 512}):
+            tree = _variant(analyses=["stochastic"], grid=grid, **window)
+            config, _ = load_config(_write(tmp_path, tree))
+            assert config.grid_n == 512
+            summary = run_scenario(config, out_dir=tmp_path / "out")
+            scalars.append(summary.outcomes[0].scalars)
+        assert scalars[0] == scalars[1]
 
 
 @pytest.fixture(scope="module")
@@ -642,14 +659,14 @@ class TestCommandLine:
         ])
         assert rc == 0
 
-    @pytest.mark.parametrize("grid", ["8", "2", "sixteen"])
+    @pytest.mark.parametrize("grid", ["8", "2", "sixteen", "1024"])
     def test_run_grid_flag_checked(self, tmp_path, capsys, grid):
-        # --grid obeys the same lower bound as the config's grid.n
+        # --grid obeys the same bounds as the config's grid.n
         path = _write(tmp_path, BASE)
         with pytest.raises(SystemExit) as exc:
             main(["run", path, "--out", str(tmp_path / "out"), "--grid", grid])
         assert exc.value.code == 2
-        assert "grid points must be an integer >= 16" in capsys.readouterr().err
+        assert "grid points must be an integer in [16, 512]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
