@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import fft, ndimage
 
 from .core_model import PhysParams
@@ -171,7 +171,8 @@ def density_matrix_from_state(
     return DensityMatrixGrid(axis, values, state.hbar)
 
 
-# entries of one row slab of _density_block: 2^16, 1 MiB a buffer
+# entries of one row slab of _density_block and of the split-step's
+# diagonal sums: 2^16, 1 MiB a buffer
 _SLAB_ENTRIES = 1 << 16
 
 
@@ -422,11 +423,23 @@ def axis_straddling_zero(lo: float, hi: float, n: int) -> Axis:
 # 5.7 ms, 2048² 168 -> 100 ms).  Outputs are bit-identical.
 _FFT_PARALLEL_MIN_N = 128
 
-# Entries of padding per row of the split-step's working array.  One D = 1
+# Entries of padding per row of a split-step working array.  One D = 1
 # step (2 shared cores, median of 7 alternating runs) with pads of 0, 8,
 # 16 and 64 took 2085, 1394, 1431 and 1447 ms at n = 4096, and 393, 337,
 # 355 and 358 ms at n = 2048.
 _ROW_PAD = 8
+
+
+def _work_array(n: int) -> np.ndarray:
+    """An uninitialised n x n complex working array for the split-step.
+
+    The array is a view into an (n, n + ``_ROW_PAD``) buffer.  Unpadded, a
+    row of a power-of-two grid is a power of two in bytes, so the strided
+    column pass of each 2-D FFT maps a column onto the same cache sets (at
+    n = 4096 a step took about 1.5x as long).  pocketfft computes each line
+    the same way whatever its stride, so the padding changes no bit.
+    """
+    return np.empty((n, n + _ROW_PAD), dtype=complex)[:, :n]
 
 
 def _fft_workers(n: int) -> int:
@@ -454,10 +467,37 @@ def _apply_sum_kernel(spec: np.ndarray, table: np.ndarray) -> None:
             spec[rows, cols] *= hankel[rows_shifted, cols_shifted]
 
 
+def _ifft2_diagonal(spec: np.ndarray) -> np.ndarray:
+    """The diagonal of ``ifft2(spec)`` without the n x n inverse transform.
+
+    It is ifft(z) / n, with z[s] the sum of spec[a, b] over a + b = s (mod
+    n).  For z, row slabs are copied twice side by side into a reused
+    buffer, so that a view with row stride one entry short of the buffer's
+    reads spec[a, (s - a) mod n] at [a, s]; the sum over a is then a plain
+    reduction.
+    """
+    n = spec.shape[0]
+    step = max(1, _SLAB_ENTRIES // (2 * n))
+    pair = np.empty((min(step, n), 2 * n), dtype=complex)
+    z = np.zeros(n, dtype=complex)
+    for a0 in range(0, n, step):
+        rows = spec[a0:a0 + step]
+        r = rows.shape[0]
+        pair[:r, :n] = rows
+        pair[:r, n:] = rows
+        # [i, s] -> pair[i, n - (a0 + i) + s], inside [1, 2n - 1]
+        skew = as_strided(
+            pair[0, n - a0:], shape=(r, n),
+            strides=(pair.strides[0] - pair.itemsize, pair.itemsize), writeable=False,
+        )
+        z += skew.sum(axis=0)
+    return fft.ifft(z) / n
+
+
 def _propagate_density_split_raw(
-    values: np.ndarray, axis: Axis, t: float, params: PhysParams
+    values: np.ndarray, axis: Axis, t: float, params: PhysParams, diagonal: bool = False
 ) -> np.ndarray:
-    """Spectrally exact density-matrix step (negligible dissipation).
+    """Spectrally exact density-matrix step (negligible dissipation), in place.
 
     Works on raw, possibly one-sidedly projected, pair states.  Uses the
     exact factorisation of the evolution into a free half-step, a Gaussian
@@ -471,13 +511,15 @@ def _propagate_density_split_raw(
     free step: one ``fft2``, the full phase exp(-i hbar t k^2 / 2m), one
     ``ifft2``.
 
-    ``values`` is left untouched: it is copied into a working array whose
-    rows are padded by ``_ROW_PAD`` entries, and every FFT and factor works
-    in place there; the result is a view into it.  Unpadded, a row of a
-    power-of-two grid is a power of two in bytes, so the strided column
-    pass of each 2-D FFT maps a column onto the same cache sets (at n =
-    4096 a step took about 1.5x as long).  pocketfft computes each line
-    the same way whatever its stride, so the padding changes no bit.
+    ``values`` must be an aligned complex128 n x n array (``TypeError``
+    otherwise).  Every FFT and factor works in place in it, and the step
+    returns ``values`` itself, holding the result; at t = 0 it is returned
+    unchanged.  A :func:`_work_array` gives the FFTs their best row stride.
+
+    With ``diagonal=True`` the step returns only the diagonal of the
+    result, as a new 1-D array read off the final spectrum Y by
+    :func:`_ifft2_diagonal`, and leaves Y in ``values``; the last ``ifft2``
+    is not run.  This is for steps whose output is only traced.
 
     The free half-step is the outer product of a 1-D phase and its
     conjugate; the noise factors come from 1-D tables, because the position
@@ -487,57 +529,84 @@ def _propagate_density_split_raw(
     a projected block keeps coherent algebraic tails that reach any finite
     box edge, so the check is off there.
 
-    The FFTs (four with D > 0, two at D = 0) run on every CPU in the
-    process affinity mask (one worker below 128 points a side, where
-    threads cost more than they save); restrict the mask, e.g. with
-    ``taskset``, to use fewer.  The worker count does not change a bit of
-    the result.
+    With ``diagonal=True`` and D > 0 the check reads the border exactly,
+    off the four outer rows ifft(E Y) and the four outer columns
+    ifft(Y E^T), with E[r, a] = exp(2 pi i a r / n) / n, and the peak off
+    the diagonal.  The diagonal peak never exceeds the true one, so the
+    check raises whenever the full check would, on any input.  It raises
+    on no other input when the result is Hermitian positive semidefinite,
+    whose largest entry lies on the diagonal.  The step keeps a PSD input
+    PSD — its free phases are unitary and both noise factors are Schur
+    products with PSD Gaussian kernels — so on a block P_R rho P_R the two
+    checks agree.  At D = 0 there is no check and the diagonal route suits
+    any input.
+
+    The FFTs (four with D > 0, two at D = 0, one fewer with ``diagonal``)
+    run on every CPU in the process affinity mask (one worker below 128
+    points a side, where threads cost more than they save); restrict the
+    mask, e.g. with ``taskset``, to use fewer.  The worker count does not
+    change a bit of the result.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if params.gamma != 0.0:
         raise ValueError("density propagator requires negligible dissipation (gamma = 0)")
+    if values.dtype != np.complex128 or not values.flags.aligned:
+        # scipy.fft would return a transformed copy and leave values as it was
+        raise TypeError(f"the split-step works in place on aligned complex128, got {values.dtype}")
     if t == 0.0:
-        return values.astype(complex, copy=True)
+        return np.diagonal(values).copy() if diagonal else values
     hbar, m, d = params.hbar, params.mass, params.D
     n, dx = axis.n, axis.step
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     workers = _fft_workers(n)
-    out = np.empty((n, n + _ROW_PAD), dtype=complex)[:, :n]
-    out[...] = values
-    out = fft.fft2(out, overwrite_x=True, workers=workers)
+    fft.fft2(values, overwrite_x=True, workers=workers)
     if d == 0.0:
         # no noise channel between the half-steps: they are one free step
         full = np.exp(-0.5j * hbar * t * k * k / m)
-        out *= full[:, None]
-        out *= full.conj()[None, :]
-        return fft.ifft2(out, overwrite_x=True, workers=workers)
+        values *= full[:, None]
+        values *= full.conj()[None, :]
+        if diagonal:
+            return _ifft2_diagonal(values)
+        fft.ifft2(values, overwrite_x=True, workers=workers)
+        return values
     # exp(-i hbar (t/2) (k_x^2 - k_y^2) / 2m) = half[i] * conj(half[j])
     half = np.exp(-0.25j * hbar * t * k * k / m)
     half_bra = half.conj()
-    out *= half[:, None]
-    out *= half_bra[None, :]
+    values *= half[:, None]
+    values *= half_bra[None, :]
     v_q = d * t ** 3 / (6.0 * m * m)
     # every value of k_i + k_j, from 2 min(f) to 2 max(f)
     f_sum = np.arange(-2 * (n // 2), 2 * ((n - 1) // 2) + 1)
     k_sum = (2.0 * math.pi / (n * dx)) * f_sum
-    _apply_sum_kernel(out, np.exp(-0.5 * v_q * k_sum * k_sum))
-    out = fft.ifft2(out, overwrite_x=True, workers=workers)
+    _apply_sum_kernel(values, np.exp(-0.5 * v_q * k_sum * k_sum))
+    fft.ifft2(values, overwrite_x=True, workers=workers)
     v_p = 2.0 * d * t
     xi = (dx / hbar) * np.arange(-(n - 1), n)
     # read-only n x n view K[i, j] = table[n - 1 + j - i]; the table is
     # even in xi, so this is exp(-v_p (x_i - x_j)^2 / 2 hbar^2)
-    out *= sliding_window_view(np.exp(-0.5 * v_p * xi * xi), n)[::-1]
-    out = fft.fft2(out, overwrite_x=True, workers=workers)
-    out *= half[:, None]
-    out *= half_bra[None, :]
-    out = fft.ifft2(out, overwrite_x=True, workers=workers)
-    # the peak over row slabs, so no n x n magnitude array is formed
-    peak = max(np.abs(out[i:i + 64]).max() for i in range(0, n, 64))
-    border = max(
-        np.abs(out[:2, :]).max(), np.abs(out[-2:, :]).max(),
-        np.abs(out[:, :2]).max(), np.abs(out[:, -2:]).max(),
-    )
+    values *= sliding_window_view(np.exp(-0.5 * v_p * xi * xi), n)[::-1]
+    fft.fft2(values, overwrite_x=True, workers=workers)
+    values *= half[:, None]
+    values *= half_bra[None, :]
+    if diagonal:
+        out = _ifft2_diagonal(values)
+        peak = np.abs(out).max()
+        outer = np.array([0, 1, n - 2, n - 1])
+        e = np.exp((2j * math.pi / n) * (np.outer(outer, np.arange(n)) % n)) / n
+        border = max(
+            np.abs(fft.ifft(e @ values, axis=1)).max(),
+            np.abs(fft.ifft(values @ e.T, axis=0)).max(),
+        )
+    else:
+        fft.ifft2(values, overwrite_x=True, workers=workers)
+        out = values
+        # the peak over row slabs, so no n x n magnitude array is formed
+        peak = max(np.abs(out[i:i + 64]).max() for i in range(0, n, 64))
+        border = max(
+            np.abs(out[:2, :]).max(), np.abs(out[-2:, :]).max(),
+            np.abs(out[:, :2]).max(), np.abs(out[:, -2:]).max(),
+        )
     if peak > 0.0 and border > 2e-3 * peak:
         raise ValueError("grid too small for requested time")
     return out

@@ -52,6 +52,7 @@ from .grid_engine import (
     axis_straddling_zero,
     _density_block,
     _propagate_density_split_raw,
+    _work_array,
 )
 
 __all__ = [
@@ -555,48 +556,59 @@ def _class_matrix(state, windows, params, axis):
     unprojected backbone rho(open_k) is re-sampled from the exact Gaussian
     engine per class, so grid error never accumulates along the schedule.
     The axis puts the origin mid-cell, so the projectors are the index
-    split ``[:cut]`` (left) and ``[cut:]`` (right): the backbone is sampled
-    only on the rows P_right keeps (only its right-right block for the
-    last class), and every later mask zeroes a block in place.  A fork
-    zeroes the left columns of a copy of the whole chain: once the chain
-    runs past a class or across a gap its right rows refill, and they
-    belong in the entry.
+    split ``[:cut]`` (left) and ``[cut:]`` (right).
+
+    Every step runs in place on two padded work arrays allocated once per
+    call.  ``chain`` holds the backbone's P_right blocks, sampled straight
+    into it, and then the ket-projected chain; every later mask zeroes a
+    block of it in place.  ``work`` takes the traced steps: a copy of
+    P_right rho P_right for the diagonal, and for each fork the chain's
+    right columns with the left ones zeroed.  Once the chain runs past a
+    class or across a gap its right rows refill, and they belong in the
+    entry.  Diagonal steps, and fork steps at D = 0 (no border check
+    there), compute only the diagonal they trace.
     """
     x = axis.points
     left = x < 0.0
     cut = int(np.count_nonzero(left))
     n_classes = len(windows)
     mat = np.zeros((n_classes, n_classes), dtype=complex)
+    chain, work = _work_array(axis.n), _work_array(axis.n)
+    # the diagonal-only step's check takes its peak off the diagonal, exact
+    # only for a PSD result; a fork block is not Hermitian, so at D > 0 its
+    # step runs in full rather than raise where the full check passes
+    fork_diagonal = params.D == 0.0
 
     for k, (a_k, b_k) in enumerate(windows):
         st = propagate_mixture(state, a_k, params)
-        projected = np.zeros((axis.n, axis.n), dtype=complex)
-        _density_block(st, axis, cut, cut, projected[cut:, cut:])
-        sym = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
+        chain[:cut] = 0.0
+        chain[cut:, :cut] = 0.0
+        _density_block(st, axis, cut, cut, chain[cut:, cut:])
+        work[...] = chain
+        diag = _propagate_density_split_raw(work, axis, b_k - a_k, params, diagonal=True)
         # Tr[(P_< U P_>) rho (P_< U P_>)^dag] is real by construction; the
         # grid trace leaves a phantom imaginary part at discretisation level.
-        mat[k, k] = np.trapezoid(np.diagonal(sym) * left, x).real
-        del sym
+        mat[k, k] = np.trapezoid(diag * left, x).real
         if k + 1 == n_classes:
             break
-        _density_block(st, axis, cut, 0, projected[cut:, :cut])
-        chain = _propagate_density_split_raw(projected, axis, b_k - a_k, params)
-        del projected
+        _density_block(st, axis, cut, 0, chain[cut:, :cut])
+        _propagate_density_split_raw(chain, axis, b_k - a_k, params)
         chain[cut:, :] = 0.0
         reached = b_k
         for j in range(k + 1, n_classes):
             a_j, b_j = windows[j]
             if a_j > reached:
-                chain = _propagate_density_split_raw(chain, axis, a_j - reached, params)
+                _propagate_density_split_raw(chain, axis, a_j - reached, params)
             reached = a_j
-            forked = chain.copy()
-            forked[:, :cut] = 0.0
-            fork = _propagate_density_split_raw(forked, axis, b_j - a_j, params)
-            del forked
-            mat[k, j] = np.trapezoid(np.diagonal(fork) * left, x)
+            work[:, cut:] = chain[:, cut:]
+            work[:, :cut] = 0.0
+            fork = _propagate_density_split_raw(
+                work, axis, b_j - a_j, params, diagonal=fork_diagonal
+            )
+            if not fork_diagonal:
+                fork = np.diagonal(fork)
+            mat[k, j] = np.trapezoid(fork * left, x)
             mat[j, k] = np.conjugate(mat[k, j])
-            del fork
-        del chain
     return mat
 
 
@@ -632,7 +644,8 @@ def crossing_class_matrix(
     Nyquist count for the momenta the state reaches and rounded up to a
     power of two; a state that needs more than 4096 points is refused.
     ``n`` must be None or an integer in [2, 4096] (``ValueError``
-    otherwise).
+    otherwise).  The computation holds two padded n x n complex arrays,
+    2 x 256 MiB at n = 4096, and steps them in place.
 
     A larger ``n`` is not a monotone error bound: the grid bias of the
     diagonal has no fixed sign in ``n``.  For p0 = -6, q0 = 10, sigma = 1

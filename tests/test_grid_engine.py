@@ -385,11 +385,10 @@ class TestDensityPropagation:
         par = PhysParams(D=d)
         ax = gr.Axis(-16.0, 16.0, n)
         rho0 = gr.density_matrix_from_state(state, ax)
-        before = rho0.values.copy()
         out = gr._propagate_density_split_raw(rho0.values, ax, 0.8, par)
         ref = gr.density_matrix_from_state(ge.propagate_mixture(state, 0.8, par), ax)
         assert np.abs(out - ref.values).max() < 1e-12
-        assert np.array_equal(rho0.values, before)  # the input is left untouched
+        assert np.shares_memory(out, rho0.values)  # the step works in place
 
     def test_free_step_matches_two_half_steps(self):
         # at D = 0 the step is one free step; written out here as the free
@@ -431,7 +430,7 @@ class TestDensityPropagation:
                 gr.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
             )
             outputs.append(
-                [gr._propagate_density_split_raw(v, ax, 0.8, par) for v, ax, par in cases]
+                [gr._propagate_density_split_raw(v.copy(), ax, 0.8, par) for v, ax, par in cases]
             )
         for other in outputs[1:]:
             for a, b in zip(outputs[0], other):
@@ -470,7 +469,8 @@ class TestDensityPropagation:
     def test_ffts_stay_in_padded_buffer(self, monkeypatch, d):
         # every FFT works in place in the row-padded working array; a scipy
         # that copied would hand the column passes a power-of-two row stride
-        # again, and nothing but the timings would show it
+        # again, and the step, which returns its input, would return it
+        # untransformed
         in_place = []
 
         def spy(name):
@@ -483,11 +483,11 @@ class TestDensityPropagation:
         monkeypatch.setattr(gr, "fft", SimpleNamespace(fft2=spy("fft2"), ifft2=spy("ifft2")))
         n = 256
         ax = gr.Axis(-16.0, 16.0, n)
-        rho = gr.density_matrix_from_state(_cat(), ax).values
-        out = gr._propagate_density_split_raw(rho, ax, 0.8, PhysParams(D=d))
+        buf = gr._work_array(n)
+        buf[...] = gr.density_matrix_from_state(_cat(), ax).values
+        out = gr._propagate_density_split_raw(buf, ax, 0.8, PhysParams(D=d))
         assert in_place == [True] * (4 if d else 2)
-        assert out.strides[0] > n * out.itemsize
-        assert not np.shares_memory(out, rho)
+        assert out is buf
 
     @pytest.mark.parametrize("n", [257, 384, 512])
     @pytest.mark.parametrize("d", [0.0, 1.0])
@@ -498,13 +498,84 @@ class TestDensityPropagation:
         rho = gr.density_matrix_from_state(_cat(), ax).values
         padded = np.zeros((n + 3, n + 5), dtype=complex)[1:-2, 2:-3]
         padded[...] = rho
-        layouts = [np.ascontiguousarray(rho), np.asfortranarray(rho), padded]
+        layouts = [rho.copy(), np.asfortranarray(rho), padded]
         outs = [gr._propagate_density_split_raw(v, ax, 0.8, PhysParams(D=d)) for v in layouts]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
         for transform in (fft.fft2, fft.ifft2):
             padded[...] = rho
             assert np.array_equal(transform(rho), transform(padded, overwrite_x=True))
+
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_diagonal_step_matches_full_step(self, d):
+        # the diagonal read off the final spectrum is exact for any input:
+        # at D = 1 on a P_R rho P_R block (PSD), at D = 0 on a non-Hermitian
+        # fork block rho P_R, whose left columns are zero
+        ax = gr.axis_straddling_zero(-12.0, 12.0, 256)
+        cut = int(np.count_nonzero(ax.points < 0.0))
+        block = np.zeros((256, 256), dtype=complex)
+        rows = cut if d else 0
+        gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), ax, rows, cut,
+            block[rows:, cut:],
+        )
+        par = PhysParams(D=d)
+        full = np.diagonal(gr._propagate_density_split_raw(block.copy(), ax, 0.8, par))
+        diag = gr._propagate_density_split_raw(block, ax, 0.8, par, diagonal=True)
+        assert np.abs(diag - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("lo", [-12.0, -4.0], ids=["fits", "leaks"])
+    def test_diagonal_step_guards_like_full_step(self, lo):
+        # on a PSD block the diagonal's peak and the four outer rows give the
+        # full check's verdict; the border reaches ~7e-3 of the peak on
+        # (-4, 12) and ~3e-6 on (-12, 12)
+        ax = gr.axis_straddling_zero(lo, 12.0, 256)
+        cut = int(np.count_nonzero(ax.points < 0.0))
+        block = np.zeros((256, 256), dtype=complex)
+        gr._density_block(
+            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), ax, cut, cut,
+            block[cut:, cut:],
+        )
+        raised = []
+        for diagonal in (False, True):
+            try:
+                gr._propagate_density_split_raw(
+                    block.copy(), ax, 0.8, PhysParams(D=1.0), diagonal=diagonal
+                )
+                raised.append(False)
+            except ValueError as err:
+                assert "grid too small" in str(err)
+                raised.append(True)
+        assert raised == [lo == -4.0] * 2
+
+    @pytest.mark.parametrize("bra_width", [2.0, 2.5], ids=["fits", "leaks"])
+    def test_diagonal_step_reads_outer_columns(self, bra_width):
+        # |ket><bra| with a narrow ket and a wide bra reaches only the outer
+        # columns (border/peak ~7e-3 at width 2.5, ~4e-4 at 2.0; the outer
+        # rows stay at 1e-16 of the peak), so a check that read only rows
+        # would pass the leaking case the full check rejects
+        ax = gr.Axis(-8.0, 8.0, 256)
+        x = ax.points
+        block = np.outer(np.exp(-x * x / 0.5), np.exp(-0.5 * (x / bra_width) ** 2))
+        raised = []
+        for diagonal in (False, True):
+            try:
+                gr._propagate_density_split_raw(
+                    block.astype(complex), ax, 0.1, PhysParams(D=0.01), diagonal=diagonal
+                )
+                raised.append(False)
+            except ValueError as err:
+                assert "grid too small" in str(err)
+                raised.append(True)
+        assert raised == [bra_width == 2.5] * 2
+
+    def test_rejects_arrays_it_cannot_transform_in_place(self):
+        # scipy.fft copies these instead of overwriting them
+        ax = gr.Axis(-1.0, 1.0, 8)
+        unaligned = np.zeros(8 * 8 * 16 + 1, dtype=np.uint8)[1:].view(complex).reshape(8, 8)
+        for bad in (np.ones((8, 8)), np.ones((8, 8), dtype=np.complex64), unaligned):
+            with pytest.raises(TypeError, match="in place"):
+                gr._propagate_density_split_raw(bad, ax, 0.5, PAR)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
     def test_non_finite_time_rejected(self, bad):

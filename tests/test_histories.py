@@ -15,6 +15,7 @@ rather than loosened.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -652,6 +653,34 @@ class TestCrossingChain:
         np.testing.assert_allclose(p_sq, np.diag(ref).real, rtol=0.0, atol=1e-12)
         offdiag = np.abs(ref - np.diag(np.diag(ref)))
         assert abs(off - offdiag.max()) < 1e-12
+
+    def test_matrix_holds_two_padded_work_arrays(self, monkeypatch):
+        # every step runs in place on the chain and work arrays; one more
+        # n x n copy (a fork's input, or a step's working copy) breaks the
+        # memory bound, and an unpadded array (whose column passes map onto
+        # the same cache sets, about 1.5x slower at n = 4096) the strides
+        step = hi._propagate_density_split_raw
+        row_strides = []
+
+        def spy(values, *args, **kwargs):
+            row_strides.append(values.strides)
+            return step(values, *args, **kwargs)
+
+        monkeypatch.setattr(hi, "_propagate_density_split_raw", spy)
+        st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
+        bounds = [2.0, 2.2, 2.4, 2.6]
+        axis, _ = hi._chain_axis(st, bounds, NOISY, 1024)
+        assert axis.n == 1024
+        windows = list(zip(bounds, bounds[1:]))
+        tracemalloc.start()
+        try:
+            hi._class_matrix(st, windows, NOISY, axis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 16 * axis.n * (axis.n + gr._ROW_PAD)
+        # 3 diagonal, 2 chain, 1 advance (class 0 past class 1) and 3 fork steps
+        assert row_strides == [((axis.n + gr._ROW_PAD) * 16, 16)] * 9
 
     def test_wrap_sentinel_fires_on_fork_step(self):
         # Only the terminal fork step of class 0 against class 1 reaches the
