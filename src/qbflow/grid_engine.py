@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft, ndimage
 
 from .core_model import PhysParams
@@ -171,8 +171,7 @@ def density_matrix_from_state(
     return DensityMatrixGrid(axis, values, state.hbar)
 
 
-# entries of one row slab of _density_block and of the split-step's
-# diagonal sums: 2^16, 1 MiB a buffer
+# entries of one row slab of _density_block: 2^16, 1 MiB a buffer
 _SLAB_ENTRIES = 1 << 16
 
 
@@ -471,26 +470,14 @@ def _ifft2_diagonal(spec: np.ndarray) -> np.ndarray:
     """The diagonal of ``ifft2(spec)`` without the n x n inverse transform.
 
     It is ifft(z) / n, with z[s] the sum of spec[a, b] over a + b = s (mod
-    n).  For z, row slabs are copied twice side by side into a reused
-    buffer, so that a view with row stride one entry short of the buffer's
-    reads spec[a, (s - a) mod n] at [a, s]; the sum over a is then a plain
-    reduction.
+    n).  Row a adds to z in two slices: spec[a, :n - a] at s = a .. n - 1,
+    and the wrapped spec[a, n - a:] at s = 0 .. a - 1.
     """
     n = spec.shape[0]
-    step = max(1, _SLAB_ENTRIES // (2 * n))
-    pair = np.empty((min(step, n), 2 * n), dtype=complex)
-    z = np.zeros(n, dtype=complex)
-    for a0 in range(0, n, step):
-        rows = spec[a0:a0 + step]
-        r = rows.shape[0]
-        pair[:r, :n] = rows
-        pair[:r, n:] = rows
-        # [i, s] -> pair[i, n - (a0 + i) + s], inside [1, 2n - 1]
-        skew = as_strided(
-            pair[0, n - a0:], shape=(r, n),
-            strides=(pair.strides[0] - pair.itemsize, pair.itemsize), writeable=False,
-        )
-        z += skew.sum(axis=0)
+    z = spec[0].copy()
+    for a in range(1, n):
+        z[a:] += spec[a, :n - a]
+        z[:a] += spec[a, n - a:]
     return fft.ifft(z) / n
 
 
@@ -517,35 +504,28 @@ def _propagate_density_split_raw(
     unchanged.  A :func:`_work_array` gives the FFTs their best row stride.
 
     With ``diagonal=True`` the step returns only the diagonal of the
-    result, as a new 1-D array read off the final spectrum Y by
-    :func:`_ifft2_diagonal`, and leaves Y in ``values``; the last ``ifft2``
-    is not run.  This is for steps whose output is only traced.
+    result, as a new 1-D array, for steps whose output is only traced.  At
+    D = 0 it is read off the final spectrum Y by :func:`_ifft2_diagonal`,
+    the last ``ifft2`` is not run, and Y is left in ``values``.  With D > 0
+    the step runs in full and checks as below, and the diagonal is copied
+    out of the result.
 
     The free half-step is the outer product of a 1-D phase and its
     conjugate; the noise factors come from 1-D tables, because the position
     factor depends only on i - j and the momentum factor only on f_i + f_j.
     With D > 0 the step raises "grid too small" when the result's two
-    outermost rows or columns exceed 2e-3 of its peak magnitude.  At D = 0
-    a projected block keeps coherent algebraic tails that reach any finite
-    box edge, so the check is off there.
+    outermost rows or columns exceed 2e-3 of its peak magnitude.  The peak
+    is taken off the diagonal first; only when the border does not clear
+    the bound against it is the whole matrix scanned, in row slabs.  The
+    diagonal's peak never exceeds the true one, so the check is exact for
+    any input.  At D = 0 a projected block keeps coherent algebraic tails
+    that reach any finite box edge, so the check is off there.
 
-    With ``diagonal=True`` and D > 0 the check reads the border exactly,
-    off the four outer rows ifft(E Y) and the four outer columns
-    ifft(Y E^T), with E[r, a] = exp(2 pi i a r / n) / n, and the peak off
-    the diagonal.  The diagonal peak never exceeds the true one, so the
-    check raises whenever the full check would, on any input.  It raises
-    on no other input when the result is Hermitian positive semidefinite,
-    whose largest entry lies on the diagonal.  The step keeps a PSD input
-    PSD — its free phases are unitary and both noise factors are Schur
-    products with PSD Gaussian kernels — so on a block P_R rho P_R the two
-    checks agree.  At D = 0 there is no check and the diagonal route suits
-    any input.
-
-    The FFTs (four with D > 0, two at D = 0, one fewer with ``diagonal``)
-    run on every CPU in the process affinity mask (one worker below 128
-    points a side, where threads cost more than they save); restrict the
-    mask, e.g. with ``taskset``, to use fewer.  The worker count does not
-    change a bit of the result.
+    The FFTs (four with D > 0; two at D = 0, one with ``diagonal``) run on
+    every CPU in the process affinity mask (one worker below 128 points a
+    side, where threads cost more than they save); restrict the mask, e.g.
+    with ``taskset``, to use fewer.  The worker count does not change a bit
+    of the result.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
@@ -589,27 +569,18 @@ def _propagate_density_split_raw(
     fft.fft2(values, overwrite_x=True, workers=workers)
     values *= half[:, None]
     values *= half_bra[None, :]
-    if diagonal:
-        out = _ifft2_diagonal(values)
-        peak = np.abs(out).max()
-        outer = np.array([0, 1, n - 2, n - 1])
-        e = np.exp((2j * math.pi / n) * (np.outer(outer, np.arange(n)) % n)) / n
-        border = max(
-            np.abs(fft.ifft(e @ values, axis=1)).max(),
-            np.abs(fft.ifft(values @ e.T, axis=0)).max(),
-        )
-    else:
-        fft.ifft2(values, overwrite_x=True, workers=workers)
-        out = values
+    fft.ifft2(values, overwrite_x=True, workers=workers)
+    border = max(
+        np.abs(values[:2, :]).max(), np.abs(values[-2:, :]).max(),
+        np.abs(values[:, :2]).max(), np.abs(values[:, -2:]).max(),
+    )
+    peak = np.abs(np.diagonal(values)).max()
+    if border > 2e-3 * peak:
         # the peak over row slabs, so no n x n magnitude array is formed
-        peak = max(np.abs(out[i:i + 64]).max() for i in range(0, n, 64))
-        border = max(
-            np.abs(out[:2, :]).max(), np.abs(out[-2:, :]).max(),
-            np.abs(out[:, :2]).max(), np.abs(out[:, -2:]).max(),
-        )
-    if peak > 0.0 and border > 2e-3 * peak:
-        raise ValueError("grid too small for requested time")
-    return out
+        peak = max(np.abs(values[i:i + 64]).max() for i in range(0, n, 64))
+        if border > 2e-3 * peak:
+            raise ValueError("grid too small for requested time")
+    return np.diagonal(values).copy() if diagonal else values
 
 
 # ---------------------------------------------------------------------------

@@ -565,8 +565,8 @@ def _class_matrix(state, windows, params, axis):
     P_right rho P_right for the diagonal, and for each fork the chain's
     right columns with the left ones zeroed.  Once the chain runs past a
     class or across a gap its right rows refill, and they belong in the
-    entry.  Diagonal steps, and fork steps at D = 0 (no border check
-    there), compute only the diagonal they trace.
+    entry.  Diagonal and fork steps ask the step for only the diagonal
+    they trace.
     """
     x = axis.points
     left = x < 0.0
@@ -574,10 +574,6 @@ def _class_matrix(state, windows, params, axis):
     n_classes = len(windows)
     mat = np.zeros((n_classes, n_classes), dtype=complex)
     chain, work = _work_array(axis.n), _work_array(axis.n)
-    # the diagonal-only step's check takes its peak off the diagonal, exact
-    # only for a PSD result; a fork block is not Hermitian, so at D > 0 its
-    # step runs in full rather than raise where the full check passes
-    fork_diagonal = params.D == 0.0
 
     for k, (a_k, b_k) in enumerate(windows):
         st = propagate_mixture(state, a_k, params)
@@ -602,11 +598,7 @@ def _class_matrix(state, windows, params, axis):
             reached = a_j
             work[:, cut:] = chain[:, cut:]
             work[:, :cut] = 0.0
-            fork = _propagate_density_split_raw(
-                work, axis, b_j - a_j, params, diagonal=fork_diagonal
-            )
-            if not fork_diagonal:
-                fork = np.diagonal(fork)
+            fork = _propagate_density_split_raw(work, axis, b_j - a_j, params, diagonal=True)
             mat[k, j] = np.trapezoid(fork * left, x)
             mat[j, k] = np.conjugate(mat[k, j])
     return mat

@@ -506,14 +506,16 @@ class TestDensityPropagation:
             padded[...] = rho
             assert np.array_equal(transform(rho), transform(padded, overwrite_x=True))
 
-    @pytest.mark.parametrize("d", [0.0, 1.0])
-    def test_diagonal_step_matches_full_step(self, d):
-        # the diagonal read off the final spectrum is exact for any input:
-        # at D = 1 on a P_R rho P_R block (PSD), at D = 0 on a non-Hermitian
-        # fork block rho P_R, whose left columns are zero
-        ax = gr.axis_straddling_zero(-12.0, 12.0, 256)
+    @pytest.mark.parametrize("d, n", [(0.0, 256), (0.0, 257), (0.0, 384), (1.0, 256)])
+    def test_diagonal_step_matches_full_step(self, d, n):
+        # at D = 0 the diagonal is read off the final spectrum, exact to
+        # round-off for any input, here a non-Hermitian fork block rho P_R
+        # whose left columns are zero; odd and non-power-of-two n cover the
+        # wrapped slice of each row's sum.  With D > 0 the step runs in full
+        # and the diagonal is the full step's, bit for bit
+        ax = gr.axis_straddling_zero(-12.0, 12.0, n)
         cut = int(np.count_nonzero(ax.points < 0.0))
-        block = np.zeros((256, 256), dtype=complex)
+        block = np.zeros((n, n), dtype=complex)
         rows = cut if d else 0
         gr._density_block(
             ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), ax, rows, cut,
@@ -522,52 +524,34 @@ class TestDensityPropagation:
         par = PhysParams(D=d)
         full = np.diagonal(gr._propagate_density_split_raw(block.copy(), ax, 0.8, par))
         diag = gr._propagate_density_split_raw(block, ax, 0.8, par, diagonal=True)
-        assert np.abs(diag - full).max() <= 1e-13 * np.abs(full).max()
+        if d:
+            assert np.array_equal(diag, full)
+        else:
+            assert np.abs(diag - full).max() <= 1e-13 * np.abs(full).max()
 
-    @pytest.mark.parametrize("lo", [-12.0, -4.0], ids=["fits", "leaks"])
-    def test_diagonal_step_guards_like_full_step(self, lo):
-        # on a PSD block the diagonal's peak and the four outer rows give the
-        # full check's verdict; the border reaches ~7e-3 of the peak on
-        # (-4, 12) and ~3e-6 on (-12, 12)
-        ax = gr.axis_straddling_zero(lo, 12.0, 256)
-        cut = int(np.count_nonzero(ax.points < 0.0))
-        block = np.zeros((256, 256), dtype=complex)
-        gr._density_block(
-            ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8), ax, cut, cut,
-            block[cut:, cut:],
-        )
-        raised = []
-        for diagonal in (False, True):
-            try:
-                gr._propagate_density_split_raw(
-                    block.copy(), ax, 0.8, PhysParams(D=1.0), diagonal=diagonal
-                )
-                raised.append(False)
-            except ValueError as err:
-                assert "grid too small" in str(err)
-                raised.append(True)
-        assert raised == [lo == -4.0] * 2
-
-    @pytest.mark.parametrize("bra_width", [2.0, 2.5], ids=["fits", "leaks"])
-    def test_diagonal_step_reads_outer_columns(self, bra_width):
-        # |ket><bra| with a narrow ket and a wide bra reaches only the outer
-        # columns (border/peak ~7e-3 at width 2.5, ~4e-4 at 2.0; the outer
-        # rows stay at 1e-16 of the peak), so a check that read only rows
-        # would pass the leaking case the full check rejects
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("bra_width", [1.0, 1.5], ids=["fits", "leaks"])
+    def test_wrap_check_scans_past_the_diagonal(self, bra_width, diagonal):
+        # |ket><bra| with the ket at x = 3 and the bra at x = -3 is near zero
+        # on the diagonal, so the diagonal's peak does not clear the border
+        # and the scan of the whole matrix decides: the border is 5e-6 against
+        # a peak of 0.93 at bra width 1.0, and 3.0e-3 at 1.5
         ax = gr.Axis(-8.0, 8.0, 256)
         x = ax.points
-        block = np.outer(np.exp(-x * x / 0.5), np.exp(-0.5 * (x / bra_width) ** 2))
-        raised = []
-        for diagonal in (False, True):
-            try:
-                gr._propagate_density_split_raw(
-                    block.astype(complex), ax, 0.1, PhysParams(D=0.01), diagonal=diagonal
-                )
-                raised.append(False)
-            except ValueError as err:
-                assert "grid too small" in str(err)
-                raised.append(True)
-        assert raised == [bra_width == 2.5] * 2
+        ket = np.exp(-0.5 * ((x - 3.0) / 0.5) ** 2)
+        bra = np.exp(-0.5 * ((x + 3.0) / bra_width) ** 2)
+        block = np.outer(ket, bra).astype(complex)
+        try:
+            gr._propagate_density_split_raw(block, ax, 0.1, PhysParams(D=0.01), diagonal=diagonal)
+            raised = False
+        except ValueError as err:
+            assert "grid too small" in str(err)
+            raised = True
+        # the step works in place, so the block holds the result either way
+        mag = np.abs(block)
+        border = max(mag[:2].max(), mag[-2:].max(), mag[:, :2].max(), mag[:, -2:].max())
+        assert border > 2e-3 * np.abs(np.diagonal(block)).max()
+        assert raised == (border > 2e-3 * mag.max()) == (bra_width == 1.5)
 
     def test_rejects_arrays_it_cannot_transform_in_place(self):
         # scipy.fft copies these instead of overwriting them
