@@ -120,6 +120,19 @@ class TestDensityBlock:
         assert np.abs(projected[_CUT:, :_CUT] - ref).max() < 1e-12 * np.abs(ref).max()
         assert not projected[:_CUT].any() and not projected[_CUT:, _CUT:].any()
 
+    @pytest.mark.parametrize("t", [0.0, 0.5], ids=["unevolved", "evolved"])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_STATES))
+    def test_right_rows_in_one_call_equal_two_blocks(self, name, t):
+        # the class matrix refills all right rows of its chain in one call;
+        # every entry comes from the same table values, so bit for bit
+        state = ge.propagate_mixture(_BLOCK_STATES[name], t, PAR)
+        one = np.zeros((384, 384), dtype=complex)
+        gr._density_block(state, _BLOCK_AXIS, _CUT, 0, one[_CUT:])
+        two = np.zeros((384, 384), dtype=complex)
+        gr._density_block(state, _BLOCK_AXIS, _CUT, _CUT, two[_CUT:, _CUT:])
+        gr._density_block(state, _BLOCK_AXIS, _CUT, 0, two[_CUT:, :_CUT])
+        assert np.array_equal(one, two)
+
 
 class TestWignerPropagation:
     def test_zero_time_is_identity(self):

@@ -627,16 +627,22 @@ class TestCrossingChain:
             for m in range(k + 1, len(diag)):
                 assert abs(mat[k, m]) ** 2 <= diag[k] * diag[m] * (1 + 1e-9) + 1e-15
 
-    def test_matrix_matches_explicit_mask_reference(self):
-        # Three contiguous classes: entry (0, 2) carries the chain
-        # propagated through class 1, right rows included.
+    @pytest.mark.parametrize(
+        "bounds",
+        [[2.0, 2.2], [2.0, 2.2, 2.4], [2.0, 2.2, 2.4, 2.6]],
+        ids=["1_class", "2_classes", "3_classes"],
+    )
+    def test_matrix_matches_explicit_mask_reference(self, bounds):
+        # Each class's diagonal step and last fork run on the chain itself;
+        # with three classes entry (0, 2) carries the chain propagated
+        # through class 1, right rows included.
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        bounds = [2.0, 2.2, 2.4, 2.6]
         mat = hi.crossing_class_matrix(st, bounds, NOISY, n=1024)
         axis, _ = hi._chain_axis(st, bounds, NOISY, 1024)
         windows = list(zip(bounds, bounds[1:]))
         ref = _reference_class_matrix(st, windows, NOISY, axis)
-        assert np.max(np.abs(ref[0, 2:])) > 1e-6
+        if len(windows) == 3:
+            assert np.max(np.abs(ref[0, 2:])) > 1e-6
         np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-12)
 
     def test_gapped_intervals_match_explicit_mask_reference(self):
@@ -654,11 +660,23 @@ class TestCrossingChain:
         offdiag = np.abs(ref - np.diag(np.diag(ref)))
         assert abs(off - offdiag.max()) < 1e-12
 
-    def test_matrix_holds_two_padded_work_arrays(self, monkeypatch):
-        # every step runs in place on the chain and work arrays; one more
-        # n x n copy (a fork's input, or a step's working copy) breaks the
-        # memory bound, and an unpadded array (whose column passes map onto
-        # the same cache sets, about 1.5x slower at n = 4096) the strides
+    @pytest.mark.parametrize(
+        "bounds, arrays, steps",
+        [
+            ([2.0, 2.2], 1.2, 1),
+            ([2.0, 2.2, 2.4], 1.2, 4),
+            ([2.0, 2.2, 2.4, 2.6], 2.2, 9),
+        ],
+        ids=["1_class", "2_classes", "3_classes"],
+    )
+    def test_matrix_holds_one_padded_array_below_three_classes(
+        self, monkeypatch, bounds, arrays, steps
+    ):
+        # every step runs in place on the chain, and a second array exists
+        # only for a fork that is not its class's last (three or more
+        # classes); one more n x n copy breaks the memory bound, and an
+        # unpadded array (whose column passes map onto the same cache sets,
+        # about 1.5x slower at n = 4096) the strides
         step = hi._propagate_density_split_raw
         row_strides = []
 
@@ -668,7 +686,6 @@ class TestCrossingChain:
 
         monkeypatch.setattr(hi, "_propagate_density_split_raw", spy)
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
-        bounds = [2.0, 2.2, 2.4, 2.6]
         axis, _ = hi._chain_axis(st, bounds, NOISY, 1024)
         assert axis.n == 1024
         windows = list(zip(bounds, bounds[1:]))
@@ -678,9 +695,11 @@ class TestCrossingChain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * 16 * axis.n * (axis.n + gr._ROW_PAD)
-        # 3 diagonal, 2 chain, 1 advance (class 0 past class 1) and 3 fork steps
-        assert row_strides == [((axis.n + gr._ROW_PAD) * 16, 16)] * 9
+        assert peak < arrays * 16 * axis.n * (axis.n + gr._ROW_PAD)
+        # per class one diagonal step; per class but the last one chain step
+        # and one fork per later class; with three classes one advance
+        # (class 0 past class 1)
+        assert row_strides == [((axis.n + gr._ROW_PAD) * 16, 16)] * steps
 
     def test_wrap_sentinel_fires_on_fork_step(self):
         # Only the terminal fork step of class 0 against class 1 reaches the
