@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtr
 
 from .core_model import Interval, PhysParams, checked_schedule
@@ -77,6 +76,18 @@ __all__ = [
     "ArrivalResult",
     "backflow_scan",
 ]
+
+# Points per axis of the stochastic route's march grid: past about 540 points
+# grid_engine._shear_q's prefilter runs into subnormals, and the march-step
+# budget below is measured at the top of this range.
+_GRID_N_MIN, _GRID_N_MAX = 16, 512
+# A whole restricted_march step on a 512² grid takes about 11 ms (median 11.2 ms
+# over 80-step marches, one BLAS thread, 2-core x86 host): about two minutes.
+_MARCH_STEPS_MAX = 10_000
+# The current reduces every sample at once over (terms x times) arrays, whose
+# size this caps: a 100 000-sample scan of a 3-term cat peaks at 57 MiB
+# (tracemalloc) and takes 0.17 s on a 2-core x86 host.
+_N_T_MAX = 100_000
 
 # Accumulated-noise threshold for the POVM split: the comoving covariance
 # admits a minimum-uncertainty decomposition iff D t^2 / m >= this * hbar.
@@ -275,10 +286,13 @@ class StochasticArrival:
 
 
 def _whole_steps(name: str, t: float, eps: float) -> int:
-    """t/eps as a step count; raises unless eps > 0 divides t into whole steps."""
+    """t/eps as a step count; raises unless eps > 0 splits t into whole
+    steps, at most ``_MARCH_STEPS_MAX`` of them."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     k = t / eps
+    if k >= _MARCH_STEPS_MAX + 0.5:  # whole steps: 1.3 / 1.3e-4 = 10000.000000000002 passes
+        raise ValueError(f"{name}/eps must be at most {_MARCH_STEPS_MAX} march steps, got {k!r}")
     if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
         raise ValueError(f"{name}/eps = {k!r} is not a whole number of steps")
     return round(k)
@@ -314,7 +328,7 @@ def arrival_probability_stochastic(
     interval: Interval,
     params: PhysParams,
     eps: float,
-    n: int = 256,
+    n: int,
 ) -> StochasticArrival:
     """March the restricted evolution and read off the crossing probability.
 
@@ -322,12 +336,16 @@ def arrival_probability_stochastic(
     the interval, and the trapezoid of the boundary current sampled at the
     step times.  They differ at O(eps); their mutual disagreement is the
     cheapest convergence diagnostic.  ``n``, the points per grid axis, is an
-    integer (numpy integers too, not bool) in [16, 4096]; anything else
-    raises ``ValueError``.
+    integer (numpy integers too, not bool) in [16, 512]: past about 540
+    points the shear's prefilter runs into subnormals.  Anything else, or a
+    march of over ``_MARCH_STEPS_MAX`` steps, raises ``ValueError`` before
+    any grid is built.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 16 <= n <= 4096:
-        raise ValueError(f"n must be an integer in [16, 4096], got {n!r}")
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not _GRID_N_MIN <= n <= _GRID_N_MAX):
+        raise ValueError(f"n must be an integer in [{_GRID_N_MIN}, {_GRID_N_MAX}], got {n!r}")
     k1 = _whole_steps("t1", interval.t1, eps)
+    _whole_steps("t2", interval.t2, eps)
     pax, qax = default_axes(state, params, t_max=interval.t2, n=n)
     spread = qbm_covariance(interval.t2, params)
     _, cov0 = moments(state)
@@ -366,12 +384,13 @@ def backflow_scan(
 ) -> ArrivalResult:
     """Sample the arrival current on a time grid (exact engine route).
 
-    All samples come from one array evaluation over (terms x times); the
-    running integral is the trapezoid rule on those samples.
+    All samples, at most ``_N_T_MAX``, come from one array evaluation over
+    (terms x times); the running integral is the trapezoid rule on them.
     """
     times = checked_schedule(times, "sample times")
+    if times.size > _N_T_MAX:
+        raise ValueError(f"at most {_N_T_MAX} sample times, got {times.size}")
     current = _currents(state, times, params)
-    cumulative = np.concatenate(
-        [[0.0], cumulative_trapezoid(current, times)]
-    )
+    steps = np.diff(times) * (current[1:] + current[:-1]) / 2.0
+    cumulative = np.concatenate([[0.0], np.cumsum(steps)])
     return ArrivalResult(times=times, current=current, cumulative=cumulative)

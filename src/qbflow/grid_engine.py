@@ -92,9 +92,11 @@ class PhaseSpaceGrid:
             )
 
     def integrate(self) -> float:
-        return float(
-            np.trapezoid(np.trapezoid(self.values, dx=self.q.step, axis=1), dx=self.p.step)
-        )
+        """Trapezoid rule on both axes: weights of one step, halved at both ends."""
+        w_p, w_q = np.full(self.p.n, self.p.step), np.full(self.q.n, self.q.step)
+        w_p[[0, -1]] *= 0.5
+        w_q[[0, -1]] *= 0.5
+        return float(w_p @ self.values @ w_q)
 
     def with_values(self, values: np.ndarray) -> "PhaseSpaceGrid":
         return replace(self, values=values)
@@ -414,14 +416,6 @@ def axis_straddling_zero(lo: float, hi: float, n: int) -> Axis:
     return Axis(-(k + 0.5) * step, -(k + 0.5) * step + (n - 1) * step, n)
 
 
-# Below 128 points a side, a two-worker fft2 + ifft2 pair is slower than
-# one worker; from 512 up the pair gains, and in between it is even to
-# within 10% (in place on the padded working array, 2 shared cores, one
-# worker -> two, medians of alternating pairs: 32² 0.057 -> 0.096 ms, 64²
-# 0.12 -> 0.19 ms, 128² 0.46 -> 0.52 ms, 256² 1.9 -> 2.1 ms, 512² 7.2 ->
-# 5.7 ms, 2048² 168 -> 100 ms).  Outputs are bit-identical.
-_FFT_PARALLEL_MIN_N = 128
-
 # Entries of padding per row of a split-step working array.  One D = 1
 # step (2 shared cores, median of 7 alternating runs) with pads of 0, 8,
 # 16 and 64 took 2085, 1394, 1431 and 1447 ms at n = 4096, and 393, 337,
@@ -441,10 +435,8 @@ def _work_array(n: int) -> np.ndarray:
     return np.empty((n, n + _ROW_PAD), dtype=complex)[:, :n]
 
 
-def _fft_workers(n: int) -> int:
-    """scipy.fft worker count for an n x n step: every CPU in the affinity mask."""
-    if n < _FFT_PARALLEL_MIN_N:
-        return 1
+def _fft_workers() -> int:
+    """scipy.fft worker count for a split-step: every CPU in the affinity mask."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
@@ -539,7 +531,7 @@ def _propagate_density_split_raw(
     hbar, m, d = params.hbar, params.mass, params.D
     n, dx = axis.n, axis.step
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    workers = _fft_workers(n)
+    workers = _fft_workers()
     fft.fft2(values, overwrite_x=True, workers=workers)
     if d == 0.0:
         # no noise channel between the half-steps: they are one free step

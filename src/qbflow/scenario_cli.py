@@ -50,22 +50,11 @@ _TOP_KEYS = {
     "description", "physical", "state", "grid", "time",
     "analyses", "thresholds", "out_dir",
 }
-# points per axis of the stochastic analysis's march grid, the only reader of
-# grid.n, default 512: the march-step budget below is measured there, and past
-# about 540 points grid_engine._shear_q's prefilter runs into subnormals
-_GRID_N_MIN, _GRID_N_MAX = 16, 512
-# the current reduces every sample at once over (terms x n_t) arrays, whose size
-# this caps: a 100 000-sample scan of a 3-term cat peaks at 57 MiB (tracemalloc)
-# and takes 0.17 s on a 2-core x86 host
-_N_T_MAX = 100_000
-# a whole restricted_march step on a 512² grid takes about 11 ms (median 11.2 ms
-# over 80-step marches, one BLAS thread, 2-core x86 host): about two minutes
-_MARCH_STEPS_MAX = 10_000
 # One rule per config field: (kind, required, default).  A kind is a sign
 # rule on a finite number ("real", "positive", "nonneg"), an inclusive
-# integer range (lo, hi), a finite [lo, hi] pair with lo < hi ("pair"), or
-# "bool".  An omitted optional field without a
-# default is left out of the checked values.
+# integer range (lo, hi; grid.n and time.n_t take arrival's budgets), a finite
+# [lo, hi] pair with lo < hi ("pair"), or "bool".  An omitted optional field
+# without a default is left out of the checked values.
 _FIELDS = {
     "physical": {
         "hbar": ("positive", True, None),
@@ -94,11 +83,11 @@ _FIELDS = {
         "ratio": ("positive", False, 1.0),
         "rel_phase": ("real", False, 0.0),
     },
-    "grid": {"n": ((_GRID_N_MIN, _GRID_N_MAX), False, _GRID_N_MAX)},
+    "grid": {"n": ((ar._GRID_N_MIN, ar._GRID_N_MAX), False, ar._GRID_N_MAX)},
     "time": {
         "t1": ("nonneg", True, None),
         "t2": ("real", True, None),
-        "n_t": ((2, _N_T_MAX), False, 201),
+        "n_t": ((2, ar._N_T_MAX), False, 201),
         "eps": ("positive", False, None),
     },
     # no defaults: an analysis gates only on the keys present, and the
@@ -335,9 +324,6 @@ def _check_tree(tree) -> tuple:
                     ar._whole_steps(label, t, eps)
                 except (ValueError, OverflowError) as exc:
                     diags.append(f"time.eps must step time.{label} for the stochastic march: {exc}")
-            if t2 / eps > _MARCH_STEPS_MAX:
-                diags.append(f"time.t2/time.eps must be at most {_MARCH_STEPS_MAX} "
-                             f"march steps, got {t2 / eps!r}")
     # the grid routes and the effect operator hold at negligible dissipation only
     for name in ("povm", "stochastic", "histories"):
         if name in analyses and gamma:
@@ -741,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
     # --grid obeys the same rule as the config's grid.n
     run_p.add_argument("--grid", metavar="N",
-                       type=_int_arg("grid points", _GRID_N_MIN, _GRID_N_MAX),
+                       type=_int_arg("grid points", ar._GRID_N_MIN, ar._GRID_N_MAX),
                        help="grid points (overrides the config)")
     run_p.add_argument("--threads", metavar="K", type=_int_arg("threads", 1), default=1,
                        help="run independent analyses on K threads")

@@ -251,31 +251,31 @@ class TestStochasticRoute:
     IV = Interval(0.5, 1.5)
 
     def test_routes_mutually_consistent(self):
-        sto = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05)
+        sto = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=256)
         assert sto.mutual_disagreement() < 0.02
 
     def test_matches_current_route(self):
-        sto = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05)
+        sto = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=256)
         p_ref = ar.arrival_probability(self.STATE, self.IV, self.PAR)
         assert abs(sto.norm_loss - p_ref) < 0.05 * p_ref
         assert abs(sto.boundary_flux - p_ref) < 0.05 * p_ref
 
     def test_eps_refinement_stable(self):
-        a = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1)
-        b = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05)
+        a = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=256)
+        b = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=256)
         assert abs(a.norm_loss - b.norm_loss) < 0.02
 
     def test_step_mismatch_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             ar.arrival_probability_stochastic(self.STATE, Interval(0.5, 1.5),
-                                              self.PAR, eps=0.4)
+                                              self.PAR, eps=0.4, n=256)
 
     @pytest.mark.parametrize(
-        "n", [2, 3, 15, 4097, 64.0, np.float64(64.0), True, "64", None],
-        ids=["2", "3", "15", "4097", "float", "numpy-float", "bool", "str", "None"],
+        "n", [2, 3, 15, 513, 4097, 64.0, np.float64(64.0), True, "64", None],
+        ids=["2", "3", "15", "513", "4097", "float", "numpy-float", "bool", "str", "None"],
     )
     def test_grid_size_validated(self, n):
-        with pytest.raises(ValueError, match=r"n must be an integer in \[16, 4096\], got"):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[16, 512\], got"):
             ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=n)
 
     def test_grid_size_accepts_numpy_integers(self):
@@ -286,9 +286,25 @@ class TestStochasticRoute:
 
     def test_survival_complements_loss(self):
         sto = ar.arrival_probability_stochastic(self.STATE, Interval(0.0, 1.5),
-                                                self.PAR, eps=0.05)
+                                                self.PAR, eps=0.05, n=256)
         # initial right-half mass ~ 1; what is not absorbed must survive
         assert math.isclose(sto.final_norm + sto.norm_loss, 1.0, abs_tol=0.01)
+
+    def test_step_budget_refused_before_any_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built or stepped for a march over budget")
+
+        monkeypatch.setattr(ar, "wigner_grid_from_state", no_grid)
+        monkeypatch.setattr(ar, "propagate_wigner_qbm", no_grid)
+        over = "at most 10000 march steps, got 10001.0"  # 5000.5 / 0.5 = 10001 steps
+        w = gr.PhaseSpaceGrid(gr.Axis(-1.0, 1.0, 16), gr.Axis(-1.0, 1.0, 16), np.zeros((16, 16)))
+        with pytest.raises(ValueError, match=over):
+            ar.restricted_march(w, 5000.5, 0.5, self.PAR)
+        with pytest.raises(ValueError, match=over):
+            ar.arrival_probability_stochastic(self.STATE, Interval(0.5, 5000.5), self.PAR,
+                                              eps=0.5, n=16)
+        # the budget counts whole steps: 1.3 / 1.3e-4 reads 10000.000000000002
+        assert ar._whole_steps("t2", 1.3, 1.3e-4) == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +385,14 @@ class TestArrayCurrent:
             want = ar.arrival_current(LEFT_GAUSS, t, params)
             scan = ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t]))
         assert math.isfinite(want) and scan.current[1] == want
+
+    def test_scan_sample_budget_refused_before_any_current(self, monkeypatch):
+        def no_current(*args, **kwargs):
+            raise AssertionError("currents were reduced for a scan over budget")
+
+        monkeypatch.setattr(ar, "_currents", no_current)
+        with pytest.raises(ValueError, match="at most 100000 sample times, got 100001"):
+            ar.backflow_scan(LEFT_GAUSS, PAR, np.linspace(0.0, 1.0, 100_001))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_scan_rejects_bad_time(self, bad):

@@ -470,7 +470,7 @@ class TestDensityPropagation:
 
         assert step(128) == [3, 3, 3, 3]
         assert step(128, PhysParams(D=0.0)) == [3, 3]  # D = 0: one free step
-        assert step(64) == [1, 1, 1, 1]  # small grids stay on one worker
+        assert step(64) == [3, 3, 3, 3]  # small grids too: no size threshold
         # without sched_getaffinity the count falls back to os.cpu_count()
         monkeypatch.delattr(gr.os, "sched_getaffinity")
         monkeypatch.setattr(gr.os, "cpu_count", lambda: 5)

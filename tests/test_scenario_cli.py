@@ -612,12 +612,14 @@ class TestSeedlessGuard:
 
 
 class TestCommandLine:
-    def test_import_skips_scipy_stats(self):
-        # scipy.stats costs about 0.4 s of every CLI start and nothing on the
-        # scenario path needs it; import the package the tests import
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+    def test_import_skips_scipy_stats(self, module):
+        # scipy.stats costs about 0.4 s of every CLI start, scipy.integrate about
+        # 0.3 s, and nothing on the scenario path needs either; import the
+        # package the tests import
         src = str(Path(scenario_cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, qbflow.scenario_cli; print('scipy.stats' in sys.modules)"
+        code = f"import sys, qbflow.scenario_cli; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
