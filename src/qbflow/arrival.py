@@ -306,7 +306,9 @@ def restricted_march(
     Truncation zeroes the q < 0 half and halves a grid point on q = 0.
     Returns ``(norms, currents)`` at 0, eps, ..., t: the norm after each
     truncation (its drop is the crossing probability) and the arrival
-    current just before it (at 0, just after it).
+    current just before it (at 0, just after it).  Every step runs
+    :func:`propagate_wigner_qbm`'s mass check, so a grid that leaks mass or
+    is too coarse for the state raises "grid too small for requested time".
     """
     steps = _whole_steps("t", t, eps)
     q_pts = w.q.points
@@ -316,7 +318,7 @@ def restricted_march(
     norms = [w.integrate()]
     currents = [current_from_wigner(w, params)]
     for _ in range(steps):
-        w = propagate_wigner_qbm(w, eps, params, check_mass=False)
+        w = propagate_wigner_qbm(w, eps, params)
         currents.append(current_from_wigner(w, params))
         np.multiply(w.values, mask, out=w.values)  # the step returned a fresh grid
         norms.append(w.integrate())
@@ -339,7 +341,7 @@ def arrival_probability_stochastic(
     integer (numpy integers too, not bool) in [16, 512]: past about 540
     points the shear's prefilter runs into subnormals.  Anything else, or a
     march of over ``_MARCH_STEPS_MAX`` steps, raises ``ValueError`` before
-    any grid is built.
+    any grid is built; a grid too coarse for the state raises in the march.
     """
     if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
             or not _GRID_N_MIN <= n <= _GRID_N_MAX):

@@ -46,7 +46,6 @@ __all__ = [
     "slice_at_q0",
 ]
 
-_DEFAULT_N = 256
 _EXTENT_WIDTHS = 8.0  # default half-extent in units of combined state widths
 
 
@@ -120,7 +119,8 @@ def default_axes(
     state: GaussianMixtureState,
     params: PhysParams,
     t_max: float = 0.0,
-    n: int = _DEFAULT_N,
+    *,
+    n: int,
     widths: float = _EXTENT_WIDTHS,
 ) -> tuple[Axis, Axis]:
     """Axes covering a state's support over an evolution window [0, t_max].
@@ -359,12 +359,7 @@ def _gauss1d(values: np.ndarray, var: float, step: float, axis: int) -> np.ndarr
     return out
 
 
-def propagate_wigner_qbm(
-    w: PhaseSpaceGrid,
-    t: float,
-    params: PhysParams,
-    check_mass: bool = True,
-) -> PhaseSpaceGrid:
+def propagate_wigner_qbm(w: PhaseSpaceGrid, t: float, params: PhysParams) -> PhaseSpaceGrid:
     """Evolve a gridded Wigner function for time t (negligible dissipation).
 
     Applies the exact decomposition of the Gaussian evolution kernel,
@@ -374,8 +369,11 @@ def propagate_wigner_qbm(
     Each blur is a block-banded matrix product done by BLAS (``_gauss1d``),
     with ``gaussian_filter1d``'s 8-sigma kernel and zero boundary.
 
-    Raises when evolved mass leaks off the grid ("grid too small for
-    requested time").
+    Every step raises "grid too small for requested time" when its
+    trapezoid mass moves by more than 1e-3 of itself (unless it started
+    within 1e-12 of zero): mass leaked off the axes, or a grid too coarse
+    for the state.  For a Gaussian (p0, q0, sigma) = (-4, 4, 1) at D = 0.5,
+    steps of 0.1 moved it by 9.0e-3 at 16² and 6.4e-13 at 64².
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
@@ -392,10 +390,9 @@ def propagate_wigner_qbm(
         out = _gauss1d(out, d * t ** 3 / (6.0 * m * m), w.q.step, axis=1)
     out = _shear_q(out, w.p.points, w.q, lam)
     result = w.with_values(out)
-    if check_mass:
-        before, after = w.integrate(), result.integrate()
-        if abs(before) > 1e-12 and abs(after - before) > 1e-3 * abs(before):
-            raise ValueError("grid too small for requested time")
+    before, after = w.integrate(), result.integrate()
+    if abs(before) > 1e-12 and abs(after - before) > 1e-3 * abs(before):
+        raise ValueError("grid too small for requested time")
     return result
 
 
@@ -514,10 +511,9 @@ def _propagate_density_split_raw(
     that reach any finite box edge, so the check is off there.
 
     The FFTs (four with D > 0; two at D = 0, one with ``diagonal``) run on
-    every CPU in the process affinity mask (one worker below 128 points a
-    side, where threads cost more than they save); restrict the mask, e.g.
-    with ``taskset``, to use fewer.  The worker count does not change a bit
-    of the result.
+    every CPU in the process affinity mask, at every grid size; restrict the
+    mask, e.g. with ``taskset``, to use fewer.  The worker count does not
+    change a bit of the result.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")

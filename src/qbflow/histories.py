@@ -738,10 +738,7 @@ def class_operator_probability(
         ]
     )
     p_sq = np.real(np.diagonal(mat)).copy()
-    if mat.shape[0] > 1:
-        offdiag_max = float(np.abs(mat - np.diag(np.diagonal(mat))).max())
-    else:
-        offdiag_max = 0.0
+    offdiag_max = float(np.abs(mat - np.diag(np.diagonal(mat))).max())
     return p_lin, p_sq, offdiag_max
 
 

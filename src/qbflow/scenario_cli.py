@@ -324,6 +324,8 @@ def _check_tree(tree) -> tuple:
                     ar._whole_steps(label, t, eps)
                 except (ValueError, OverflowError) as exc:
                     diags.append(f"time.eps must step time.{label} for the stochastic march: {exc}")
+                    if "march steps" in str(exc):
+                        break  # t2 > t1 is over the step budget too: say it once
     # the grid routes and the effect operator hold at negligible dissipation only
     for name in ("povm", "stochastic", "histories"):
         if name in analyses and gamma:

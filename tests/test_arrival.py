@@ -279,10 +279,17 @@ class TestStochasticRoute:
             ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.05, n=n)
 
     def test_grid_size_accepts_numpy_integers(self):
-        a = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=16)
+        a = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=64)
         b = ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1,
-                                              n=np.int64(16))
+                                              n=np.int64(64))
         assert a == b
+
+    def test_coarse_grid_refused(self):
+        # a 16² grid does not resolve this state: each step moves its mass by
+        # ~9e-3, and an unguarded march would report a norm loss of 0.557
+        # against the current route's 0.860
+        with pytest.raises(ValueError, match="grid too small for requested time"):
+            ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=16)
 
     def test_survival_complements_loss(self):
         sto = ar.arrival_probability_stochastic(self.STATE, Interval(0.0, 1.5),

@@ -45,7 +45,7 @@ class TestAxes:
 
     def test_default_axes_cover_drift(self):
         s = ge.make_gaussian_state(p0=-5.0, q0=2.0, sigma=1.0)
-        pax, qax = gr.default_axes(s, PAR, t_max=2.0)
+        pax, qax = gr.default_axes(s, PAR, t_max=2.0, n=256)
         assert pax.lo < -5.0 < pax.hi
         assert qax.lo < 2.0 - 10.0  # classical drift end plus padding
         assert qax.hi > 2.0

@@ -711,6 +711,14 @@ class TestCrossingChain:
             hi.crossing_class_matrix(st, [1.0, 2.0, 3.0], par, n=512)
         hi.crossing_class_matrix(st, [1.0, 2.0], par, n=512)
 
+    def test_one_class_has_no_interference(self):
+        # a 1 x 1 matrix has no off-diagonal entry to read
+        st = ge.make_gaussian_state(p0=-3.0, q0=6.0, sigma=1.0)
+        par = PhysParams(D=0.5)
+        _, p_sq, off = hi.class_operator_probability(st, [Interval(1.0, 2.0)], par, eps=0.1, n=512)
+        assert off == 0.0
+        assert p_sq[0] == hi.crossing_class_matrix(st, [1.0, 2.0], par, n=512)[0, 0].real
+
     def test_linear_probabilities_from_survival(self):
         st = ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0)
         ivs = [Interval(2.0, 2.1), Interval(2.3, 2.4)]

@@ -294,7 +294,13 @@ class TestValidation:
         window = {"time.t1": 0.5, "time.t2": 1.0}
         path = _write(tmp_path, _variant(analyses=["stochastic"], **window, **{"time.eps": 1e-8}))
         assert main(["validate", path]) == 2
-        assert "at most 10000 march steps" in capsys.readouterr().err
+        # t2 > t1, so both break the budget; it is reported once
+        assert capsys.readouterr().err.count("at most 10000 march steps") == 1
+        # a bound within the budget still reports its own wholeness
+        split = {"time.t1": 0.55, "time.t2": 2000.0, "time.eps": 0.1}
+        diags = validate_config(_write(tmp_path, _variant(analyses=["stochastic"], **split)))
+        assert ["whole number" in d for d in diags] == [True, False]
+        assert ["march steps" in d for d in diags] == [False, True]
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         at_cap = _variant(analyses=["stochastic"], **window, **{"time.eps": 1e-4})
@@ -465,6 +471,18 @@ class TestRunScenario:
         outcome = summary.outcomes[0]
         assert outcome.status == "error"
         assert outcome.note.startswith("OverflowError")
+
+    def test_coarse_march_grid_is_an_error(self, tmp_path, capsys):
+        # a 16² march cannot resolve this state, and its step refuses it
+        tree = _variant(
+            analyses=["stochastic"], **{"physical.D": 0.5, "state.gaussian.p0": -4.0,
+                                        "state.gaussian.x0": 4.0, "grid.n": 16,
+                                        "time.t1": 0.5, "time.t2": 1.5, "time.eps": 0.1},
+        )
+        assert main(["run", _write(tmp_path, tree), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "[stochastic] error" in out
+        assert "grid too small for requested time" in out
 
     def test_grid_override(self, tmp_path):
         config, _ = load_config(_write(tmp_path, BASE))
