@@ -223,7 +223,7 @@ class PovmEffect:
             raise ValueError(
                 f"state hbar {state.hbar!r} != params hbar {self.params.hbar!r}"
             )
-        smeared = husimi_smear(state, self.s)._stacked
+        smeared = husimi_smear(state, self.s).terms
         ksk = np.vecdot(smeared.k, (smeared.cov @ smeared.k[..., None])[..., 0])
         total = 0.0
         for sign, t_i in ((1.0, self.interval.t1), (-1.0, self.interval.t2)):

@@ -9,23 +9,23 @@ is closed under the quantum-Brownian-motion evolution (a linear flow plus a
 Gaussian convolution), so single Gaussians, spatial cat states and
 two-momentum superpositions propagate without any grid error.
 
-One algebra acts on every term.  A state's terms are stacked into arrays
-(:class:`_Terms`) along a leading terms axis, with optional time axes after
-it, so one call evolves a mixture to every sample time at once.  The flow
-and the convolution are batched ``matmul``, ``solve`` and ``vecdot`` on
-these arrays (:func:`_propagate_stacked`), and every reduction is an array
-expression over the terms axis, summed at the end.  The closed forms, in
-particular those of the modulated (interference) terms under shear and
-convolution, are cross-validated against the brute-force grid kernels in
-the test-suite.
+One algebra acts on every term.  A state is nothing but its terms stacked
+into read-only arrays (:class:`_Terms`) along a leading terms axis; inside
+the engine optional time axes follow it, so one call evolves a mixture to
+every sample time at once.  The flow and the convolution are batched
+``matmul``, ``solve`` and ``vecdot`` on these arrays
+(:func:`_propagate_stacked`), every reduction is an array expression over
+the terms axis, summed at the end, and each resulting state is built
+straight from the arrays.  The closed forms, in particular those of the
+modulated (interference) terms under shear and convolution, are
+cross-validated against the brute-force grid kernels in the test-suite.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,6 @@ from .core_model import PhysParams
 
 __all__ = [
     "Cov2",
-    "GaussianTerm",
     "GaussianMixtureState",
     "convolve_state",
     "qbm_covariance",
@@ -44,7 +43,6 @@ __all__ = [
     "qbm_flow_entries",
     "propagate_mixture",
     "moments",
-    "term_integral",
     "make_gaussian_state",
     "make_cat_state",
     "make_two_momentum_state",
@@ -86,6 +84,8 @@ class Cov2:
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"expected 2x2 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"covariance entries must be finite: {m.tolist()}")
         if not math.isclose(m[0, 1], m[1, 0], rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError("covariance matrix must be symmetric")
         return cls(pp=float(m[0, 0]), pq=float(0.5 * (m[0, 1] + m[1, 0])), qq=float(m[1, 1]))
@@ -210,35 +210,6 @@ def qbm_covariance_comoving(t: float, params: PhysParams) -> Cov2:
 # terms and states
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One (possibly modulated) Gaussian term of a Wigner mixture.
-
-    Represents  w * g(z - c; cov) * cos(k . z + phase).  Interference
-    ("fringe") terms of superposition states carry k != 0 and may make the
-    term — but never the full physical mixture — negative.
-    """
-
-    weight: float
-    center: tuple[float, float]  # (p, q)
-    cov: Cov2
-    k: tuple[float, float] = (0.0, 0.0)  # modulation wavevector, (p, q) duals
-    phase: float = 0.0
-
-
-def term_integral(term: GaussianTerm) -> float:
-    """Exact phase-space integral of one term.
-
-    integral = w * exp(-k^T cov k / 2) * cos(k . c + phase); reduces to the
-    bare weight for unmodulated terms.
-    """
-    kp, kq = term.k
-    c = term.cov
-    quad = kp * kp * c.pp + 2.0 * kp * kq * c.pq + kq * kq * c.qq
-    kc = kp * term.center[0] + kq * term.center[1]
-    return term.weight * math.exp(-0.5 * quad) * math.cos(kc + term.phase)
-
-
 # per-term scalar fields of stacked terms, shaped to broadcast against points
 _Scalars = namedtuple("_Scalars", "w cp cq pp pq qq kp kq phase")
 
@@ -265,56 +236,86 @@ class _Terms(NamedTuple):
         return _Scalars(*(x[pad] for x in fields))
 
 
-@dataclass(frozen=True)
-class GaussianMixtureState:
-    """A normalised Wigner function represented as a Gaussian mixture."""
+def _mass(s: _Terms) -> float:
+    """Exact integral of the time-free terms s, sum_j w exp(-k^T S k / 2) cos(k . c + phase).
 
-    terms: tuple[GaussianTerm, ...]
+    Scalar arithmetic term by term, so no term's share depends on the terms stacked with it.
+    """
+    return sum(
+        w * math.exp(-0.5 * (kp * kp * pp + 2.0 * kp * kq * pq + kq * kq * qq))
+        * math.cos(kp * cp + kq * cq + phase)
+        for w, (cp, cq), ((pp, pq), (_, qq)), (kp, kq), phase in zip(*(x.tolist() for x in s))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianMixtureState:
+    """A normalised Wigner function represented as a Gaussian mixture.
+
+    ``terms`` are the arrays (weight, center, cov, k, phase) of the terms
+    w g(z - c; S) cos(k . z + phase), one term per row: weight and phase
+    (n,), center and k (n, 2) in (p, q) order, cov (n, 2, 2).  Any five
+    array-likes in that order will do.  The state keeps them as a
+    :class:`_Terms` of C-contiguous, read-only float64 copies (the layout
+    the propagation's batched ``matmul`` and ``solve`` round for), so it
+    never changes and threads can share it.  Arrays neither compare nor
+    hash, so states compare by identity.
+    """
+
+    terms: _Terms
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.terms:
+        if len(self.terms) != len(_Terms._fields):
+            raise ValueError(f"mixture terms are the {len(_Terms._fields)} arrays "
+                             f"{_Terms._fields}, got {len(self.terms)}")
+        s = _Terms(*(np.array(x, dtype=float, order="C") for x in self.terms))
+        n = s.weight.shape[:1]
+        if s.weight.ndim != 1 or any(
+            x.shape != n + e for x, e in zip(s, ((), (2,), (2, 2), (2,), ()))
+        ):
+            got = ", ".join(f"{name} {x.shape}" for name, x in zip(s._fields, s))
+            raise ValueError("mixture terms need weight (n,), center (n, 2), cov (n, 2, 2), "
+                             f"k (n, 2) and phase (n,), got {got}")
+        if not n[0]:
             raise ValueError("mixture needs at least one term")
-        fields = (x for t in self.terms for x in (t.weight, *t.center, *t.k, t.phase))
-        bad = [x for x in fields if not math.isfinite(x)]
-        if bad:
-            raise ValueError(f"mixture terms must be finite, got {bad[0]!r}")
+        for x in s:
+            bad = x[~np.isfinite(x)]
+            if bad.size:
+                raise ValueError(f"mixture terms must be finite, got {float(bad[0])!r}")
+            x.flags.writeable = False
+        # Cov2's rules and diagnostics, term by term (a mixture has few terms)
+        for (pp, pq), (qp, qq) in s.cov.tolist():
+            if pq != qp:
+                raise ValueError("covariance matrix must be symmetric")
+            Cov2(pp, pq, qq)
+        object.__setattr__(self, "terms", s)
         total = self.total_mass()
         if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"mixture not normalised: integral = {total!r}")
 
-    @cached_property
-    def _stacked(self) -> "_Terms":
-        """The terms as one :class:`_Terms` of arrays, built once per state."""
-        ts = self.terms
-        return _Terms(
-            np.array([t.weight for t in ts], dtype=float),
-            np.array([t.center for t in ts], dtype=float),
-            np.array([t.cov.matrix() for t in ts]),
-            np.array([t.k for t in ts], dtype=float),
-            np.array([t.phase for t in ts], dtype=float),
-        )
-
     def total_mass(self) -> float:
-        return sum(term_integral(t) for t in self.terms)
+        return _mass(self.terms)
 
-    @classmethod
-    def from_unnormalised(cls, terms, hbar: float = 1.0) -> "GaussianMixtureState":
-        terms = tuple(terms)
-        total = sum(term_integral(t) for t in terms)
-        if total <= 0.0:
-            raise ValueError(f"cannot normalise terms with total mass {total!r}")
-        return cls(terms=tuple(replace(t, weight=t.weight / total) for t in terms), hbar=hbar)
+
+def _packet_cov(sigma: float, hbar: float) -> list:
+    """diag(hbar^2 / 4 sigma^2, sigma^2), the minimum-uncertainty covariance of width sigma."""
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    den = 4.0 * sigma * sigma
+    pp, qq = (hbar * hbar / den if den > 0.0 else math.inf), sigma * sigma
+    if not (0.0 < pp < math.inf and 0.0 < qq < math.inf):
+        raise ValueError(f"sigma = {sigma!r} is out of range: the covariance diag({pp!r}, {qq!r}) "
+                         "must be positive and finite")
+    return [[pp, 0.0], [0.0, qq]]
 
 
 def make_gaussian_state(
     p0: float, q0: float, sigma: float, hbar: float = 1.0
 ) -> GaussianMixtureState:
     """Minimum-uncertainty Gaussian: position width sigma, momentum width hbar/2 sigma."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    cov = Cov2(pp=hbar * hbar / (4.0 * sigma * sigma), pq=0.0, qq=sigma * sigma)
-    return GaussianMixtureState(terms=(GaussianTerm(1.0, (p0, q0), cov),), hbar=hbar)
+    cov = _packet_cov(sigma, hbar)
+    return GaussianMixtureState(([1.0], [(p0, q0)], [cov], [(0.0, 0.0)], [0.0]), hbar=hbar)
 
 
 def make_cat_state(
@@ -333,17 +334,20 @@ def make_cat_state(
     """
     if sigma <= 0.0 or separation <= 0.0:
         raise ValueError("sigma and separation must be positive")
-    cov = Cov2(pp=hbar * hbar / (4.0 * sigma * sigma), pq=0.0, qq=sigma * sigma)
-    c2 = 1.0 / (2.0 * (1.0 + math.exp(-separation ** 2 / (8.0 * sigma ** 2))))
+    cov = _packet_cov(sigma, hbar)
+    try:
+        c2 = 1.0 / (2.0 * (1.0 + math.exp(-separation ** 2 / (8.0 * sigma ** 2))))
+    except OverflowError:
+        raise ValueError(f"separation = {separation!r} is out of range: its square "
+                         "overflows") from None
     half = 0.5 * separation
     kp = separation / hbar
-    terms = (
-        GaussianTerm(c2, (p0, +half), cov),
-        GaussianTerm(c2, (p0, -half), cov),
-        # fringe: cos((p - p0) d / hbar) = cos(k.z + phase), k = (d/hbar, 0)
-        GaussianTerm(2.0 * c2, (p0, 0.0), cov, k=(kp, 0.0), phase=-p0 * kp),
+    # fringe: cos((p - p0) d / hbar) = cos(k.z + phase), k = (d/hbar, 0)
+    return GaussianMixtureState(
+        ([c2, c2, 2.0 * c2], [(p0, +half), (p0, -half), (p0, 0.0)], [cov] * 3,
+         [(0.0, 0.0), (0.0, 0.0), (kp, 0.0)], [0.0, 0.0, -p0 * kp]),
+        hbar=hbar,
     )
-    return GaussianMixtureState(terms=terms, hbar=hbar)
 
 
 def shift_state(
@@ -354,9 +358,9 @@ def shift_state(
     Exact on every term: centres move, and modulation phases pick up
     -k . (dp, dq) so each fringe keeps its value relative to the packet.
     """
-    s = state._stacked
+    s = state.terms
     phase = s.phase - s.k[:, 0] * dp - s.k[:, 1] * dq
-    return _state_from(s._replace(center=s.center + (dp, dq), phase=phase), state)
+    return GaussianMixtureState(s._replace(center=s.center + (dp, dq), phase=phase), state.hbar)
 
 
 def reflect_state(state: GaussianMixtureState) -> GaussianMixtureState:
@@ -366,7 +370,7 @@ def reflect_state(state: GaussianMixtureState) -> GaussianMixtureState:
     sign, weights, covariances and phases are kept.  The QBM evolution commutes
     with parity, so P_left and P_right trade places under it.
     """
-    return _state_from(_flowed(state._stacked, -np.eye(2)), state)
+    return GaussianMixtureState(_flowed(state.terms, -np.eye(2)), state.hbar)
 
 
 def make_two_momentum_state(
@@ -387,24 +391,17 @@ def make_two_momentum_state(
     wavevector (p1 - p2)/hbar — the textbook source of arrival-time
     backflow when both momenta are negative.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    cov = _packet_cov(sigma, hbar)
     if ratio <= 0.0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    cov = Cov2(pp=hbar * hbar / (4.0 * sigma * sigma), pq=0.0, qq=sigma * sigma)
     kq = (p1 - p2) / hbar
-    terms = (
-        GaussianTerm(1.0, (p1, q0), cov),
-        GaussianTerm(ratio * ratio, (p2, q0), cov),
-        GaussianTerm(
-            2.0 * ratio,
-            (0.5 * (p1 + p2), q0),
-            cov,
-            k=(0.0, kq),
-            phase=-rel_phase,
-        ),
-    )
-    return GaussianMixtureState.from_unnormalised(terms, hbar=hbar)
+    s = _Terms(*(np.array(x, dtype=float) for x in (
+        [1.0, ratio * ratio, 2.0 * ratio], [(p1, q0), (p2, q0), (0.5 * (p1 + p2), q0)],
+        [cov] * 3, [(0.0, 0.0), (0.0, 0.0), (0.0, kq)], [0.0, 0.0, -rel_phase])))
+    total = _mass(s)
+    if total <= 0.0:
+        raise ValueError(f"cannot normalise terms with total mass {total!r}")
+    return GaussianMixtureState(s._replace(weight=s.weight / total), hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +417,7 @@ def evaluate_state(state: GaussianMixtureState, p, q):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    s = state._stacked
+    s = state.terms
     det = s.cov[:, 0, 0] * s.cov[:, 1, 1] - s.cov[:, 0, 1] * s.cov[:, 1, 0]
     if not (det > 0.0).all():
         raise ValueError(f"covariance must be positive definite, det={float(det.min())!r}")
@@ -444,15 +441,6 @@ def evaluate_state(state: GaussianMixtureState, p, q):
 
 # ---------------------------------------------------------------------------
 # propagation
-
-
-def _state_from(s: _Terms, like: GaussianMixtureState) -> GaussianMixtureState:
-    """The state of the stacked, time-free terms s, with the hbar of ``like``."""
-    terms = tuple(
-        GaussianTerm(w, (cp, cq), Cov2(pp, pq, qq), (kp, kq), phase)
-        for w, (cp, cq), ((pp, pq), (_, qq)), (kp, kq), phase in zip(*(x.tolist() for x in s))
-    )
-    return GaussianMixtureState(terms=terms, hbar=like.hbar)
 
 
 def _flowed(s: _Terms, f: np.ndarray) -> _Terms:
@@ -516,7 +504,7 @@ def _propagate_stacked(state: GaussianMixtureState, t, params: PhysParams) -> _T
         raise ValueError(f"state hbar {state.hbar!r} != params hbar {params.hbar!r}")
     a_pp, a_pq, a_qq = qbm_covariance_entries(t, params)  # checks t before the flow uses it
     pad = (1,) * np.ndim(t)
-    s = _Terms(*(x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in state._stacked))
+    s = _Terms(*(x.reshape(x.shape[:1] + pad + x.shape[1:]) for x in state.terms))
     decay, drift = qbm_flow_entries(t, params)
     f = np.zeros(np.shape(t) + (2, 2))
     f[..., 0, 0], f[..., 1, 0], f[..., 1, 1] = decay, drift, 1.0
@@ -542,7 +530,7 @@ def convolve_state(state: GaussianMixtureState, a: Cov2) -> GaussianMixtureState
     Total mass is preserved term by term, so the result needs no
     renormalisation.
     """
-    return _state_from(_convolved(state._stacked, a.matrix()), state)
+    return GaussianMixtureState(_convolved(state.terms, a.matrix()), state.hbar)
 
 
 def propagate_mixture(
@@ -557,7 +545,7 @@ def propagate_mixture(
     """
     if t == 0.0:
         return state
-    return _state_from(_propagate_stacked(state, np.float64(t), params), state)
+    return GaussianMixtureState(_propagate_stacked(state, np.float64(t), params), state.hbar)
 
 
 def husimi_smear(state: GaussianMixtureState, s: float) -> GaussianMixtureState:
@@ -583,7 +571,7 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
     moment (none when k = 0 and phase = 0); the formulas follow from
     differentiating the Gaussian characteristic function.
     """
-    s = state._stacked
+    s = state.terms
     c, sigma = s.center, s.cov
     sk = (sigma @ s.k[..., None])[..., 0]
     damp = np.exp(-0.5 * np.vecdot(s.k, sk))
@@ -596,11 +584,14 @@ def moments(state: GaussianMixtureState) -> tuple[np.ndarray, Cov2]:
 
     mass_total = cosw.sum()
     mean = (cosw * c - sinw * sk).sum(axis=0) / mass_total
-    second = (
-        cosw[..., None] * (sigma + outer(c, c) - outer(sk, sk))
-        - sinw[..., None] * (outer(c, sk) + outer(sk, c))
-    ).sum(axis=0)
-    cov = second / mass_total - np.outer(mean, mean)
+    # past the double range the second moments overflow to inf and nan,
+    # which Cov2.from_matrix refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = (
+            cosw[..., None] * (sigma + outer(c, c) - outer(sk, sk))
+            - sinw[..., None] * (outer(c, sk) + outer(sk, c))
+        ).sum(axis=0)
+        cov = second / mass_total - np.outer(mean, mean)
     return mean, Cov2.from_matrix(cov)
 
 
@@ -614,7 +605,8 @@ def _conditional(u: _Scalars, q):
     slope = u.pq / u.qq
     v = u.pp - u.pq * u.pq / u.qq
     mu = u.cp + slope * (q - u.cq)
-    marg = np.exp(-0.5 * (q - u.cq) ** 2 / u.qq) / np.sqrt(2.0 * math.pi * u.qq)
+    with np.errstate(over="ignore"):  # far out the square overflows: marg = exp(-inf) = 0
+        marg = np.exp(-0.5 * (q - u.cq) ** 2 / u.qq) / np.sqrt(2.0 * math.pi * u.qq)
     return marg, mu, v, slope
 
 
@@ -635,7 +627,8 @@ def _gaussian_fourier_below(mu, var, beta, hi):
     y = beta * sig / _SQRT2
     w = x0 + 1j * y
     lower = x0 < 0.0
-    half = 0.5 * erfcx(np.where(lower, -w, w)) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
+    with np.errstate(over="ignore"):  # far out x0^2 overflows: half = erfcx(w) exp(-inf) = 0
+        half = 0.5 * erfcx(np.where(lower, -w, w)) * np.exp(1j * beta * mu - x0 * x0 - 2j * x0 * y)
     return np.where(lower, np.exp(1j * beta * mu - 0.5 * beta * beta * var) - half, half)
 
 
@@ -684,7 +677,7 @@ def _term_line_reductions(s: _Terms, q):
 
 def position_density(state: GaussianMixtureState, q):
     """Position marginal rho(q) = int dp W(p, q), exactly."""
-    return _term_line_reductions(state._stacked, q)[0].sum(axis=0)
+    return _term_line_reductions(state.terms, q)[0].sum(axis=0)
 
 
 def _balanced_flux(s: _Terms, q, params: PhysParams):
@@ -710,7 +703,7 @@ def _right_mass(state: GaussianMixtureState) -> float:
     plane wave in q against N(q; c_q, S_qq), so every term is one half-line
     Gaussian Fourier integral.
     """
-    u = state._stacked.at(0.0)
+    u = state.terms.at(0.0)
     _, mu0, v, slope = _conditional(u, 0.0)
     piece = _gaussian_fourier_above(u.cq, u.qq, u.kp * slope + u.kq, 0.0)
     fringe = np.real(np.exp(1j * (u.kp * mu0 + u.phase)) * piece)

@@ -213,7 +213,7 @@ def _density_block(
     xi = dx * (r0 - c0 + n_r - 1 - idx)
     x_rows = axis.lo + dx * np.arange(r0, r0 + n_r)
     x_cols = axis.lo + dx * np.arange(c0, c0 + n_c)
-    s = state._stacked
+    s = state.terms
     margs, _, vs, slopes = _conditional(s.at(xbar), xbar)
     factors = []
     for w, (cp, cq), (kp, kq), phase, marg, v, slope in zip(

@@ -160,7 +160,7 @@ def delta_exact(
 
     # xi range: the integrand dies by e^{-c xi^2} and, per term, by the
     # conditional-momentum factor e^{-v (xi/hbar +- k_p)^2 / 2}.
-    u = st._stacked.at(0.0)
+    u = st.terms.at(0.0)
     _, mu0, v, slope = _conditional(u, 0.0)
     decay = c_damp + 0.5 * v / (hbar * hbar)
     xi_max = float(np.max(hbar * np.abs(u.kp) + np.sqrt(41.0 / decay)))
@@ -228,7 +228,7 @@ def _band_step_mass(state: GaussianMixtureState, xs, p_floor) -> np.ndarray:
     turns into a one-sided Fourier integral.
     """
     xs = np.asarray(xs, dtype=float)
-    u = state._stacked.at(xs)
+    u = state.terms.at(xs)
     marg, mu, v, _ = _conditional(u, xs)
     piece = _gaussian_fourier_above(mu, v, u.kp, np.asarray(p_floor, dtype=float))
     return np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
@@ -343,7 +343,7 @@ def delta_strong(
     if x_lo >= x_hi:
         return 0.0
     xs = np.linspace(x_lo, x_hi, 1501)
-    u = st._stacked.at(xs)
+    u = st.terms.at(xs)
     marg, mu, v, _ = _conditional(u, xs)
     piece = _gaussian_fourier_probit(u.kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m)
     g = np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
@@ -838,8 +838,7 @@ def decoherence_verdict(
     mean0, cov0 = moments(state)
     energy = (mean0[0] ** 2 + cov0.pp) / (2.0 * m)
     e_dt = energy * window.width / hbar
-    kp0, kq0 = state.terms[0].k
-    gaussian = len(state.terms) == 1 and kp0 == 0.0 and kq0 == 0.0
+    gaussian = state.terms.weight.size == 1 and not state.terms.k.any()
     tau_l = derive_timescales(params, mean0[0]).tau_l if params.D > 0.0 else math.inf
     t1_ratio = window.t1 / tau_l
     if window.width >= _REGIME_FACTOR * tau_l:

@@ -66,7 +66,7 @@ def continuity_residual(
     st_minus = propagate_mixture(state, t - dt, params)
     drho_dt = (position_density(st_plus, x) - position_density(st_minus, x)) / (2.0 * dt)
 
-    now = propagate_mixture(state, t, params)._stacked
+    now = propagate_mixture(state, t, params).terms
     dflux_dx = (
         _balanced_flux(now, x + dx, params) - _balanced_flux(now, x - dx, params)
     ) / (2.0 * dx)

@@ -49,12 +49,12 @@ def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:
 
 def flux_density(state: GaussianMixtureState, q, mass: float):
     """Conventional probability flux j(q) = int dp (p/m) W(p, q), exactly."""
-    return _term_line_reductions(state._stacked, q)[1].sum(axis=0) / mass
+    return _term_line_reductions(state.terms, q)[1].sum(axis=0) / mass
 
 
 def position_density_gradient(state: GaussianMixtureState, q):
     """d/dq of the position marginal, in closed form."""
-    return _term_line_reductions(state._stacked, q)[2].sum(axis=0)
+    return _term_line_reductions(state.terms, q)[2].sum(axis=0)
 
 
 def q_function_current(state: GaussianMixtureState, t: float, params: PhysParams) -> float:
@@ -257,18 +257,20 @@ def density_block_direct(
     xb = 0.5 * (rows[:, None] + cols[None, :])
     xi = rows[:, None] - cols[None, :]
     out = np.zeros(xb.shape, dtype=complex)
-    margs, mus, vs, _ = _conditional(state._stacked.at(xb), xb)
-    for term, marg, mu, v in zip(state.terms, margs, mus, vs):
-        envelope = term.weight * marg
-        kp, kq = term.k
-        if kp == 0.0 and kq == 0.0 and term.phase == 0.0:
+    s = state.terms
+    margs, mus, vs, _ = _conditional(s.at(xb), xb)
+    for w, (kp, kq), phase, marg, mu, v in zip(
+        s.weight.tolist(), s.k.tolist(), s.phase.tolist(), margs, mus, vs
+    ):
+        envelope = w * marg
+        if kp == 0.0 and kq == 0.0 and phase == 0.0:
             u = xi / hbar
             out += envelope * np.exp(1j * mu * u - 0.5 * v * u * u)
             continue
         for eta in (+1.0, -1.0):
             u = xi / hbar + eta * kp
             out += 0.5 * envelope * np.exp(
-                1j * eta * (kq * xb + term.phase) + 1j * mu * u - 0.5 * v * u * u
+                1j * eta * (kq * xb + phase) + 1j * mu * u - 0.5 * v * u * u
             )
     return out
 

@@ -142,10 +142,8 @@ class TestPovmEffect:
         eff = ar.build_povm_E(iv, PAR)
         s1 = ge.make_gaussian_state(p0=-10.0, q0=8.0, sigma=1.0)
         s2 = ge.make_gaussian_state(p0=-8.0, q0=6.0, sigma=1.2)
-        half = ge.GaussianMixtureState(
-            terms=tuple(ge.GaussianTerm(weight=0.5 * t.weight, center=t.center,
-                                        cov=t.cov, k=t.k, phase=t.phase)
-                        for t in s1.terms + s2.terms))
+        both = [np.concatenate(fields) for fields in zip(s1.terms, s2.terms)]
+        half = ge.GaussianMixtureState(terms=[0.5 * both[0], *both[1:]])
         lhs = eff.expectation(half)
         rhs = 0.5 * eff.expectation(s1) + 0.5 * eff.expectation(s2)
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
@@ -214,11 +212,12 @@ class TestExpectationClosedForm:
         # B = 0 makes S_E a difference of two step functions; against one
         # Gaussian the expectation is then Phi(mu_1 / s_1) - Phi(mu_2 / s_2)
         eff = replace(ar.build_povm_E(Interval(1.3, 1.5), PAR), b=ge.Cov2(0.0, 0.0, 0.0))
-        term = ge.husimi_smear(ORACLE_STATES["gaussian"], eff.s).terms[0]
+        term = ge.husimi_smear(ORACLE_STATES["gaussian"], eff.s).terms
+        center, cov = term.center[0], term.cov[0]
         want = 0.0
         for sign, t in ((1.0, 1.3), (-1.0, 1.5)):
             n = np.array([t / PAR.mass, 1.0])
-            want += sign * ndtr(n @ term.center / math.sqrt(n @ term.cov.matrix() @ n))
+            want += sign * ndtr(n @ center / math.sqrt(n @ cov @ n))
         assert math.isclose(eff.expectation(ORACLE_STATES["gaussian"]), want, rel_tol=1e-13)
 
     @pytest.mark.parametrize("kind", sorted(ORACLE_STATES))
@@ -392,6 +391,18 @@ class TestArrayCurrent:
             want = ar.arrival_current(LEFT_GAUSS, t, params)
             scan = ar.backflow_scan(LEFT_GAUSS, params, np.array([0.5 * t, t]))
         assert math.isfinite(want) and scan.current[1] == want
+
+    def test_far_state_gives_exact_zero_without_warning(self):
+        # (q - c_q)^2 and the half-line Fourier exponent overflow to inf this
+        # far out; exp(-inf) = 0 is the exact limit, reached without a warning
+        far = ge.make_gaussian_state(-1e200, 10.0, 1.0)
+        params, iv = PhysParams(D=2.0), Interval(0.5, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ar.arrival_probability(far, iv, params) == 0.0
+            scan = ar.backflow_scan(far, params, np.linspace(0.5, 1.5, 11))
+            assert ar.build_povm_E(iv, params).expectation(far) == 0.0
+        assert not scan.current.any() and not scan.cumulative.any()
 
     def test_scan_sample_budget_refused_before_any_current(self, monkeypatch):
         def no_current(*args, **kwargs):

@@ -32,6 +32,16 @@ from oracles import (
 )
 
 
+def _one_term(weight, center, cov, k=(0.0, 0.0), phase=0.0):
+    """The arrays of the one-term mixture weight g(z - center; cov) cos(k . z + phase)."""
+    return ([weight], [center], [cov], [k], [phase])
+
+
+def _fringe_weight(state):
+    """Weight of the state's first modulated term."""
+    return float(state.terms.weight[state.terms.k.any(axis=1)][0])
+
+
 def _grid_mass(state, n=400, pad=9.0):
     mean, cov = ge.moments(state)
     p = np.linspace(mean[0] - pad * math.sqrt(cov.pp), mean[0] + pad * math.sqrt(cov.pp), n)
@@ -220,9 +230,9 @@ class TestStates:
             assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
 
     def test_mixture_rejects_unnormalised(self):
-        term = ge.GaussianTerm(weight=0.5, center=(0.0, 0.0), cov=ge.Cov2(1.0, 0.0, 1.0))
+        term = _one_term(weight=0.5, center=(0.0, 0.0), cov=np.eye(2))
         with pytest.raises(ValueError, match="normalis"):
-            ge.GaussianMixtureState(terms=(term,))
+            ge.GaussianMixtureState(terms=term)
 
     @pytest.mark.parametrize("build, value", [
         (lambda: ge.make_gaussian_state(-3.0, 10.0, math.nan), "nan"),
@@ -231,31 +241,97 @@ class TestStates:
         (lambda: ge.husimi_smear(ge.make_cat_state(4.0, -2.0, 0.7), math.inf), "inf"),
         (lambda: ge.shift_state(ge.make_cat_state(4.0, -2.0, 0.7), dq=math.nan), "nan"),
         (lambda: ge.GaussianMixtureState(
-            terms=(ge.GaussianTerm(math.nan, (0.0, 0.0), ge.Cov2(1.0, 0.0, 1.0)),)), "nan"),
+            terms=_one_term(math.nan, (0.0, 0.0), np.eye(2))), "nan"),
         (lambda: ge.GaussianMixtureState(
-            terms=(ge.GaussianTerm(1.0, (0.0, 0.0), ge.Cov2(1.0, 0.0, 1.0), k=(0.0, math.inf)),)),
+            terms=_one_term(1.0, (0.0, 0.0), np.eye(2), k=(0.0, math.inf))),
          "inf"),
         (lambda: ge.Cov2(1.0, 0.0, math.inf), "inf"),
         (lambda: ge.Cov2(math.nan, 0.0, 1.0), "nan"),
+        # finiteness is checked before symmetry, which a nan can never pass
+        (lambda: ge.Cov2.from_matrix([[1.0, math.nan], [0.0, 1.0]]), "finite.*nan"),
     ], ids=["sigma", "separation", "husimi-nan", "husimi-inf", "shift", "weight", "k",
-            "cov-inf", "cov-nan"])
+            "cov-inf", "cov-nan", "cov-offdiag-nan"])
     def test_non_finite_input_rejected(self, build, value):
         # each used to return a state with nan or inf in it
         with pytest.raises(ValueError, match=value):
             build()
 
+    def test_moments_past_the_double_range_refused_without_warning(self):
+        # the second moments of p0 = -1e200 overflow to nan, which
+        # Cov2.from_matrix names as such instead of as broken symmetry
+        far = ge.make_gaussian_state(-1e200, 10.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance entries must be finite"):
+                ge.moments(far)
+
     def test_moments_of_pure_phase_term(self):
         # k = 0 with a bare phase still scales every moment by cos(phase)
-        term = ge.GaussianTerm(weight=1.0, center=(1.0, 2.0), cov=ge.Cov2(1.0, 0.0, 1.0),
-                               phase=0.0)
-        mod = ge.GaussianTerm(weight=1.0 / math.cos(0.3), center=(1.0, 2.0),
-                              cov=ge.Cov2(1.0, 0.0, 1.0), phase=0.3)
-        st_plain = ge.GaussianMixtureState(terms=(term,))
-        st_mod = ge.GaussianMixtureState(terms=(mod,))
+        term = _one_term(weight=1.0, center=(1.0, 2.0), cov=np.eye(2), phase=0.0)
+        mod = _one_term(weight=1.0 / math.cos(0.3), center=(1.0, 2.0), cov=np.eye(2), phase=0.3)
+        st_plain = ge.GaussianMixtureState(terms=term)
+        st_mod = ge.GaussianMixtureState(terms=mod)
         m1, c1 = ge.moments(st_plain)
         m2, c2 = ge.moments(st_mod)
         assert np.allclose(m1, m2)
         assert math.isclose(c1.det(), c2.det(), rel_tol=1e-12)
+
+
+_CONTRACT_STATES = {
+    "gaussian": ge.make_gaussian_state(p0=-3.0, q0=10.0, sigma=1.0),
+    "cat": ge.make_cat_state(separation=4.0, p0=-2.0, sigma=0.7),
+    "two-momentum": ge.make_two_momentum_state(p1=-1.0, p2=-3.0, q0=5.0, sigma=1.0,
+                                               ratio=0.8, rel_phase=0.4),
+}
+
+
+class TestArrayState:
+    """A state is its stacked term arrays: read-only, checked once, built straight."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT_STATES))
+    def test_term_arrays_are_read_only_float64(self, name):
+        for x in _CONTRACT_STATES[name].terms:
+            assert x.dtype == np.float64 and x.flags.c_contiguous
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
+
+    def test_construction_copies_the_callers_arrays(self):
+        fields = [np.array(x) for x in _one_term(1.0, (0.5, -1.0), [[1.2, 0.7], [0.7, 0.9]])]
+        state = ge.GaussianMixtureState(terms=fields)
+        fields[1][0, 0] = 99.0
+        assert all(x.flags.writeable for x in fields)
+        assert state.terms.center[0, 0] == 0.5
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT_STATES))
+    @pytest.mark.parametrize("par", [PhysParams(D=0.0), PhysParams(D=2.0),
+                                     PhysParams(D=2.0, gamma=0.4)], ids=["D0", "D2", "gamma"])
+    def test_propagated_state_is_the_stacked_propagation(self, name, par):
+        state = _CONTRACT_STATES[name]
+        for t in (0.3, 1.7, 5.0):
+            got = ge.propagate_mixture(state, t, par).terms
+            want = ge._propagate_stacked(state, np.float64(t), par)
+            for field, a, b in zip(want._fields, got, want):
+                assert np.array_equal(a, b), (field, t)
+
+    @pytest.mark.parametrize("terms, message", [
+        ((), "mixture terms are the 5 arrays"),
+        (([], np.empty((0, 2)), np.empty((0, 2, 2)), np.empty((0, 2)), []),
+         "at least one term"),
+        (_one_term(1.0, 0.0, np.eye(2)), r"center \(1,\)"),
+        (_one_term([1.0], (0.0, 0.0), np.eye(2)), r"weight \(1, 1\)"),
+        (_one_term(1.0, (0.0, 0.0), [[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"),
+        (_one_term(1.0, (0.0, 0.0), [[-1.0, 0.0], [0.0, 1.0]]),
+         r"negative diagonal: Cov2\(pp=-1.0, pq=0.0, qq=1.0\)"),
+        (_one_term(1.0, (0.0, 0.0), [[1.0, 2.0], [2.0, 1.0]]),
+         r"indefinite: Cov2\(pp=1.0, pq=2.0, qq=1.0\)"),
+        (_one_term(1.0, (0.0, 0.0), [[1.0, math.nan], [math.nan, 1.0]]),
+         "must be finite, got nan"),
+    ], ids=["no-fields", "no-terms", "center-shape", "weight-shape", "asymmetric",
+            "negative-diagonal", "indefinite", "cov-nan"])
+    def test_bad_term_arrays_refused(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            ge.GaussianMixtureState(terms=terms)
 
 
 def _scipy_wigner(state, p, q):
@@ -263,16 +339,16 @@ def _scipy_wigner(state, p, q):
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     z = np.stack([p, q], axis=-1)
     out = np.zeros(p.shape)
-    for t in state.terms:
-        pdf = multivariate_normal(mean=t.center, cov=t.cov.matrix()).pdf(z)
-        out += t.weight * pdf * np.cos(t.k[0] * p + t.k[1] * q + t.phase)
+    for w, c, cov, k, phase in zip(*state.terms):
+        pdf = multivariate_normal(mean=c, cov=cov).pdf(z)
+        out += w * pdf * np.cos(k[0] * p + k[1] * q + phase)
     return out
 
 
 _D2 = PhysParams(D=2.0)
 _SAMPLED_STATES = {
     "correlated": ge.GaussianMixtureState(
-        terms=(ge.GaussianTerm(1.0, (0.5, -1.0), ge.Cov2(1.2, 0.7, 0.9)),)
+        terms=_one_term(1.0, (0.5, -1.0), [[1.2, 0.7], [0.7, 0.9]])
     ),
     "cat-D2": ge.propagate_mixture(ge.make_cat_state(4.0, -1.0, 0.8), 0.3, _D2),
     "two-momentum-D2": ge.propagate_mixture(
@@ -304,8 +380,8 @@ class TestEvaluateState:
 
     def test_singular_covariance_rejected(self):
         # det = 0: no density to sample, though the mixture itself normalises
-        term = ge.GaussianTerm(1.0, (0.0, 0.0), ge.Cov2(1.0, 1.0, 1.0))
-        state = ge.GaussianMixtureState(terms=(term,))
+        term = _one_term(1.0, (0.0, 0.0), [[1.0, 1.0], [1.0, 1.0]])
+        state = ge.GaussianMixtureState(terms=term)
         with pytest.raises(ValueError, match="positive definite"):
             ge.evaluate_state(state, np.zeros(3), np.zeros(3))
 
@@ -430,9 +506,9 @@ class TestPropagation:
         d = 3.0
         cat = ge.make_cat_state(separation=d, p0=0.0, sigma=0.7)
         t = 1e-3
-        w0 = next(t_ for t_ in cat.terms if np.any(np.asarray(t_.k))).weight
+        w0 = _fringe_weight(cat)
         evolved = ge.propagate_mixture(cat, t, par)
-        w1 = next(t_ for t_ in evolved.terms if np.any(np.asarray(t_.k))).weight
+        w1 = _fringe_weight(evolved)
         log_ratio = math.log(w1 / w0)
         assert math.isclose(log_ratio, -par.D * d * d * t / par.hbar ** 2,
                             rel_tol=0.02)
@@ -443,7 +519,7 @@ class TestPropagation:
         weights = []
         for t in (0.0, 0.2, 0.5, 1.0, 2.0):
             st_t = ge.propagate_mixture(cat, t, par)
-            weights.append(next(x.weight for x in st_t.terms if np.any(np.asarray(x.k))))
+            weights.append(_fringe_weight(st_t))
         assert all(b < a for a, b in zip(weights, weights[1:]))
 
     def test_hbar_mismatch_rejected(self):
@@ -466,7 +542,7 @@ class TestPropagation:
         assert math.isclose(mean[0], p0, rel_tol=1e-9, abs_tol=1e-9)
         assert math.isclose(mean[1], q0 + p0 * t, rel_tol=1e-9, abs_tol=1e-9)
         noise = ge.qbm_covariance(t, par)
-        base = ge.make_gaussian_state(p0=p0, q0=q0, sigma=sigma).terms[0].cov
+        base = ge.Cov2.from_matrix(ge.make_gaussian_state(p0=p0, q0=q0, sigma=sigma).terms.cov[0])
         decay, drift = ge.qbm_flow_entries(t, par)
         flowed = base.transform([[decay, 0.0], [drift, 1.0]])
         assert math.isclose(cov.pp, flowed.pp + noise.pp, rel_tol=1e-9)

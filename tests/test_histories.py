@@ -850,6 +850,17 @@ class TestDecoherenceVerdict:
         assert not rep.gaussian
         assert any("t1 too small" in g for g in rep.gates_failed)
 
+    # only a single unmodulated term skips the opening-time gate
+    @pytest.mark.parametrize("build, gaussian", [
+        (lambda: ge.make_gaussian_state(p0=-10.0, q0=60.0, sigma=1.0), True),
+        (lambda: ge.shift_state(ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0),
+                                dq=60.0), False),
+        (lambda: ge.make_two_momentum_state(p1=-9.0, p2=-11.0, q0=60.0, sigma=1.0), False),
+    ], ids=["gaussian", "cat", "two-momentum"])
+    def test_gaussian_flag(self, build, gaussian):
+        rep = hi.decoherence_verdict(build(), Interval(5.0, 5.25), NOISY)
+        assert rep.gaussian is gaussian
+
     def test_regime_labels(self):
         st = ge.make_gaussian_state(p0=-10.0, q0=60.0, sigma=1.0)
         assert hi.decoherence_verdict(st, Interval(5.0, 5.25), FREE).regime == "free"

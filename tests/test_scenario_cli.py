@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+from qbflow import gaussian_engine as ge
 from qbflow import scenario_cli
 from qbflow.core_model import PhysParams
 from qbflow.scenario_cli import (
@@ -122,6 +123,27 @@ class TestValidation:
         assert main(["validate", path]) == 2
         err = capsys.readouterr().err
         assert "physical.kT must be finite, got inf" in err
+        assert "Traceback" not in err
+
+    # widths whose packet covariance or cat normalisation leaves the double
+    # range: each used to escape as ZeroDivisionError or OverflowError
+    @pytest.mark.parametrize("build, state, name", [
+        (lambda: ge.make_gaussian_state(0.0, 0.0, 1e-200),
+         {"gaussian": {"p0": 0.0, "x0": 0.0, "sigma": 1e-200}}, "sigma"),
+        (lambda: ge.make_gaussian_state(0.0, 0.0, 1e200),
+         {"gaussian": {"p0": 0.0, "x0": 0.0, "sigma": 1e200}}, "sigma"),
+        (lambda: ge.make_two_momentum_state(-1.0, -2.0, 0.0, 1e-200),
+         {"two_momentum": {"p1": -1.0, "p2": -2.0, "x0": 0.0, "sigma": 1e-200}}, "sigma"),
+        (lambda: ge.make_cat_state(1e200, 0.0, 1.0),
+         {"cat": {"separation": 1e200, "p0": 0.0, "sigma": 1.0}}, "separation"),
+    ], ids=["gaussian-narrow", "gaussian-wide", "two-momentum-narrow", "cat-wide"])
+    def test_extreme_widths_refused(self, tmp_path, capsys, build, state, name):
+        with pytest.raises(ValueError, match=name):
+            build()
+        path = _write(tmp_path, _variant(state=state))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot build the scenario from {path}: {name} = ")
         assert "Traceback" not in err
 
     def test_no_noise_spec_at_all(self, tmp_path):
