@@ -76,7 +76,9 @@ class Cov2:
         scale = max(abs(self.pp), abs(self.qq), abs(self.pq), 1e-300)
         if min(self.pp, self.qq) < -_EIG_FLOOR * scale:
             raise ValueError(f"covariance has negative diagonal: {self}")
-        if self.det() < -_EIG_FLOOR * scale * scale:
+        # the determinant of the entries over scale, which cannot overflow
+        pp, pq, qq = self.pp / scale, self.pq / scale, self.qq / scale
+        if pp * qq - pq * pq < -_EIG_FLOOR:
             raise ValueError(f"covariance is indefinite: {self}")
 
     @classmethod

@@ -325,13 +325,22 @@ class TestArrayState:
          r"negative diagonal: Cov2\(pp=-1.0, pq=0.0, qq=1.0\)"),
         (_one_term(1.0, (0.0, 0.0), [[1.0, 2.0], [2.0, 1.0]]),
          r"indefinite: Cov2\(pp=1.0, pq=2.0, qq=1.0\)"),
+        # pp qq - pq^2 would be inf - inf = nan, which no comparison refuses
+        (_one_term(1.0, (0.0, 0.0), [[1e160, 1e170], [1e170, 1e160]]),
+         r"indefinite: Cov2\(pp=1e\+160, pq=1e\+170, qq=1e\+160\)"),
         (_one_term(1.0, (0.0, 0.0), [[1.0, math.nan], [math.nan, 1.0]]),
          "must be finite, got nan"),
     ], ids=["no-fields", "no-terms", "center-shape", "weight-shape", "asymmetric",
-            "negative-diagonal", "indefinite", "cov-nan"])
+            "negative-diagonal", "indefinite", "indefinite-overflow", "cov-nan"])
     def test_bad_term_arrays_refused(self, terms, message):
         with pytest.raises(ValueError, match=message):
             ge.GaussianMixtureState(terms=terms)
+
+    def test_definiteness_judged_past_the_double_range(self):
+        # pp qq and pq^2 both overflow here; the rule scales them first
+        with pytest.raises(ValueError, match="covariance is indefinite"):
+            ge.Cov2(1e160, 1e170, 1e160)
+        ge.Cov2(1e160, 0.5e160, 1e160)  # positive definite, kept
 
 
 def _scipy_wigner(state, p, q):

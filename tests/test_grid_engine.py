@@ -32,6 +32,32 @@ def _cat():
     return ge.make_cat_state(separation=4.0, p0=-2.0, sigma=0.7)
 
 
+def _under_masks(monkeypatch, run):
+    """run() under the affinity masks {0}, the real one and {0, 1, 2}.
+
+    Every grid pass takes its worker count from the mask, so these give
+    one worker, the host's count and more workers than this host has.
+    """
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0, 1}
+    outputs = []
+    for mask in ({0}, real, {0, 1, 2}):
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False)
+        outputs.append(run())
+    return outputs
+
+
+class _SpyPool:
+    """A stand-in for the grid pool that records each submitted slab."""
+
+    def __init__(self):
+        self.submitted = []
+        self._pool = gr._grid_pool()
+
+    def submit(self, fn, rows):
+        self.submitted.append(rows)
+        return self._pool.submit(fn, rows)
+
+
 class TestAxes:
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="inverted"):
@@ -133,6 +159,19 @@ class TestDensityBlock:
         gr._density_block(state, _BLOCK_AXIS, _CUT, 0, two[_CUT:, :_CUT])
         assert np.array_equal(one, two)
 
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch):
+        # each worker fills its own row slab; a slab boundary must not move
+        # a bit of the off-diagonal block
+        state = ge.propagate_mixture(_BLOCK_STATES["shifted_cat"], 0.5, PAR)
+
+        def run():
+            out = np.zeros((384, 384), dtype=complex)
+            gr._density_block(state, _BLOCK_AXIS, _CUT, 0, out[_CUT:, :_CUT])
+            return out
+
+        first, *others = _under_masks(monkeypatch, run)
+        assert all(np.array_equal(first, other) for other in others)
+
 
 class TestWignerPropagation:
     def test_zero_time_is_identity(self):
@@ -147,6 +186,16 @@ class TestWignerPropagation:
         a = gr.propagate_wigner_qbm(w, 1.0, PAR)
         b = propagate_wigner_direct(w, 1.0, PAR)
         assert np.abs(a.values - b.values).max() < 1e-3 * np.abs(b.values).max()
+
+    @pytest.mark.parametrize("d", [0.0, 0.7])
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch, d):
+        # shears by row slab and blurs by block run on every worker of the
+        # mask; on a non-square grid the two axes cut into different slabs
+        w = gr.wigner_grid_from_state(_cat(), gr.Axis(-10.0, 6.0, 200), gr.Axis(-12.0, 14.0, 333))
+        first, *others = _under_masks(
+            monkeypatch, lambda: gr.propagate_wigner_qbm(w, 0.3, PhysParams(D=d)).values
+        )
+        assert all(np.array_equal(first, other) for other in others)
 
     def test_mass_conserved(self):
         pax, qax = gr.default_axes(_cat(), PAR, t_max=1.5, n=256)
@@ -354,6 +403,16 @@ class TestRestrictedPropagation:
         norms, _ = ar.restricted_march(w, 2.0, 0.25, PhysParams(D=0.5))
         assert norms[-1] < 0.1
 
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch):
+        g = ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8)
+        w = gr.wigner_grid_from_state(g, gr.Axis(-12.0, 4.0, 160), gr.Axis(-14.0, 10.0, 170))
+        first, *others = _under_masks(
+            monkeypatch, lambda: ar.restricted_march(w, 1.0, 0.1, PhysParams(D=0.5))
+        )
+        for norms, currents in others:
+            assert np.array_equal(norms, first[0])
+            assert np.array_equal(currents, first[1])
+
     def test_eps_refinement_converges(self):
         g = ge.make_gaussian_state(p0=-3.0, q0=4.0, sigma=1.0)
         pax = gr.Axis(-11.0, 5.0, 192)
@@ -436,17 +495,13 @@ class TestDensityPropagation:
             block[cut:, :cut],
         )
         cases = [(cat, cat_ax, PAR), (block, half_ax, PhysParams(D=0.0))]
-        outputs = []
-        real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0, 1}
-        for mask in ({0}, real, {0, 1, 2}):
-            monkeypatch.setattr(
-                gr.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
-            )
-            outputs.append(
-                [gr._propagate_density_split_raw(v.copy(), ax, 0.8, par) for v, ax, par in cases]
-            )
-        for other in outputs[1:]:
-            for a, b in zip(outputs[0], other):
+        first, *others = _under_masks(
+            monkeypatch,
+            lambda: [gr._propagate_density_split_raw(v.copy(), ax, 0.8, par)
+                     for v, ax, par in cases],
+        )
+        for other in others:
+            for a, b in zip(first, other):
                 assert np.array_equal(a, b)
 
     def test_worker_count_follows_affinity_mask(self, monkeypatch):
@@ -468,15 +523,47 @@ class TestDensityPropagation:
             gr._propagate_density_split_raw(rho.values, ax, 0.5, par)
             return seen
 
+        pool = _SpyPool()
+        monkeypatch.setattr(gr, "_grid_pool", lambda: pool)
         assert step(128) == [3, 3, 3, 3]
         assert step(128, PhysParams(D=0.0)) == [3, 3]  # D = 0: one free step
         assert step(64) == [3, 3, 3, 3]  # small grids too: no size threshold
+        # three slabs of whole rows; the caller runs the first
+        assert gr._map_row_slabs(lambda rows: rows, 100) == [
+            slice(0, 33), slice(33, 66), slice(66, 100)]
+        assert pool.submitted[-2:] == [slice(33, 66), slice(66, 100)]
+        assert gr._map_row_slabs(lambda rows: rows, 2) == [slice(0, 1), slice(1, 2)]
+        # one CPU: every pass runs inline and nothing reaches the pool
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pool.submitted.clear()
+        assert step(128) == [1, 1, 1, 1]
+        assert gr._map_row_slabs(lambda rows: rows, 100) == [slice(0, 100)]
+        w = gr.wigner_grid_from_state(_cat(), *gr.default_axes(_cat(), PAR, n=64))
+        gr.propagate_wigner_qbm(w, 0.1, PAR)
+        gr._density_block(_cat(), gr.Axis(-8.0, 8.0, 64), 0, 0, np.empty((64, 64), complex))
+        assert pool.submitted == []
         # without sched_getaffinity the count falls back to os.cpu_count()
         monkeypatch.delattr(gr.os, "sched_getaffinity")
         monkeypatch.setattr(gr.os, "cpu_count", lambda: 5)
         assert step(128) == [5, 5, 5, 5]
+        assert len(gr._map_row_slabs(lambda rows: rows, 100)) == 5
         monkeypatch.setattr(gr.os, "cpu_count", lambda: None)
         assert step(128) == [1, 1, 1, 1]
+
+    def test_slab_error_reaches_the_caller(self, monkeypatch):
+        # a slab that raises on a pool thread raises in the caller, after
+        # every other slab has finished
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        done = []
+
+        def fn(rows):
+            if rows.start > 0:
+                raise ValueError(f"slab at {rows.start}")
+            done.append(rows)
+
+        with pytest.raises(ValueError, match="slab at"):
+            gr._map_row_slabs(fn, 9)
+        assert done == [slice(0, 3)]
 
     @pytest.mark.parametrize("d", [0.0, 1.0])
     def test_ffts_stay_in_padded_buffer(self, monkeypatch, d):
