@@ -166,6 +166,16 @@ def _map_row_slabs(fn, n: int) -> list:
     return [first] + [f.result() for f in futures]
 
 
+# entries of the row chunks that the workers of one pass hold at once in
+# temporaries: 2^16, 1 MiB of complex or 512 KiB of float
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_chunks(rows: slice, size: int):
+    """``rows`` cut into consecutive slices of at most ``size`` rows."""
+    return (slice(i, min(i + size, rows.stop)) for i in range(rows.start, rows.stop, size))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -228,11 +238,6 @@ def density_matrix_from_state(
     return DensityMatrixGrid(axis, values, state.hbar)
 
 
-# entries of the row chunks _density_block's workers hold at once: 2^16,
-# 1 MiB a buffer
-_CHUNK_ENTRIES = 1 << 16
-
-
 def _density_block(
     state: GaussianMixtureState, axis: Axis, r0: int, c0: int, out: np.ndarray
 ) -> None:
@@ -261,8 +266,8 @@ def _density_block(
     buffers of its own for the later terms and the eta = -1 passes (none
     for one plain Gaussian); the chunks of all workers together hold
     ``_CHUNK_ENTRIES`` entries.  Every entry is the same product whatever
-    the worker count.  Entries agree with the
-    per-entry formula to round-off, about 1e-13 of the peak.
+    the worker count.  Entries agree with the per-entry formula to
+    round-off, about 1e-13 of the peak.
     """
     n_r, n_c = out.shape
     hbar, dx = state.hbar, axis.step
@@ -298,15 +303,14 @@ def _density_block(
         factors.append((views, row_phase, col_phase))
     # the workers' buffers share one budget of _CHUNK_ENTRIES entries a plane
     step = max(1, _CHUNK_ENTRIES // (n_c * _fft_workers()))
+    modulated = any(len(views) > 1 for views, _, _ in factors)
 
     def fill(slab: slice) -> None:
         # a later term's product, and the eta = -1 pass of a modulated term
         m = min(step, slab.stop - slab.start)
-        modulated = any(len(views) > 1 for views, _, _ in factors)
         prod = np.empty((m, n_c), dtype=complex) if len(factors) > 1 else None
         extra = np.empty((m, n_c), dtype=complex) if modulated else None
-        for i0 in range(slab.start, slab.stop, step):
-            rows = slice(i0, min(i0 + step, slab.stop))
+        for rows in _row_chunks(slab, step):
             dst = out[rows]
             r = dst.shape[0]
             for k, (views, row_phase, col_phase) in enumerate(factors):
@@ -352,7 +356,10 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     same whatever the worker count.  The slabs share whole-grid buffers
     made by the caller: with buffers made in each slab, on the pool
     threads, a 512² march step took about 1760 minor page faults, against
-    none.
+    none.  The gather, whose fancy index makes a temporary of its rows,
+    goes by row chunks of ``_CHUNK_ENTRIES`` over all workers: a whole-slab
+    temporary beside ``out`` cost a one-worker 512² march step about 500
+    minor faults, against none.
     """
     n_p, n_q = values.shape
     peak = max(values.max(), -values.min())
@@ -379,6 +386,7 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     coef_windows, spline = sliding_window_view(coef, 4, axis=1), wide[:, n_q:2 * n_q, None]
     sources, row_index = sliding_window_view(wide, n_q, axis=1), np.arange(n_p)
     off_grid = f[:, 0] > 0.0  # source n_q - 1 + f_i is off the grid
+    gather_rows = max(1, _CHUNK_ENTRIES // (n_q * _fft_workers()))
 
     def shear(rows: slice) -> None:
         body = coef[rows, 1:-2]
@@ -391,7 +399,8 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
         wide[rows, 2 * n_q:] = 0.0
         np.matmul(coef_windows[rows], taps[rows, :, None], out=spline[rows])
         wide[rows][off_grid[rows], 2 * n_q - 1] = 0.0
-        out[rows] = sources[row_index[rows], start[rows]]
+        for part in _row_chunks(rows, gather_rows):
+            out[part] = sources[row_index[part], start[part]]
 
     _map_row_slabs(shear, n_p)
     return out
@@ -681,8 +690,7 @@ def _propagate_density_split_raw(
     if border > 2e-3 * peak:
         # the peak over row slabs, so no n x n magnitude array is formed
         def slab_peak(rows: slice) -> float:
-            return max(np.abs(values[i:min(i + 64, rows.stop)]).max()
-                       for i in range(rows.start, rows.stop, 64))
+            return max(np.abs(values[part]).max() for part in _row_chunks(rows, 64))
 
         peak = max(_map_row_slabs(slab_peak, n))
         if border > 2e-3 * peak:
