@@ -134,6 +134,10 @@ def _fft_workers() -> int:
 
 _pool_lock = threading.Lock()
 _pool: list[ThreadPoolExecutor] = []  # filled once; no module binding changes
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but none of its threads, so a slab
+    # submitted there would never run: the child makes its own
+    os.register_at_fork(after_in_child=_pool.clear)
 
 
 def _grid_pool() -> ThreadPoolExecutor:

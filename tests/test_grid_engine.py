@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -564,6 +565,24 @@ class TestDensityPropagation:
         with pytest.raises(ValueError, match="slab at"):
             gr._map_row_slabs(fn, 9)
         assert done == [slice(0, 3)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the child inherits the pool object but not its threads; a slab
+        # submitted to it would never run, so the child's pass would hang
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        gr._map_row_slabs(lambda rows: rows, 4)  # the pool exists before the fork
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a hung child ends on SIGALRM
+                code = 0 if gr._map_row_slabs(lambda rows: rows, 4) == [
+                    slice(0, 2), slice(2, 4)] else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     @pytest.mark.parametrize("d", [0.0, 1.0])
     def test_ffts_stay_in_padded_buffer(self, monkeypatch, d):
