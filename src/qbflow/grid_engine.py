@@ -571,23 +571,8 @@ def _apply_sum_kernel(spec: np.ndarray, rows: slice, table: np.ndarray) -> None:
             spec[lo:hi, cols] *= hankel[lo + shift:hi + shift, cols_shifted]
 
 
-def _ifft2_diagonal(spec: np.ndarray) -> np.ndarray:
-    """The diagonal of ``ifft2(spec)`` without the n x n inverse transform.
-
-    It is ifft(z) / n, with z[s] the sum of spec[a, b] over a + b = s (mod
-    n).  Row a adds to z in two slices: spec[a, :n - a] at s = a .. n - 1,
-    and the wrapped spec[a, n - a:] at s = 0 .. a - 1.
-    """
-    n = spec.shape[0]
-    z = spec[0].copy()
-    for a in range(1, n):
-        z[a:] += spec[a, :n - a]
-        z[:a] += spec[a, n - a:]
-    return fft.ifft(z) / n
-
-
 def _propagate_density_split_raw(
-    values: np.ndarray, axis: Axis, t: float, params: PhysParams, diagonal: bool = False
+    values: np.ndarray, axis: Axis, t: float, params: PhysParams
 ) -> np.ndarray:
     """Spectrally exact density-matrix step (negligible dissipation), in place.
 
@@ -599,21 +584,13 @@ def _propagate_density_split_raw(
     is diagonal in momentum space as exp(-v_q (k_x + k_y)^2 / 2), with
     v_p = 2 D t and v_q = D t^3 / 6 m^2.  No splitting error — the
     factorisation is algebraically exact — only periodic wrap-around.
-    At D = 0 there is no channel between the half-steps, so the step is one
-    free step: one ``fft2``, the full phase exp(-i hbar t k^2 / 2m), one
-    ``ifft2``.
+    There is one path, four FFTs: at D = 0 both noise factors are exactly
+    1 and the two half-steps make the free step.
 
     ``values`` must be an aligned complex128 n x n array (``TypeError``
     otherwise).  Every FFT and factor works in place in it, and the step
     returns ``values`` itself, holding the result; at t = 0 it is returned
     unchanged.  A :func:`_work_array` gives the FFTs their best row stride.
-
-    With ``diagonal=True`` the step returns only the diagonal of the
-    result, as a new 1-D array, for steps whose output is only traced.  At
-    D = 0 it is read off the final spectrum Y by :func:`_ifft2_diagonal`,
-    the last ``ifft2`` is not run, and Y is left in ``values``.  With D > 0
-    the step runs in full and checks as below, and the diagonal is copied
-    out of the result.
 
     The free half-step is the outer product of a 1-D phase and its
     conjugate; the noise factors come from 1-D tables, because the position
@@ -627,9 +604,8 @@ def _propagate_density_split_raw(
     that reach any finite box edge, so the check is off there.
 
     Every pass runs on every CPU in the process affinity mask, at every
-    grid size: the FFTs (four with D > 0; two at D = 0, one with
-    ``diagonal``) through scipy.fft's ``workers``, and the factor
-    multiplies and the border scan by row slab through
+    grid size: the four FFTs through scipy.fft's ``workers``, and the
+    factor multiplies and the border scan by row slab through
     :func:`_map_row_slabs`.  Restrict the mask, e.g. with ``taskset``, to
     use fewer.  The worker count does not change a bit of the result.
     """
@@ -641,21 +617,12 @@ def _propagate_density_split_raw(
         # scipy.fft would return a transformed copy and leave values as it was
         raise TypeError(f"the split-step works in place on aligned complex128, got {values.dtype}")
     if t == 0.0:
-        return np.diagonal(values).copy() if diagonal else values
+        return values
     hbar, m, d = params.hbar, params.mass, params.D
     n, dx = axis.n, axis.step
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     workers = _fft_workers()
     fft.fft2(values, overwrite_x=True, workers=workers)
-    if d == 0.0:
-        # no noise channel between the half-steps: they are one free step
-        full = np.exp(-0.5j * hbar * t * k * k / m)
-        full_bra = full.conj()
-        _map_row_slabs(lambda rows: _apply_phases(values, rows, full, full_bra), n)
-        if diagonal:
-            return _ifft2_diagonal(values)
-        fft.ifft2(values, overwrite_x=True, workers=workers)
-        return values
     # exp(-i hbar (t/2) (k_x^2 - k_y^2) / 2m) = half[i] * conj(half[j])
     half = np.exp(-0.25j * hbar * t * k * k / m)
     half_bra = half.conj()
@@ -686,6 +653,8 @@ def _propagate_density_split_raw(
     fft.fft2(values, overwrite_x=True, workers=workers)
     _map_row_slabs(lambda rows: _apply_phases(values, rows, half, half_bra), n)
     fft.ifft2(values, overwrite_x=True, workers=workers)
+    if d == 0.0:
+        return values
     border = max(
         np.abs(values[:2, :]).max(), np.abs(values[-2:, :]).max(),
         np.abs(values[:, :2]).max(), np.abs(values[:, -2:]).max(),
@@ -699,7 +668,7 @@ def _propagate_density_split_raw(
         peak = max(_map_row_slabs(slab_peak, n))
         if border > 2e-3 * peak:
             raise ValueError("grid too small for requested time")
-    return np.diagonal(values).copy() if diagonal else values
+    return values
 
 
 # ---------------------------------------------------------------------------

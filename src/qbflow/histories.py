@@ -15,7 +15,8 @@ from projected, environment-smoothed evolution.  Four layers:
   closed-form asymptotic estimate they are all compared against;
 * interval chains — ``crossing_class_matrix`` builds the full decoherence
   matrix for a partition of an arrival window into sub-intervals by
-  propagating one-sidedly masked density matrices, and
+  propagating one-sidedly masked density matrices (wavefunctions at
+  D = 0), and
   ``class_operator_probability`` condenses it: do the squared (history)
   probabilities agree with the linear (difference-of-survival) ones, and
   are the off-diagonals negligible?
@@ -34,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.special import sici
 
 from .core_model import Interval, PhysParams, checked_schedule, derive_timescales
@@ -46,6 +48,7 @@ from .gaussian_engine import (
     _right_mass,
     evaluate_state,
     moments,
+    position_density,
     propagate_mixture,
 )
 from .grid_engine import (
@@ -80,6 +83,12 @@ _U_CUT = 200.0
 # closed forms degrade gradually — so it gates warnings and labels, never
 # values.
 _REGIME_FACTOR = 3.0
+
+# Largest miss of |psi|^2 against position_density, over its peak, that the
+# D = 0 class matrix accepts as a pure state.  The sampled pure states (a
+# Gaussian, a cat, the criterion-09 two-momentum state) read about 3e-15; a
+# Gaussian with 1e-6 excess position variance, barely mixed, reads 1.8e-7.
+_PURITY_TOL = 1e-10
 
 # Most xi points delta_exact evaluates: a window that needs more is refused,
 # not under-resolved (the bundled and generated scenarios need under 45,000).
@@ -549,6 +558,65 @@ def _chain_axis(state, times, params, n):
     return axis_straddling_zero(lo, hi, n_use), k_need * hbar
 
 
+def _wavefunction(state, axis):
+    """psi on ``axis`` of a pure Gaussian mixture, real at its densest node y.
+
+    A pure rho(x, y) is psi(x) conj(psi(y)), so psi is rho's column y over
+    sqrt(rho(y, y)).  The sampled rho is positive semi-definite, so it is
+    |psi><psi| exactly when |psi|^2 is ``position_density`` at every node.
+    """
+    dens = position_density(state, axis.points)
+    y = int(np.argmax(dens))
+    column = np.empty((axis.n, 1), dtype=complex)
+    _density_block(state, axis, 0, y, column)
+    psi = column[:, 0] / math.sqrt(column[y, 0].real)
+    miss = float(np.abs(psi.real ** 2 + psi.imag ** 2 - dens).max()) / dens[y]
+    if not miss <= _PURITY_TOL:
+        raise ValueError(
+            "at D = 0 the class matrix runs on wavefunctions and needs a pure state: "
+            f"|psi|^2 misses the position density by {miss:.2g} of its peak "
+            f"(allowed {_PURITY_TOL:g})"
+        )
+    return psi
+
+
+def _pure_class_matrix(state, windows, params, axis):
+    """The D = 0 decoherence functional of :func:`_class_matrix` on n-point
+    wavefunctions, each density matrix a product |ket><bra|.
+
+    Per class, the ket P_right psi(open_k) and the bra psi(open_k) step
+    over the class together; the ket's left part gives the diagonal entry
+    and stays the chain's ket.  Gaps step both, and a fork steps the ket
+    with the bra's right part.  A step is one ``scipy.fft`` pair with the
+    free phase exp(-i hbar t k^2 / 2m) between, on both rows at once.
+    """
+    x = axis.points
+    left = x < 0.0
+    hbar, m = params.hbar, params.mass
+    k = 2.0 * math.pi * np.fft.fftfreq(axis.n, d=axis.step)
+
+    def evolve(ket, bra, t):
+        return fft.ifft(np.exp(-0.5j * hbar * t * k * k / m) * fft.fft(np.stack([ket, bra])))
+
+    n_classes = len(windows)
+    mat = np.zeros((n_classes, n_classes), dtype=complex)
+    for c, (a_c, b_c) in enumerate(windows):
+        psi = _wavefunction(propagate_mixture(state, a_c, params), axis)
+        ket, bra = evolve(psi * ~left, psi, b_c - a_c)
+        mat[c, c] = np.trapezoid((ket.real ** 2 + ket.imag ** 2) * left, x)
+        ket *= left
+        reached = b_c
+        for j in range(c + 1, n_classes):
+            a_j, b_j = windows[j]
+            if a_j > reached:
+                ket, bra = evolve(ket, bra, a_j - reached)
+            reached = a_j
+            fork_ket, fork_bra = evolve(ket, bra * ~left, b_j - a_j)
+            mat[c, j] = np.trapezoid(fork_ket * fork_bra.conj() * left, x)
+            mat[j, c] = np.conjugate(mat[c, j])
+    return mat
+
+
 def _class_matrix(state, windows, params, axis):
     """Decoherence functional over ordered ``(open, close)`` time windows.
 
@@ -558,18 +626,22 @@ def _class_matrix(state, windows, params, axis):
     The axis puts the origin mid-cell, so the projectors are the index
     split ``[:cut]`` (left) and ``[cut:]`` (right).
 
-    Steps run in place on one padded n x n array, ``chain``.  Each
-    class samples the backbone's P_right rho P_right into it, everything
-    else zeroed, and steps it with only the diagonal returned.  Unless the
-    class is the last, all right rows of rho are then sampled into it,
-    stepped and masked off: that is the ket-projected chain, and every
-    later mask zeroes a block of it in place.  Once the chain runs past a
-    class or across a gap its right rows refill, and they belong in the
-    entry.  A fork zeroes the chain's left columns and steps with only the
-    diagonal returned.  Nothing reads the chain after a class's last fork,
-    so that fork runs on the chain itself; an earlier fork steps a copy in
-    a second array, ``work``, which only three or more classes need.
+    At D = 0 the same schedule runs on n-point wavefunctions, for pure
+    states only (:func:`_pure_class_matrix`).  With D > 0 steps run in
+    place on one padded n x n array, ``chain``, and each entry reads a
+    diagonal.  Each class samples the backbone's P_right rho P_right into
+    it, everything else zeroed, and steps it.  Unless the class is the
+    last, all right rows of rho are then sampled into it, stepped and
+    masked off: that is the ket-projected chain, and every later mask
+    zeroes a block of it in place.  Once the chain runs past a class or
+    across a gap its right rows refill, and they belong in the entry.  A
+    fork zeroes the chain's left columns and steps.  Nothing reads the
+    chain after a class's last fork, so that fork runs on the chain
+    itself; an earlier fork steps a copy in a second array, ``work``,
+    which only three or more classes need.
     """
+    if params.D == 0.0:
+        return _pure_class_matrix(state, windows, params, axis)
     x = axis.points
     left = x < 0.0
     cut = int(np.count_nonzero(left))
@@ -583,7 +655,7 @@ def _class_matrix(state, windows, params, axis):
         chain[:cut] = 0.0
         chain[cut:, :cut] = 0.0
         _density_block(st, axis, cut, cut, chain[cut:, cut:])
-        diag = _propagate_density_split_raw(chain, axis, b_k - a_k, params, diagonal=True)
+        diag = np.diagonal(_propagate_density_split_raw(chain, axis, b_k - a_k, params))
         # Tr[(P_< U P_>) rho (P_< U P_>)^dag] is real by construction; the
         # grid trace leaves a phantom imaginary part at discretisation level.
         mat[k, k] = np.trapezoid(diag * left, x).real
@@ -604,7 +676,7 @@ def _class_matrix(state, windows, params, axis):
                 work[:, cut:] = chain[:, cut:]
                 fork_in = work
             fork_in[:, :cut] = 0.0
-            fork = _propagate_density_split_raw(fork_in, axis, b_j - a_j, params, diagonal=True)
+            fork = np.diagonal(_propagate_density_split_raw(fork_in, axis, b_j - a_j, params))
             mat[k, j] = np.trapezoid(fork * left, x)
             mat[j, k] = np.conjugate(mat[k, j])
     return mat
@@ -624,30 +696,34 @@ def crossing_class_matrix(
     act on the ket side, class j's on the bra side, each at its own times,
     with open-system evolution in between.
 
-    One-sidedly projected density matrices are pushed with the spectral
-    split-step propagator on a shared axis; the unprojected backbone
-    rho(t_k) is re-sampled from the exact Gaussian engine at the start of
-    every class, so grid error never accumulates along the partition.  The
-    diagonal is real: D[k, k] is the crossing probability for interval k
-    with the projections actually applied.  Comparing it against the
+    With D > 0, one-sidedly projected density matrices are pushed with
+    the spectral split-step propagator on a shared axis; the unprojected
+    backbone rho(t_k) is re-sampled from the exact Gaussian engine at the
+    start of every class, so grid error never accumulates along the
+    partition.  At D = 0 the evolution is unitary, and the same schedule
+    runs on n-point wavefunctions sampled the same way: pure states only,
+    and a state whose sampled |psi|^2 misses its position density by more
+    than 1e-10 of the peak raises ``ValueError``.  The diagonal is real:
+    D[k, k] is the crossing probability for interval k with the
+    projections actually applied.  Comparing it against the
     projection-free survival differences, and the off-diagonals against
     zero, measures how decoherent the partition is.
 
-    With D = 0 the projected blocks keep coherent algebraic tails that any
-    finite box truncates, and the border sentinel is disabled in that
-    regime.  The truncation is small but not round-off: on the D = 0
-    two-momentum control of acceptance criterion 09 (three slices of
-    0.008), going from n = 2048 to 4096 moves each diagonal entry by
-    0.07-0.10% and the largest off-diagonal over the largest diagonal from
-    0.33944 to 0.33903.
+    With D = 0 the projected states keep coherent algebraic tails that any
+    finite box truncates, and no border check runs in that regime.  The
+    truncation is small but not round-off: on the D = 0 two-momentum
+    control of acceptance criterion 09 (three slices of 0.008), going from
+    n = 2048 to 4096 moves each diagonal entry by 0.07-0.10% and the
+    largest off-diagonal over the largest diagonal from 0.33944 to 0.33903.
 
     ``n`` is a floor on the grid size, 1024 by default: it is raised to the
     Nyquist count for the momenta the state reaches and rounded up to a
     power of two; a state that needs more than 4096 points is refused.
     ``n`` must be None or an integer in [2, 4096] (``ValueError``
-    otherwise).  The computation steps one padded n x n complex array in
-    place (256 MiB at n = 4096); with three or more classes it holds a
-    second one for the forks that are not a class's last.
+    otherwise).  With D > 0 the computation steps one padded n x n complex
+    array in place (256 MiB at n = 4096); with three or more classes it
+    holds a second one for the forks that are not a class's last.  At
+    D = 0 it holds a few n-point arrays.
 
     A larger ``n`` is not a monotone error bound: the grid bias of the
     diagonal has no fixed sign in ``n``.  For p0 = -6, q0 = 10, sigma = 1

@@ -315,6 +315,16 @@ def _check_tree(tree) -> tuple:
     # analysis-specific prerequisites
     if "povm" in analyses and not phys["D"]:
         diags.append("povm analysis needs D > 0 (the effect construction splits accumulated noise)")
+    elif "povm" in analyses and not gamma and math.isfinite(phys["D"]) and (
+        None not in (phys.get("hbar"), phys.get("mass"), t2)
+    ):
+        povm_params = PhysParams(hbar=phys["hbar"], mass=phys["mass"], D=phys["D"])
+        t_thr = ar.povm_threshold_time(povm_params)
+        if t2 < t_thr:
+            diags.append(
+                f"povm analysis needs time.t2 >= {t_thr!r}, the effect operator's "
+                f"threshold time sqrt((3/2 + sqrt(3)) hbar m / D); got {t2!r}"
+            )
     if "stochastic" in analyses:
         if eps is None:
             diags.append("stochastic analysis needs time.eps (the march step)")

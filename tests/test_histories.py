@@ -575,6 +575,20 @@ class TestDeltaStrong:
             hi.delta_strong(rec, Interval(5.0, 9.0), FREE)
 
 
+# D = 0 cases of the wavefunction route: a pure state and four times that
+# partition its crossing into up to three classes
+PURE_CASES = {
+    "gaussian": (ge.make_gaussian_state(p0=-6.0, q0=10.0, sigma=1.0), [2.0, 2.2, 2.4, 2.6]),
+    "cat": (ge.shift_state(ge.make_cat_state(3.0, -6.0, 1.0), dq=10.0), [2.0, 2.2, 2.4, 2.6]),
+    "criterion_09": (
+        ge.make_two_momentum_state(
+            p1=-2.0, p2=-6.0, q0=2.0, sigma=1.0, ratio=0.577, rel_phase=1.5 * math.pi
+        ),
+        [0.470, 0.478, 0.486, 0.494],
+    ),
+}
+
+
 class TestCrossingChain:
     def test_mirror_identity_against_exact_functional(self):
         # The diagonal of the class matrix is the crossing functional of
@@ -659,6 +673,52 @@ class TestCrossingChain:
         np.testing.assert_allclose(p_sq, np.diag(ref).real, rtol=0.0, atol=1e-12)
         offdiag = np.abs(ref - np.diag(np.diag(ref)))
         assert abs(off - offdiag.max()) < 1e-12
+
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(PURE_CASES))
+    def test_pure_route_matches_explicit_mask_reference(self, name, classes):
+        # at D = 0 the class matrix runs on n-point wavefunctions; the
+        # reference steps the sampled n x n density matrix with full masks
+        st, times = PURE_CASES[name]
+        bounds = times[:classes + 1]
+        axis, _ = hi._chain_axis(st, bounds, FREE, 512)
+        windows = list(zip(bounds, bounds[1:]))
+        ref = _reference_class_matrix(st, windows, FREE, axis)
+        mat = hi._pure_class_matrix(st, windows, FREE, axis)
+        if classes > 1:
+            assert np.max(np.abs(ref - np.diag(np.diag(ref)))) > 1e-6
+        np.testing.assert_allclose(mat, ref, rtol=0.0, atol=1e-12)
+        assert np.array_equal(hi._class_matrix(st, windows, FREE, axis), mat)
+
+    def test_pure_route_matches_reference_across_gaps(self):
+        # each gap steps the chain's ket and bra before the next fork
+        st, _ = PURE_CASES["cat"]
+        ivs = [Interval(2.0, 2.1), Interval(2.2, 2.3), Interval(2.4, 2.5)]
+        windows = [(iv.t1, iv.t2) for iv in ivs]
+        axis, _ = hi._chain_axis(st, [t for w in windows for t in w], FREE, 512)
+        ref = _reference_class_matrix(st, windows, FREE, axis)
+        assert np.abs(ref[0, 2]) > 1e-6
+        np.testing.assert_allclose(
+            hi._pure_class_matrix(st, windows, FREE, axis), ref, rtol=0.0, atol=1e-12
+        )
+        _, p_sq, off = hi.class_operator_probability(st, ivs, FREE, eps=0.05, n=512)
+        np.testing.assert_allclose(p_sq, np.diag(ref).real, rtol=0.0, atol=1e-12)
+        assert abs(off - np.abs(ref - np.diag(np.diag(ref))).max()) < 1e-12
+
+    @pytest.mark.parametrize("state", [
+        # two packets mixed incoherently: |psi|^2 misses by 0.18 of the peak
+        ge.GaussianMixtureState(
+            ([0.5, 0.5], [(-6.0, 9.0), (-6.0, 11.0)], [[[0.25, 0.0], [0.0, 1.0]]] * 2,
+             [(0.0, 0.0)] * 2, [0.0, 0.0])),
+        # a Gaussian with 1e-6 excess position variance misses by 1.8e-7
+        ge.GaussianMixtureState(
+            ([1.0], [(-6.0, 10.0)], [[[0.25, 0.0], [0.0, 1.0 + 1e-6]]], [(0.0, 0.0)], [0.0])),
+    ], ids=["two_packets", "excess_variance"])
+    def test_mixed_state_refused_at_d0(self, state):
+        with pytest.raises(ValueError, match="needs a pure state"):
+            hi.crossing_class_matrix(state, [2.0, 2.2], FREE)
+        with pytest.raises(ValueError, match="needs a pure state"):
+            hi.class_operator_probability(state, [Interval(2.0, 2.2)], FREE, eps=0.1)
 
     @pytest.mark.parametrize(
         "bounds, arrays, steps",

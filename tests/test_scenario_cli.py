@@ -241,6 +241,20 @@ class TestValidation:
         diags = validate_config(_write(tmp_path, _variant(analyses=["povm"])))
         assert any("povm" in d and "D > 0" in d for d in diags)
 
+    def test_povm_needs_t2_past_threshold(self, tmp_path, capsys):
+        # before sqrt((3/2 + sqrt(3)) hbar m / D), 1.271 at D = 2, no effect
+        # operator exists: run would end "[povm] error", so validate refuses
+        early = _variant(analyses=["povm"], **{"physical.D": 2.0, "time.t2": 0.5})
+        path = _write(tmp_path, early)
+        assert main(["validate", path]) == 2
+        assert "povm analysis needs time.t2 >= 1.27" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        # the threshold itself is accepted, as build_povm_E accepts it
+        t_thr = scenario_cli.ar.povm_threshold_time(PhysParams(D=2.0))
+        at = _variant(analyses=["povm"], **{"physical.D": 2.0, "time.t2": t_thr})
+        assert validate_config(_write(tmp_path, at)) == []
+
     @pytest.mark.parametrize("analysis", ["povm", "stochastic", "histories"])
     def test_gamma_zero_routes_reject_dissipation(self, tmp_path, capsys, analysis):
         # the grid routes propagate, and the effect operator is derived, at gamma = 0 only
@@ -453,12 +467,14 @@ class TestRunScenario:
 
     def test_analysis_error_is_stage_tagged(self, tmp_path):
         # povm split needs t >= sqrt((3/2 + sqrt 3) hbar m / D) ~ 1.27;
-        # a window ending at 0.6 cannot build the effect operator
+        # a window ending at 0.6 cannot build the effect operator.
+        # load_config refuses that window, so the config is edited past it
         tree = _variant(
             analyses=["povm"],
-            **{"physical.D": 2.0, "time.t1": 0.5, "time.t2": 0.6},
+            **{"physical.D": 2.0, "time.t1": 0.5, "time.t2": 2.0},
         )
         config, _ = load_config(_write(tmp_path, tree))
+        config = dataclasses.replace(config, t2=0.6)
         summary = run_scenario(config, out_dir=tmp_path / "out")
         assert not summary.all_ok
         outcome = summary.outcomes[0]
