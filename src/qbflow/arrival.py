@@ -57,8 +57,8 @@ from .gaussian_engine import (
 from .grid_engine import (
     Axis,
     PhaseSpaceGrid,
+    _wigner_step,
     default_axes,
-    propagate_wigner_qbm,
     slice_at_q0,
     wigner_grid_from_state,
 )
@@ -310,7 +310,8 @@ def restricted_march(
     current just before it (at 0, just after it).  Every step runs
     :func:`propagate_wigner_qbm`'s mass check, so a grid that leaks mass or
     is far too coarse for the state raises "grid too small for requested
-    time"; passing it bounds no error of the march.
+    time"; passing it bounds no error of the march.  The check's starting
+    mass is the norm just taken, which is the masked grid's own trapezoid.
     """
     steps = _whole_steps("t", t, eps)
     q_pts = w.q.points
@@ -320,7 +321,7 @@ def restricted_march(
     norms = [w.integrate()]
     currents = [current_from_wigner(w, params)]
     for _ in range(steps):
-        w = propagate_wigner_qbm(w, eps, params)
+        w = _wigner_step(w, eps, params, norms[-1])
         currents.append(current_from_wigner(w, params))
         np.multiply(w.values, mask, out=w.values)  # the step returned a fresh grid
         norms.append(w.integrate())

@@ -152,10 +152,18 @@ def _map_row_slabs(fn, n: int) -> list:
     """``[fn(rows) for rows in slabs]`` over n rows cut into one contiguous
     slice per worker, run side by side; the caller runs the first slab.
 
-    Every slab task only computes (numpy and scipy release the GIL) and
-    never submits to the pool itself, so no task waits on another.  With
+    The rows are whatever the caller cuts: grid rows, blocks of the blur,
+    the X columns of ``histories.delta_free``'s quadrature grids, the xi
+    points of ``delta_exact`` or the ladders of ``delta_intermediate``.
+    Every slab task only computes (numpy and scipy release the GIL).  A
+    slab function must never call ``_map_row_slabs`` itself, directly or
+    through a library call: its inner slabs would queue behind the outer
+    ones on the same workers, and the pool would wait on itself.  With
     one worker ``fn(slice(0, n))`` runs inline and no thread starts.  The
     call returns after every slab has finished, also when one raised.
+    A slab that fills its part of a caller's array, with every reduction
+    across slabs left to the caller, gives the same bits for any worker
+    count.
     """
     workers = max(1, min(_fft_workers(), n))
     cuts = [n * k // workers for k in range(workers + 1)]
@@ -484,6 +492,16 @@ def propagate_wigner_qbm(w: PhaseSpaceGrid, t: float, params: PhysParams) -> Pha
     for the state.  For a Gaussian (p0, q0, sigma) = (-4, 4, 1) at D = 0.5,
     steps of 0.1 moved it by 9.0e-3 at 16² and 6.4e-13 at 64².
     """
+    return _wigner_step(w, t, params, w.integrate())
+
+
+def _wigner_step(w: PhaseSpaceGrid, t: float, params: PhysParams, before: float) -> PhaseSpaceGrid:
+    """:func:`propagate_wigner_qbm` with ``before``, the trapezoid mass of
+    ``w`` (``w.integrate()``), supplied by the caller.
+
+    The restricted march has just integrated the masked grid for its norm,
+    so it hands that value over instead of integrating the grid again.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if params.gamma != 0.0:
@@ -499,7 +517,7 @@ def propagate_wigner_qbm(w: PhaseSpaceGrid, t: float, params: PhysParams) -> Pha
         out = _gauss1d(out, d * t ** 3 / (6.0 * m * m), w.q.step, axis=1)
     out = _shear_q(out, w.p.points, w.q, lam)
     result = w.with_values(out)
-    before, after = w.integrate(), result.integrate()
+    after = result.integrate()
     if abs(before) > 1e-12 and abs(after - before) > 1e-3 * abs(before):
         raise ValueError("grid too small for requested time")
     return result

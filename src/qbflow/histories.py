@@ -52,10 +52,14 @@ from .gaussian_engine import (
     propagate_mixture,
 )
 from .grid_engine import (
-    axis_straddling_zero,
+    _CHUNK_ENTRIES,
     _density_block,
+    _fft_workers,
+    _map_row_slabs,
     _propagate_density_split_raw,
+    _row_chunks,
     _work_array,
+    axis_straddling_zero,
 )
 
 __all__ = [
@@ -89,6 +93,11 @@ _REGIME_FACTOR = 3.0
 # Gaussian, a cat, the criterion-09 two-momentum state) read about 3e-15; a
 # Gaussian with 1e-6 excess position variance, barely mixed, reads 1.8e-7.
 _PURITY_TOL = 1e-10
+
+# Rungs the lockstep ladders of delta_intermediate take between two runs
+# of their stopping tests.  The seed-0 scenario ladders are about 572 rungs
+# long, so at most 63 rungs past the longest are computed and discarded.
+_LADDER_BLOCK = 64
 
 # Most xi points delta_exact evaluates: a window that needs more is refused,
 # not under-resolved (the bundled and generated scenarios need under 45,000).
@@ -133,6 +142,15 @@ def survival_probability(
 # exact two-time crossing probability
 
 
+def _chunk_width(length: int) -> int:
+    """Rows of ``length`` entries per chunk of a window quadrature's slab:
+    the chunks of all workers together hold ``_CHUNK_ENTRIES``, one row at
+    the least.  Whole-slab temporaries on the pool threads cost a seed-0
+    ``scenarios`` pass about 4 MiB of peak memory; these chunks cost none.
+    """
+    return max(1, _CHUNK_ENTRIES // (length * _fft_workers()))
+
+
 def delta_exact(
     state: GaussianMixtureState, window: Interval, params: PhysParams
 ) -> float:
@@ -155,7 +173,11 @@ def delta_exact(
 
     with W the evolved Wigner function at t1 and c = D dt / 3 hbar^2.
     Every term of G is a half-line Gaussian Fourier integral, evaluated in
-    closed form; only the xi quadrature is numerical.  The grid check is
+    closed form; only the xi quadrature is numerical.  The (terms x xi)
+    integrand is filled by xi slab on the grid worker pool
+    (``grid_engine._map_row_slabs``), chunk by chunk (:func:`_chunk_width`),
+    and the sums over terms and over xi run once on the whole array, so
+    the worker count changes no bit of the result.  The grid check is
     ``crossing_class_matrix(reflect_state(state), [t1, t2], params, n)[0, 0]``:
     parity swaps P_left and P_right and commutes with the evolution.
     """
@@ -195,10 +217,21 @@ def delta_exact(
     kp, kq, phase, w, cq, qq, mu0, v, slope = (
         x[rows, None] for x in (u.kp, u.kq, u.phase, u.w, u.cq, u.qq, mu0, v, slope)
     )
-    a = eta * kp + xi / hbar
-    b = eta * kq + m * xi / (hbar * dt)
-    piece = _gaussian_fourier_below(cq, qq, b + a * slope, -0.5 * xi)
-    g = np.sum(share * w * np.exp(1j * eta * phase + 1j * a * mu0 - 0.5 * a * a * v) * piece, axis=0)
+    weight = share * w
+    chords = np.empty((rows.size, n_xi), dtype=complex)
+    width = _chunk_width(rows.size)
+
+    def chord(slab: slice) -> None:
+        for cols in _row_chunks(slab, width):
+            x = xi[cols]
+            a = eta * kp + x / hbar
+            b = eta * kq + m * x / (hbar * dt)
+            piece = _gaussian_fourier_below(cq, qq, b + a * slope, -0.5 * x)
+            np.multiply(weight * np.exp(1j * eta * phase + 1j * a * mu0 - 0.5 * a * a * v), piece,
+                        out=chords[:, cols])
+
+    _map_row_slabs(chord, n_xi)
+    g = np.sum(chords, axis=0)
 
     integral = float(np.sum(np.exp(-c_damp * xi * xi) * np.imag(g) / xi) * d_xi)
     return 0.5 * m_left + integral / math.pi
@@ -263,6 +296,12 @@ def delta_free(
     to 1/2 across a layer of width ~hbar/|pbar| there.  Truncation error
     is bounded by mass/(pi _U_CUT), and the dropped tails oscillate without
     stationary points, so the bound is very loose in practice.
+
+    Both O(n^2) integrands, the near-origin (p x X) grid and the far band,
+    are filled by X slab on the grid worker pool
+    (``grid_engine._map_row_slabs``), chunk by chunk (:func:`_chunk_width`);
+    each trapezoid then runs once on the whole array, so the worker count
+    changes no bit of the result.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -283,18 +322,33 @@ def delta_free(
     if x_hi > near_lo:
         ell = hbar / (abs(mean[0]) + 3.0 * sp)
         xs = _graded_origin_grid(near_lo, x_hi, ell, dx)
-        w = evaluate_state(st, ps[:, None], xs[None, :])
-        u = xs[None, :] * (m * xs[None, :] / dt + ps[:, None]) / hbar
-        g = np.trapezoid(w * f_integral(u), ps, axis=0)
+        near = np.empty((ps.size, xs.size))
+        width = _chunk_width(ps.size)
+
+        def near_slab(slab: slice) -> None:
+            for cols in _row_chunks(slab, width):
+                x = xs[None, cols]
+                u = x * (m * x / dt + ps[:, None]) / hbar
+                np.multiply(evaluate_state(st, ps[:, None], x), f_integral(u), out=near[:, cols])
+
+        _map_row_slabs(near_slab, xs.size)
+        g = np.trapezoid(near, ps, axis=0)
         total += float(np.trapezoid(g, xs))
     if near_lo > x_lo:
         xs = _grid(x_lo, near_lo, dx)
         us = np.linspace(-_U_CUT, _U_CUT, 2 * int(_U_CUT / 0.3) + 1)
         fu = f_integral(us)
-        col = xs[:, None]
-        pu = us[None, :] * hbar / col - m * col / dt
-        w = evaluate_state(st, pu, col)
-        band = np.trapezoid(w * fu[None, :], us, axis=1) * (hbar / np.abs(xs))
+        far = np.empty((xs.size, us.size))
+        width = _chunk_width(us.size)
+
+        def far_slab(slab: slice) -> None:
+            for rows in _row_chunks(slab, width):
+                col = xs[rows, None]
+                pu = us[None, :] * hbar / col - m * col / dt
+                np.multiply(evaluate_state(st, pu, col), fu[None, :], out=far[rows])
+
+        _map_row_slabs(far_slab, xs.size)
+        band = np.trapezoid(far, us, axis=1) * (hbar / np.abs(xs))
         step = _band_step_mass(st, xs, -m * xs / dt + _U_CUT * hbar / np.abs(xs))
         total += float(np.trapezoid(band + step, xs))
     return total
@@ -373,22 +427,39 @@ def _window_ladders(
     kernel (s_q/10) and the local window phase (0.35 rad); it stops before
     passing its floor, or once the window has decayed past _U_CUT.  All
     ladders advance in lockstep as arrays, with each element taking the
-    same float operations as a scalar descent.  Returns each ladder in
+    same float operations as a scalar descent, in place in one table of
+    rungs.  The two stopping tests run on each block of _LADDER_BLOCK new
+    rungs at once, which halves the numpy calls per rung; the rungs a
+    ladder takes past its end are discarded.  Returns each ladder in
     ascending order, ending at 0.0.
     """
-    x = np.zeros_like(p0s)
-    live = np.ones(p0s.shape, dtype=bool)
-    xs, kept = [x], [live]
-    while live.any():
-        step = np.minimum(
-            s_q / 10.0, 0.35 * hbar / (np.abs(2.0 * m * x / dt + p0s) + 1e-300)
-        )
-        x = x - step
-        live = live & ~(x < floors)
-        xs.append(x)
-        kept.append(live)
-        live = live & ~(x * (m * x / dt + p0s) / hbar > _U_CUT)
-    xs, n_kept = np.array(xs), np.sum(kept, axis=0)
+    unended = np.iinfo(np.intp).max
+    n_kept = np.full(p0s.size, unended, dtype=np.intp)
+    xs = np.empty((4 * _LADDER_BLOCK + 1, p0s.size))
+    xs[0] = 0.0
+    step = np.empty(p0s.size)
+    top = 0  # rungs xs[:top + 1] are computed
+    while (n_kept == unended).any():
+        if top + _LADDER_BLOCK >= len(xs):
+            xs = np.concatenate([xs, np.empty_like(xs)])
+        for k in range(top, top + _LADDER_BLOCK):
+            # step = min(s_q/10, 0.35 hbar / (|2 m x/dt + p0| + 1e-300))
+            np.multiply(2.0 * m, xs[k], out=step)
+            step /= dt
+            step += p0s
+            np.abs(step, out=step)
+            step += 1e-300
+            np.divide(0.35 * hbar, step, out=step)
+            np.minimum(s_q / 10.0, step, out=step)
+            np.subtract(xs[k], step, out=xs[k + 1])
+        first, top = top + 1, top + _LADDER_BLOCK
+        rungs = xs[first:top + 1]
+        index = np.arange(first, top + 1)[:, None]
+        # a ladder's first stop: a rung below its floor ends it before that
+        # rung; a kept rung whose window phase is past _U_CUT ends it after
+        past = rungs * (m * rungs / dt + p0s) / hbar > _U_CUT
+        ends = np.where(rungs < floors, index, np.where(past, index + 1, unended))
+        np.minimum(n_kept, ends.min(axis=0), out=n_kept)
     return [xs[n - 1::-1, i] for i, n in enumerate(n_kept)]
 
 
@@ -419,6 +490,17 @@ def delta_intermediate(
     Emits a RuntimeWarning outside its regime: the fold needs many
     localisation times before the window (t1 >> tau_l) and a window short
     against one (dt << tau_l).
+
+    F is evaluated on 71 conditional momenta p0, each on its own adaptive
+    X ladder (:func:`_window_ladders`).  The ladders are padded into one
+    table with zero trapezoid weight past each ladder's end, f is one
+    ``f_integral`` call over it, and the fold is one matrix product per
+    ladder, N(X; mu, s_Q^2) times f times the weights.  It runs by ladder
+    slab on the grid worker pool (``grid_engine._map_row_slabs``), in
+    chunks of ladders whose kernels together hold about ``_CHUNK_ENTRIES``
+    entries over all workers, one ladder at the least.  The worker count
+    changes no bit of the result; the fold agrees with a per-ladder
+    trapezoid to about 1e-16 relative.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -462,15 +544,39 @@ def delta_intermediate(
     ladders = _window_ladders(
         np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt
     )
-    fmat = np.zeros((n_out, n_out))
+    # one padded table of the ladders: each row is its ladder, then 0.0 (its
+    # last point) repeated, so past a ladder's end the steps and with them
+    # the trapezoid weights are 0; a ladder of one point has no weight
+    size = max(xs.size for xs in ladders)
+    table = np.zeros((n_out, size))
     for i, xs in enumerate(ladders):
-        if xs.size < 2:
-            continue
-        fv = f_integral(xs * (m * xs / dt + p0s[i]) / hbar)
-        kern = np.exp(-0.5 * ((xs[None, :] - mus[i][:, None]) / s_q) ** 2) / (
-            math.sqrt(2.0 * math.pi) * s_q
-        )
-        fmat[i] = np.trapezoid(kern * fv[None, :], xs, axis=1)
+        table[i, :xs.size] = xs
+    half_steps = 0.5 * np.diff(table, axis=1)
+    weights = np.zeros((n_out, size))
+    weights[:, 1:] = half_steps
+    weights[:, :-1] += half_steps
+    fw = f_integral(table * (m * table / dt + p0s[:, None]) / hbar) * weights
+    # the fold fmat[i, k] = sum_j N(X_ij; mu_ik, s_q^2) fw_ij, one matrix
+    # product per ladder.  A ladder's kernel is 71 x 572 = 40,612 entries in
+    # the seed-0 scenarios, so each chunk is one ladder; folding all 71
+    # ladders at once held 23 MiB.
+    fmat = np.empty((n_out, n_out))
+    fmat_cols = fmat.reshape(n_out, n_out, 1)
+    chunk = _chunk_width(n_out * size)
+
+    def fold(ladder_rows: slice) -> None:
+        kern = np.empty((min(chunk, ladder_rows.stop - ladder_rows.start), n_out, size))
+        for part in _row_chunks(ladder_rows, chunk):
+            k = kern[:part.stop - part.start]
+            np.subtract(table[part, None, :], mus[part, :, None], out=k)
+            k /= s_q
+            np.square(k, out=k)
+            k *= -0.5
+            np.exp(k, out=k)
+            np.matmul(k, fw[part, :, None], out=fmat_cols[part])
+
+    _map_row_slabs(fold, n_out)
+    fmat /= math.sqrt(2.0 * math.pi) * s_q
     value = float(np.trapezoid(np.trapezoid(w0 * fmat, x0s, axis=1), p0s))
     return value, bound
 

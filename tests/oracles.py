@@ -9,12 +9,14 @@ admissibility test pins the positivity time to its closed form.  The two
 line reductions ``flux_density`` and ``position_density_gradient`` are the
 exception: they are the engine's own reduction taken one state at a time,
 the reference that its array routes over (terms x times) must equal bit
-for bit.
+for bit.  ``under_masks`` reruns a computation under several worker counts
+of the grid pool, whose results must agree bit for bit too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 from scipy import ndimage
@@ -34,6 +36,21 @@ from qbflow.gaussian_engine import (
 )
 from qbflow.grid_engine import Axis, DensityMatrixGrid, PhaseSpaceGrid, default_axes
 from qbflow.histories import survival_probability
+
+
+def under_masks(monkeypatch, run):
+    """run() under the affinity masks {0}, the real one and {0, 1, 2}.
+
+    Every pass on the grid worker pool takes its worker count from the
+    mask, so these give one worker, the host's count and more workers than
+    this host has.
+    """
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0, 1}
+    outputs = []
+    for mask in ({0}, real, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, m=mask: m, raising=False)
+        outputs.append(run())
+    return outputs
 
 
 def is_wigner_admissible(cov: Cov2, hbar: float) -> bool:

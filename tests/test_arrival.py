@@ -301,7 +301,7 @@ class TestStochasticRoute:
             raise AssertionError("a grid was built or stepped for a march over budget")
 
         monkeypatch.setattr(ar, "wigner_grid_from_state", no_grid)
-        monkeypatch.setattr(ar, "propagate_wigner_qbm", no_grid)
+        monkeypatch.setattr(ar, "_wigner_step", no_grid)
         over = "at most 10000 march steps, got 10001.0"  # 5000.5 / 0.5 = 10001 steps
         w = gr.PhaseSpaceGrid(gr.Axis(-1.0, 1.0, 16), gr.Axis(-1.0, 1.0, 16), np.zeros((16, 16)))
         with pytest.raises(ValueError, match=over):

@@ -22,6 +22,7 @@ from oracles import (
     gauss1d_ndimage,
     hermiticity_defect,
     propagate_wigner_direct,
+    under_masks,
     wigner_from_density,
 )
 
@@ -31,20 +32,6 @@ PAR = PhysParams(D=2.0)
 
 def _cat():
     return ge.make_cat_state(separation=4.0, p0=-2.0, sigma=0.7)
-
-
-def _under_masks(monkeypatch, run):
-    """run() under the affinity masks {0}, the real one and {0, 1, 2}.
-
-    Every grid pass takes its worker count from the mask, so these give
-    one worker, the host's count and more workers than this host has.
-    """
-    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0, 1}
-    outputs = []
-    for mask in ({0}, real, {0, 1, 2}):
-        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False)
-        outputs.append(run())
-    return outputs
 
 
 class _SpyPool:
@@ -170,7 +157,7 @@ class TestDensityBlock:
             gr._density_block(state, _BLOCK_AXIS, _CUT, 0, out[_CUT:, :_CUT])
             return out
 
-        first, *others = _under_masks(monkeypatch, run)
+        first, *others = under_masks(monkeypatch, run)
         assert all(np.array_equal(first, other) for other in others)
 
 
@@ -193,7 +180,7 @@ class TestWignerPropagation:
         # shears by row slab and blurs by block run on every worker of the
         # mask; on a non-square grid the two axes cut into different slabs
         w = gr.wigner_grid_from_state(_cat(), gr.Axis(-10.0, 6.0, 200), gr.Axis(-12.0, 14.0, 333))
-        first, *others = _under_masks(
+        first, *others = under_masks(
             monkeypatch, lambda: gr.propagate_wigner_qbm(w, 0.3, PhysParams(D=d)).values
         )
         assert all(np.array_equal(first, other) for other in others)
@@ -422,7 +409,7 @@ class TestRestrictedPropagation:
     def test_worker_count_leaves_bits_unchanged(self, monkeypatch):
         g = ge.make_gaussian_state(p0=-4.0, q0=3.0, sigma=0.8)
         w = gr.wigner_grid_from_state(g, gr.Axis(-12.0, 4.0, 160), gr.Axis(-14.0, 10.0, 170))
-        first, *others = _under_masks(
+        first, *others = under_masks(
             monkeypatch, lambda: ar.restricted_march(w, 1.0, 0.1, PhysParams(D=0.5))
         )
         for norms, currents in others:
@@ -511,7 +498,7 @@ class TestDensityPropagation:
             block[cut:, :cut],
         )
         cases = [(cat, cat_ax, PAR), (block, half_ax, PhysParams(D=0.0))]
-        first, *others = _under_masks(
+        first, *others = under_masks(
             monkeypatch,
             lambda: [gr._propagate_density_split_raw(v.copy(), ax, 0.8, par)
                      for v, ax, par in cases],

@@ -15,6 +15,7 @@ rather than loosened.
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -29,7 +30,7 @@ from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
 from qbflow import histories as hi
-from oracles import linear_crossing_probabilities
+from oracles import linear_crossing_probabilities, under_masks
 
 
 FREE = PhysParams(D=0.0)
@@ -119,6 +120,31 @@ def _reference_delta_intermediate(state, window, params, u_cut=200.0):
         fmat[i] = np.trapezoid(kern * fv[None, :], xs, axis=1)
     value = float(np.trapezoid(np.trapezoid(w0 * fmat, x0s, axis=1), p0s))
     return value, bound, ladders
+
+
+def _intermediate_ladders(state, window, params):
+    """The X ladders that delta_intermediate builds for these inputs."""
+    mean0, cov0 = ge.moments(state)
+    sp0, sq0 = math.sqrt(cov0.pp), math.sqrt(cov0.qq)
+    p0s = np.linspace(mean0[0] - 6.0 * sp0, mean0[0] + 6.0 * sp0, 71)
+    x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, 71)
+    s_q = math.sqrt(2.0 * params.D * window.t1 ** 3 / 3.0) / params.mass
+    mus = x0s[None, :] + p0s[:, None] * window.t1 / params.mass
+    return hi._window_ladders(
+        np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, params.mass, params.hbar, window.width
+    )
+
+
+# One state of each kind, crossing the origin at about t = 5: the window
+# quadratures run on the grid pool for each of them.
+_KIND_STATES = {
+    "gaussian": lambda: ge.make_gaussian_state(p0=-10.0, q0=50.0, sigma=1.0),
+    "cat": lambda: ge.shift_state(
+        ge.make_cat_state(separation=3.0, p0=-10.0, sigma=1.0), dq=50.0
+    ),
+    "two-momentum": lambda: ge.make_two_momentum_state(p1=-9.0, p2=-11.0, q0=50.0, sigma=1.0),
+}
+_WORKER_WINDOW = Interval(5.0, 5.3)
 
 
 # Frozen adaptive-quadrature value of the delta_free integrand itself
@@ -315,6 +341,17 @@ class TestDeltaExact:
         with pytest.raises(ValueError, match=r"needs \d+ xi quadrature points"):
             hi.delta_exact(st, Interval(t1, t1 + 1.0), NOISY)
 
+    @pytest.mark.parametrize("kind", sorted(_KIND_STATES))
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch, kind):
+        # each worker fills the (terms x xi) integrand of its xi slab; the
+        # sums over terms and over xi run once, on the whole array
+        st = _KIND_STATES[kind]()
+        first, *others = under_masks(
+            monkeypatch, lambda: hi.delta_exact(st, _WORKER_WINDOW, NOISY)
+        )
+        assert first > 1e-6
+        assert all(other == first for other in others)
+
 
 class TestDeltaFree:
     def test_matches_adaptive_quadrature_reference(self):
@@ -368,6 +405,17 @@ class TestDeltaFree:
         damped = PhysParams(D=2.0, gamma=0.05)
         with pytest.raises(ValueError, match="negligible dissipation"):
             hi.delta_free(st, Interval(2.0, 2.4), damped)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_STATES))
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch, kind):
+        # the near-origin (p x X) grid and the far band are filled by X
+        # slab; each trapezoid runs once, on the whole array
+        st = _KIND_STATES[kind]()
+        first, *others = under_masks(
+            monkeypatch, lambda: hi.delta_free(st, _WORKER_WINDOW, FREE)
+        )
+        assert first > 1e-4
+        assert all(other == first for other in others)
 
 
 class TestDeltaFreeAsymptotic:
@@ -508,6 +556,54 @@ class TestDeltaIntermediate:
         still = ge.make_gaussian_state(p0=0.0, q0=5.0, sigma=1.0)
         with pytest.raises(ValueError, match="zero mean momentum"):
             hi.delta_intermediate(still, Interval(5.0, 5.4), NOISY)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_STATES))
+    def test_worker_count_leaves_bits_unchanged(self, monkeypatch, kind):
+        # each worker folds the noise kernel over its own ladders into its
+        # rows of the fold; the quadrature over the fold runs once
+        st = _KIND_STATES[kind]()
+        first, *others = under_masks(
+            monkeypatch, lambda: hi.delta_intermediate(st, _WORKER_WINDOW, NOISY)
+        )
+        assert first[0] > 1e-4
+        assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("p0, q0, sigma, one_point", [
+        (-6.0, 30.0, 0.7, False),
+        (-10.0, 50.0, 0.25, True),
+    ], ids=["uneven", "one-point"])
+    def test_padded_fold_matches_scalar_reference(self, p0, q0, sigma, one_point):
+        # one table holds every ladder, padded with zero trapezoid weight:
+        # in the uneven case the ladders run from 18 to 572 points; in the
+        # other the fastest momenta carry every mu past the floor, so their
+        # ladder is the single point X = 0 and their row of the fold is 0
+        st = ge.make_gaussian_state(p0=p0, q0=q0, sigma=sigma)
+        win, par = Interval(5.0, 5.3), PhysParams(D=0.05)
+        sizes = [xs.size for xs in _intermediate_ladders(st, win, par)]
+        assert max(sizes) > 20 * min(sizes)
+        assert (sum(size < 2 for size in sizes) > 10) if one_point else min(sizes) >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # D = 0.05 sits outside the fold's regime
+            value, bound = hi.delta_intermediate(st, win, par)
+            ref_value, ref_bound, _ = _reference_delta_intermediate(st, win, par)
+        assert value > 1e-3
+        assert abs(value / ref_value - 1.0) < 1e-12
+        assert bound == ref_bound
+
+    def test_fold_holds_one_chunk_per_worker(self, monkeypatch):
+        # folding all 71 ladders at once would hold 71 x 71 x L floats (23
+        # MiB at L = 572); in chunks the call peaks near 9 ladder tables
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        st = _KIND_STATES["gaussian"]()
+        size = max(xs.size for xs in _intermediate_ladders(st, _WORKER_WINDOW, NOISY))
+        hi.delta_intermediate(st, _WORKER_WINDOW, NOISY)  # the pool is up
+        tracemalloc.start()
+        try:
+            hi.delta_intermediate(st, _WORKER_WINDOW, NOISY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 71 * size * 8
 
 
 def _grid_delta_strong(state, window, params):
