@@ -237,6 +237,11 @@ class _Terms(NamedTuple):
                   cov[..., 1, 1], k[..., 0], k[..., 1], self.phase)
         return _Scalars(*(x[pad] for x in fields))
 
+    @property
+    def plain(self) -> np.ndarray:
+        """Unmodulated terms, k = 0 and phase = 0: their cosine is 1."""
+        return (self.k == 0.0).all(axis=-1) & (self.phase == 0.0)
+
 
 def _mass(s: _Terms) -> float:
     """Exact integral of the time-free terms s, sum_j w exp(-k^T S k / 2) cos(k . c + phase).
@@ -426,7 +431,7 @@ def evaluate_state(state: GaussianMixtureState, p, q):
     u = s.at(q)
     marg, mu, v, _ = _conditional(u, q)
     scale = u.w * marg / np.sqrt(2.0 * math.pi * v)
-    modulated = (s.k != 0.0).any(axis=1) | (s.phase != 0.0)
+    plain = s.plain
     out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
     term = np.empty_like(out)
     for j in range(len(s.weight)):
@@ -435,7 +440,7 @@ def evaluate_state(state: GaussianMixtureState, p, q):
         term *= -0.5 / v[j]
         np.exp(term, out=term)
         term *= scale[j]
-        if modulated[j]:
+        if not plain[j]:
             term *= np.cos(u.kp[j] * p + (u.kq[j] * q + u.phase[j]))
         out += term
     return out

@@ -153,10 +153,11 @@ def _map_row_slabs(fn, n: int) -> list:
     slice per worker, run side by side; the caller runs the first slab.
 
     The rows are whatever the caller cuts: grid rows, blocks of the blur,
-    the X columns of ``histories.delta_free``'s quadrature grids, the xi
-    points of ``delta_exact`` or the ladders of ``delta_intermediate``.
-    Every slab task only computes (numpy and scipy release the GIL).  A
-    slab function must never call ``_map_row_slabs`` itself, directly or
+    or, through :func:`_map_chunks`, the X columns of
+    ``histories.delta_free``'s quadrature grids, the xi points of
+    ``delta_exact`` or the ladders of ``delta_intermediate``.  Every slab
+    task only computes (numpy and scipy release the GIL).  A slab
+    function must never call ``_map_row_slabs`` itself, directly or
     through a library call: its inner slabs would queue behind the outer
     ones on the same workers, and the pool would wait on itself.  With
     one worker ``fn(slice(0, n))`` runs inline and no thread starts.  The
@@ -186,6 +187,26 @@ _CHUNK_ENTRIES = 1 << 16
 def _row_chunks(rows: slice, size: int):
     """``rows`` cut into consecutive slices of at most ``size`` rows."""
     return (slice(i, min(i + size, rows.stop)) for i in range(rows.start, rows.stop, size))
+
+
+def _chunk_rows(row_entries: int) -> int:
+    """Rows of ``row_entries`` entries per chunk: the chunks of all workers
+    together hold ``_CHUNK_ENTRIES``, one row at the least."""
+    return max(1, _CHUNK_ENTRIES // (row_entries * _fft_workers()))
+
+
+def _map_chunks(fn, n: int, row_entries: int) -> list:
+    """``fn(rows)`` for every chunk of every slab of :func:`_map_row_slabs`
+    over n rows of ``row_entries`` entries, results in row order.
+
+    Chunks are :func:`_chunk_rows` high, so the temporaries ``fn`` makes
+    on all workers at once hold about ``_CHUNK_ENTRIES`` entries: whole-slab
+    temporaries on the pool threads cost a seed-0 ``scenarios`` pass of
+    the window quadratures about 4 MiB of peak memory, these chunks none.
+    """
+    size = _chunk_rows(row_entries)
+    slabs = _map_row_slabs(lambda slab: [fn(rows) for rows in _row_chunks(slab, size)], n)
+    return [result for slab in slabs for result in slab]
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +295,11 @@ def _density_block(
 
     Only the 1-D tables and phase vectors call ``exp``; the block is their
     products, the first term's formed in ``out`` itself.  Each worker of
-    :func:`_map_row_slabs` fills one row slab, chunk by chunk, with
-    buffers of its own for the later terms and the eta = -1 passes (none
-    for one plain Gaussian); the chunks of all workers together hold
-    ``_CHUNK_ENTRIES`` entries.  Every entry is the same product whatever
-    the worker count.  Entries agree with the per-entry formula to
-    round-off, about 1e-13 of the peak.
+    :func:`_map_row_slabs` fills one row slab in chunks
+    :func:`_chunk_rows` high, with chunk buffers of its own for the later
+    terms and the eta = -1 passes (none for one plain Gaussian).  Every
+    entry is the same product whatever the worker count.  Entries agree
+    with the per-entry formula to round-off, about 1e-13 of the peak.
     """
     n_r, n_c = out.shape
     hbar, dx = state.hbar, axis.step
@@ -293,12 +313,12 @@ def _density_block(
     s = state.terms
     margs, _, vs, slopes = _conditional(s.at(xbar), xbar)
     factors = []
-    for w, (cp, cq), (kp, kq), phase, marg, v, slope in zip(
-        *(x.tolist() for x in (s.weight, s.center, s.k, s.phase)), margs, vs, slopes
+    for w, (cp, cq), (kp, kq), phase, plain, marg, v, slope in zip(
+        *(x.tolist() for x in (s.weight, s.center, s.k, s.phase, s.plain)), margs, vs, slopes
     ):
         envelope = w * marg
         # an unmodulated term's eta = -1 pass repeats eta = +1
-        etas = (1.0,) if kp == 0.0 and kq == 0.0 and phase == 0.0 else (1.0, -1.0)
+        etas = (1.0,) if plain else (1.0, -1.0)
         views = []
         for eta in etas:
             u = xi / hbar + eta * kp
@@ -314,7 +334,7 @@ def _density_block(
         col_phase = np.exp(-0.5j * slope * (x_cols - cq) ** 2 / hbar)
         factors.append((views, row_phase, col_phase))
     # the workers' buffers share one budget of _CHUNK_ENTRIES entries a plane
-    step = max(1, _CHUNK_ENTRIES // (n_c * _fft_workers()))
+    step = _chunk_rows(n_c)
     modulated = any(len(views) > 1 for views, _, _ in factors)
 
     def fill(slab: slice) -> None:
@@ -369,9 +389,9 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     made by the caller: with buffers made in each slab, on the pool
     threads, a 512² march step took about 1760 minor page faults, against
     none.  The gather, whose fancy index makes a temporary of its rows,
-    goes by row chunks of ``_CHUNK_ENTRIES`` over all workers: a whole-slab
-    temporary beside ``out`` cost a one-worker 512² march step about 500
-    minor faults, against none.
+    goes by row chunks :func:`_chunk_rows` high: a whole-slab temporary
+    beside ``out`` cost a one-worker 512² march step about 500 minor
+    faults, against none.
     """
     n_p, n_q = values.shape
     peak = max(values.max(), -values.min())
@@ -398,7 +418,7 @@ def _shear_q(values: np.ndarray, p_pts: np.ndarray, q_axis: Axis, lam: float) ->
     coef_windows, spline = sliding_window_view(coef, 4, axis=1), wide[:, n_q:2 * n_q, None]
     sources, row_index = sliding_window_view(wide, n_q, axis=1), np.arange(n_p)
     off_grid = f[:, 0] > 0.0  # source n_q - 1 + f_i is off the grid
-    gather_rows = max(1, _CHUNK_ENTRIES // (n_q * _fft_workers()))
+    gather_rows = _chunk_rows(n_q)
 
     def shear(rows: slice) -> None:
         body = coef[rows, 1:-2]
@@ -492,16 +512,6 @@ def propagate_wigner_qbm(w: PhaseSpaceGrid, t: float, params: PhysParams) -> Pha
     for the state.  For a Gaussian (p0, q0, sigma) = (-4, 4, 1) at D = 0.5,
     steps of 0.1 moved it by 9.0e-3 at 16² and 6.4e-13 at 64².
     """
-    return _wigner_step(w, t, params, w.integrate())
-
-
-def _wigner_step(w: PhaseSpaceGrid, t: float, params: PhysParams, before: float) -> PhaseSpaceGrid:
-    """:func:`propagate_wigner_qbm` with ``before``, the trapezoid mass of
-    ``w`` (``w.integrate()``), supplied by the caller.
-
-    The restricted march has just integrated the masked grid for its norm,
-    so it hands that value over instead of integrating the grid again.
-    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and non-negative, got {t}")
     if params.gamma != 0.0:
@@ -517,7 +527,7 @@ def _wigner_step(w: PhaseSpaceGrid, t: float, params: PhysParams, before: float)
         out = _gauss1d(out, d * t ** 3 / (6.0 * m * m), w.q.step, axis=1)
     out = _shear_q(out, w.p.points, w.q, lam)
     result = w.with_values(out)
-    after = result.integrate()
+    before, after = w.integrate(), result.integrate()
     if abs(before) > 1e-12 and abs(after - before) > 1e-3 * abs(before):
         raise ValueError("grid too small for requested time")
     return result
@@ -679,11 +689,8 @@ def _propagate_density_split_raw(
     )
     peak = np.abs(np.diagonal(values)).max()
     if border > 2e-3 * peak:
-        # the peak over row slabs, so no n x n magnitude array is formed
-        def slab_peak(rows: slice) -> float:
-            return max(np.abs(values[part]).max() for part in _row_chunks(rows, 64))
-
-        peak = max(_map_row_slabs(slab_peak, n))
+        # the peak over row chunks, so no n x n magnitude array is formed
+        peak = max(_map_chunks(lambda rows: np.abs(values[rows]).max(), n, n))
         if border > 2e-3 * peak:
             raise ValueError("grid too small for requested time")
     return values

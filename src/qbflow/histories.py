@@ -52,12 +52,9 @@ from .gaussian_engine import (
     propagate_mixture,
 )
 from .grid_engine import (
-    _CHUNK_ENTRIES,
     _density_block,
-    _fft_workers,
-    _map_row_slabs,
+    _map_chunks,
     _propagate_density_split_raw,
-    _row_chunks,
     _work_array,
     axis_straddling_zero,
 )
@@ -142,15 +139,6 @@ def survival_probability(
 # exact two-time crossing probability
 
 
-def _chunk_width(length: int) -> int:
-    """Rows of ``length`` entries per chunk of a window quadrature's slab:
-    the chunks of all workers together hold ``_CHUNK_ENTRIES``, one row at
-    the least.  Whole-slab temporaries on the pool threads cost a seed-0
-    ``scenarios`` pass about 4 MiB of peak memory; these chunks cost none.
-    """
-    return max(1, _CHUNK_ENTRIES // (length * _fft_workers()))
-
-
 def delta_exact(
     state: GaussianMixtureState, window: Interval, params: PhysParams
 ) -> float:
@@ -174,10 +162,10 @@ def delta_exact(
     with W the evolved Wigner function at t1 and c = D dt / 3 hbar^2.
     Every term of G is a half-line Gaussian Fourier integral, evaluated in
     closed form; only the xi quadrature is numerical.  The (terms x xi)
-    integrand is filled by xi slab on the grid worker pool
-    (``grid_engine._map_row_slabs``), chunk by chunk (:func:`_chunk_width`),
-    and the sums over terms and over xi run once on the whole array, so
-    the worker count changes no bit of the result.  The grid check is
+    integrand is filled by xi chunk on the grid worker pool
+    (``grid_engine._map_chunks``), and the sums over terms and over xi run
+    once on the whole array, so the worker count changes no bit of the
+    result.  The grid check is
     ``crossing_class_matrix(reflect_state(state), [t1, t2], params, n)[0, 0]``:
     parity swaps P_left and P_right and commutes with the evolution.
     """
@@ -210,7 +198,7 @@ def delta_exact(
     # one row per term and eta = +1, then one per modulated term and eta = -1;
     # an unmodulated term's eta = -1 pass repeats eta = +1, so it has one row
     # at weight 1 and a modulated term two at weight 1/2
-    plain = (u.kp == 0.0) & (u.kq == 0.0) & (u.phase == 0.0)
+    plain = st.terms.plain
     rows = np.concatenate([np.arange(plain.size), np.flatnonzero(~plain)])
     eta = np.where(np.arange(rows.size) < plain.size, 1.0, -1.0)[:, None]
     share = np.where(plain[rows], 1.0, 0.5)[:, None]
@@ -219,18 +207,16 @@ def delta_exact(
     )
     weight = share * w
     chords = np.empty((rows.size, n_xi), dtype=complex)
-    width = _chunk_width(rows.size)
 
-    def chord(slab: slice) -> None:
-        for cols in _row_chunks(slab, width):
-            x = xi[cols]
-            a = eta * kp + x / hbar
-            b = eta * kq + m * x / (hbar * dt)
-            piece = _gaussian_fourier_below(cq, qq, b + a * slope, -0.5 * x)
-            np.multiply(weight * np.exp(1j * eta * phase + 1j * a * mu0 - 0.5 * a * a * v), piece,
-                        out=chords[:, cols])
+    def chord(cols: slice) -> None:
+        x = xi[cols]
+        a = eta * kp + x / hbar
+        b = eta * kq + m * x / (hbar * dt)
+        piece = _gaussian_fourier_below(cq, qq, b + a * slope, -0.5 * x)
+        np.multiply(weight * np.exp(1j * eta * phase + 1j * a * mu0 - 0.5 * a * a * v), piece,
+                    out=chords[:, cols])
 
-    _map_row_slabs(chord, n_xi)
+    _map_chunks(chord, n_xi, rows.size)
     g = np.sum(chords, axis=0)
 
     integral = float(np.sum(np.exp(-c_damp * xi * xi) * np.imag(g) / xi) * d_xi)
@@ -261,19 +247,19 @@ def _graded_origin_grid(lo: float, hi: float, ell: float, coarse: float) -> np.n
     return np.array(xs[::-1])
 
 
-def _band_step_mass(state: GaussianMixtureState, xs, p_floor) -> np.ndarray:
-    """Position-resolved mass of the state above a momentum floor.
+def _p_line_window(state: GaussianMixtureState, xs: np.ndarray, piece) -> np.ndarray:
+    """int W(p, x) window(p, x) dp at every x of ``xs``, per term in closed form.
 
-    step(x) = int_{p > p_floor(x)} W(p, x) dp, per term in closed form: the
-    joint Gaussian factorises into the position marginal times a
-    conditional momentum Gaussian, and the fringe cos(kp p + kq x + phi)
-    turns into a one-sided Fourier integral.
+    The joint Gaussian of a term factorises into its position marginal
+    times a conditional momentum Gaussian N(p; mu(x), v), and the fringe
+    cos(kp p + kq x + phi) into Re(e^{i (kq x + phi)} e^{i kp p}).
+    ``piece(kp, mu, v)`` returns the window's int e^{i kp p} N(p; mu, v)
+    window(p, x) dp over (terms x xs).
     """
-    xs = np.asarray(xs, dtype=float)
     u = state.terms.at(xs)
     marg, mu, v, _ = _conditional(u, xs)
-    piece = _gaussian_fourier_above(mu, v, u.kp, np.asarray(p_floor, dtype=float))
-    return np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
+    wave = np.exp(1j * (u.kq * xs + u.phase))
+    return np.sum(u.w * marg * np.real(wave * piece(u.kp, mu, v)), axis=0)
 
 
 def delta_free(
@@ -298,10 +284,9 @@ def delta_free(
     stationary points, so the bound is very loose in practice.
 
     Both O(n^2) integrands, the near-origin (p x X) grid and the far band,
-    are filled by X slab on the grid worker pool
-    (``grid_engine._map_row_slabs``), chunk by chunk (:func:`_chunk_width`);
-    each trapezoid then runs once on the whole array, so the worker count
-    changes no bit of the result.
+    are filled by X chunk on the grid worker pool
+    (``grid_engine._map_chunks``); each trapezoid then runs once on the
+    whole array, so the worker count changes no bit of the result.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -323,15 +308,13 @@ def delta_free(
         ell = hbar / (abs(mean[0]) + 3.0 * sp)
         xs = _graded_origin_grid(near_lo, x_hi, ell, dx)
         near = np.empty((ps.size, xs.size))
-        width = _chunk_width(ps.size)
 
-        def near_slab(slab: slice) -> None:
-            for cols in _row_chunks(slab, width):
-                x = xs[None, cols]
-                u = x * (m * x / dt + ps[:, None]) / hbar
-                np.multiply(evaluate_state(st, ps[:, None], x), f_integral(u), out=near[:, cols])
+        def near_chunk(cols: slice) -> None:
+            x = xs[None, cols]
+            u = x * (m * x / dt + ps[:, None]) / hbar
+            np.multiply(evaluate_state(st, ps[:, None], x), f_integral(u), out=near[:, cols])
 
-        _map_row_slabs(near_slab, xs.size)
+        _map_chunks(near_chunk, xs.size, ps.size)
         g = np.trapezoid(near, ps, axis=0)
         total += float(np.trapezoid(g, xs))
     if near_lo > x_lo:
@@ -339,17 +322,17 @@ def delta_free(
         us = np.linspace(-_U_CUT, _U_CUT, 2 * int(_U_CUT / 0.3) + 1)
         fu = f_integral(us)
         far = np.empty((xs.size, us.size))
-        width = _chunk_width(us.size)
 
-        def far_slab(slab: slice) -> None:
-            for rows in _row_chunks(slab, width):
-                col = xs[rows, None]
-                pu = us[None, :] * hbar / col - m * col / dt
-                np.multiply(evaluate_state(st, pu, col), fu[None, :], out=far[rows])
+        def far_chunk(rows: slice) -> None:
+            col = xs[rows, None]
+            pu = us[None, :] * hbar / col - m * col / dt
+            np.multiply(evaluate_state(st, pu, col), fu[None, :], out=far[rows])
 
-        _map_row_slabs(far_slab, xs.size)
+        _map_chunks(far_chunk, xs.size, us.size)
         band = np.trapezoid(far, us, axis=1) * (hbar / np.abs(xs))
-        step = _band_step_mass(st, xs, -m * xs / dt + _U_CUT * hbar / np.abs(xs))
+        # the strip u < -_U_CUT, where f = 1: the mass above its momentum floor
+        floor = -m * xs / dt + _U_CUT * hbar / np.abs(xs)
+        step = _p_line_window(st, xs, lambda kp, mu, v: _gaussian_fourier_above(mu, v, kp, floor))
         total += float(np.trapezoid(band + step, xs))
     return total
 
@@ -406,10 +389,8 @@ def delta_strong(
     if x_lo >= x_hi:
         return 0.0
     xs = np.linspace(x_lo, x_hi, 1501)
-    u = st.terms.at(xs)
-    marg, mu, v, _ = _conditional(u, xs)
-    piece = _gaussian_fourier_probit(u.kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m)
-    g = np.sum(u.w * marg * np.real(np.exp(1j * (u.kq * xs + u.phase)) * piece), axis=0)
+    g = _p_line_window(st, xs, lambda kp, mu, v: _gaussian_fourier_probit(
+        kp, mu, v, _SQRT2 * lam * xs, _SQRT2 * lam * dt / m))
     return float(np.trapezoid(g, xs))
 
 
@@ -420,7 +401,7 @@ def _window_ladders(
     m: float,
     hbar: float,
     dt: float,
-) -> list:
+) -> np.ndarray:
     """Adaptive X ladders for F(mu, p0), one per conditional momentum p0.
 
     Each ladder descends from X = 0 in steps that resolve both the noise
@@ -430,8 +411,9 @@ def _window_ladders(
     same float operations as a scalar descent, in place in one table of
     rungs.  The two stopping tests run on each block of _LADDER_BLOCK new
     rungs at once, which halves the numpy calls per rung; the rungs a
-    ladder takes past its end are discarded.  Returns each ladder in
-    ascending order, ending at 0.0.
+    ladder takes past its end are discarded.  Returns one table, row i
+    the ladder of p0s[i] in ascending order, ending at 0.0, then 0.0
+    repeated up to the longest ladder's length.
     """
     unended = np.iinfo(np.intp).max
     n_kept = np.full(p0s.size, unended, dtype=np.intp)
@@ -460,7 +442,9 @@ def _window_ladders(
         past = rungs * (m * rungs / dt + p0s) / hbar > _U_CUT
         ends = np.where(rungs < floors, index, np.where(past, index + 1, unended))
         np.minimum(n_kept, ends.min(axis=0), out=n_kept)
-    return [xs[n - 1::-1, i] for i, n in enumerate(n_kept)]
+    # row i, column j: rung n_i - 1 - j of ladder i, or rung 0 (X = 0.0) past its end
+    columns = np.arange(n_kept.max())
+    return xs[np.maximum(n_kept[:, None] - 1 - columns, 0), np.arange(p0s.size)[:, None]]
 
 
 def delta_intermediate(
@@ -492,15 +476,14 @@ def delta_intermediate(
     against one (dt << tau_l).
 
     F is evaluated on 71 conditional momenta p0, each on its own adaptive
-    X ladder (:func:`_window_ladders`).  The ladders are padded into one
+    X ladder (:func:`_window_ladders`).  The ladders come padded in one
     table with zero trapezoid weight past each ladder's end, f is one
     ``f_integral`` call over it, and the fold is one matrix product per
     ladder, N(X; mu, s_Q^2) times f times the weights.  It runs by ladder
-    slab on the grid worker pool (``grid_engine._map_row_slabs``), in
-    chunks of ladders whose kernels together hold about ``_CHUNK_ENTRIES``
-    entries over all workers, one ladder at the least.  The worker count
-    changes no bit of the result; the fold agrees with a per-ladder
-    trapezoid to about 1e-16 relative.
+    chunk on the grid worker pool (``grid_engine._map_chunks``), each
+    chunk with a kernel of its own.  The worker count changes no bit of
+    the result; the fold agrees with a per-ladder trapezoid to about 1e-16
+    relative.
     """
     if params.gamma != 0.0:
         raise ValueError("crossing probabilities require negligible dissipation (gamma = 0)")
@@ -541,16 +524,10 @@ def delta_intermediate(
     # F(mu, p0) = int_{X<0} N(X; mu, s_q^2) f[X (m X/dt + p0)/hbar] dX
     # on each row's ladder, which serves every mu = X0 + p0 t1/m of it.
     mus = x0s[None, :] + p0s[:, None] * t1 / m
-    ladders = _window_ladders(
-        np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt
-    )
-    # one padded table of the ladders: each row is its ladder, then 0.0 (its
-    # last point) repeated, so past a ladder's end the steps and with them
-    # the trapezoid weights are 0; a ladder of one point has no weight
-    size = max(xs.size for xs in ladders)
-    table = np.zeros((n_out, size))
-    for i, xs in enumerate(ladders):
-        table[i, :xs.size] = xs
+    # past a ladder's end its row repeats its last point, 0.0, so the steps
+    # and with them the trapezoid weights are 0; a one-point ladder has none
+    table = _window_ladders(np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, m, hbar, dt)
+    size = table.shape[1]
     half_steps = 0.5 * np.diff(table, axis=1)
     weights = np.zeros((n_out, size))
     weights[:, 1:] = half_steps
@@ -562,20 +539,16 @@ def delta_intermediate(
     # ladders at once held 23 MiB.
     fmat = np.empty((n_out, n_out))
     fmat_cols = fmat.reshape(n_out, n_out, 1)
-    chunk = _chunk_width(n_out * size)
 
-    def fold(ladder_rows: slice) -> None:
-        kern = np.empty((min(chunk, ladder_rows.stop - ladder_rows.start), n_out, size))
-        for part in _row_chunks(ladder_rows, chunk):
-            k = kern[:part.stop - part.start]
-            np.subtract(table[part, None, :], mus[part, :, None], out=k)
-            k /= s_q
-            np.square(k, out=k)
-            k *= -0.5
-            np.exp(k, out=k)
-            np.matmul(k, fw[part, :, None], out=fmat_cols[part])
+    def fold(part: slice) -> None:
+        k = np.subtract(table[part, None, :], mus[part, :, None])
+        k /= s_q
+        np.square(k, out=k)
+        k *= -0.5
+        np.exp(k, out=k)
+        np.matmul(k, fw[part, :, None], out=fmat_cols[part])
 
-    _map_row_slabs(fold, n_out)
+    _map_chunks(fold, n_out, n_out * size)
     fmat /= math.sqrt(2.0 * math.pi) * s_q
     value = float(np.trapezoid(np.trapezoid(w0 * fmat, x0s, axis=1), p0s))
     return value, bound

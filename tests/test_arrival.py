@@ -301,7 +301,7 @@ class TestStochasticRoute:
             raise AssertionError("a grid was built or stepped for a march over budget")
 
         monkeypatch.setattr(ar, "wigner_grid_from_state", no_grid)
-        monkeypatch.setattr(ar, "_wigner_step", no_grid)
+        monkeypatch.setattr(ar, "propagate_wigner_qbm", no_grid)
         over = "at most 10000 march steps, got 10001.0"  # 5000.5 / 0.5 = 10001 steps
         w = gr.PhaseSpaceGrid(gr.Axis(-1.0, 1.0, 16), gr.Axis(-1.0, 1.0, 16), np.zeros((16, 16)))
         with pytest.raises(ValueError, match=over):
@@ -311,6 +311,19 @@ class TestStochasticRoute:
                                               eps=0.5, n=16)
         # the budget counts whole steps: 1.3 / 1.3e-4 reads 10000.000000000002
         assert ar._whole_steps("t2", 1.3, 1.3e-4) == 10_000
+
+    def test_march_steps_through_the_public_wigner_step(self, monkeypatch):
+        # every march step is one propagate_wigner_qbm call, through the
+        # binding in arrival that a wrapper there can see
+        calls = []
+
+        def counted(w, t, params):
+            calls.append(t)
+            return gr.propagate_wigner_qbm(w, t, params)
+
+        monkeypatch.setattr(ar, "propagate_wigner_qbm", counted)
+        ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=32)
+        assert calls == [0.1] * 15  # t2 / eps = 1.5 / 0.1 steps
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,22 @@ class TestDensityPropagation:
         monkeypatch.setattr(gr.os, "cpu_count", lambda: None)
         assert step(128) == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("mask", [{0}, {0, 1}, {0, 1, 2}], ids=["1", "2", "3"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_chunks_cover_every_row_once_in_order(self, monkeypatch, mask, n):
+        # six rows' worth of _CHUNK_ENTRIES: chunks of 6, 3 and 2 rows, so
+        # n = 1 and 2 sit below the worker count and 7 and 100 are no
+        # multiple of any chunk height
+        monkeypatch.setattr(gr.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        row_entries = gr._CHUNK_ENTRIES // 6
+        height = gr._chunk_rows(row_entries)
+        assert height == 6 // len(mask)
+        chunks = gr._map_chunks(lambda rows: rows, n, row_entries)
+        assert [i for rows in chunks for i in range(rows.start, rows.stop)] == list(range(n))
+        assert all(0 < rows.stop - rows.start <= height for rows in chunks)
+        # a row longer than the whole budget still makes chunks of one row
+        assert gr._chunk_rows(2 * gr._CHUNK_ENTRIES) == 1
+
     def test_slab_error_reaches_the_caller(self, monkeypatch):
         # a slab that raises on a pool thread raises in the caller, after
         # every other slab has finished

@@ -123,16 +123,18 @@ def _reference_delta_intermediate(state, window, params, u_cut=200.0):
 
 
 def _intermediate_ladders(state, window, params):
-    """The X ladders that delta_intermediate builds for these inputs."""
+    """The X ladders that delta_intermediate builds for these inputs, each
+    stripped of the padding past its end (its rungs below 0, then 0.0)."""
     mean0, cov0 = ge.moments(state)
     sp0, sq0 = math.sqrt(cov0.pp), math.sqrt(cov0.qq)
     p0s = np.linspace(mean0[0] - 6.0 * sp0, mean0[0] + 6.0 * sp0, 71)
     x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, 71)
     s_q = math.sqrt(2.0 * params.D * window.t1 ** 3 / 3.0) / params.mass
     mus = x0s[None, :] + p0s[:, None] * window.t1 / params.mass
-    return hi._window_ladders(
+    table = hi._window_ladders(
         np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q, params.mass, params.hbar, window.width
     )
+    return [row[:np.count_nonzero(row) + 1] for row in table]
 
 
 # One state of each kind, crossing the origin at about t = 5: the window
@@ -523,16 +525,7 @@ class TestDeltaIntermediate:
             assert abs(bound / ref_bound - 1.0) < 1e-12
             # Rebuild the lockstep ladders from the same inputs and demand
             # every point bit for bit.
-            mean0, cov0 = ge.moments(st)
-            sp0, sq0 = math.sqrt(cov0.pp), math.sqrt(cov0.qq)
-            p0s = np.linspace(mean0[0] - 6.0 * sp0, mean0[0] + 6.0 * sp0, 71)
-            x0s = np.linspace(mean0[1] - 6.0 * sq0, mean0[1] + 6.0 * sq0, 71)
-            s_q = math.sqrt(2.0 * NOISY.D * win.t1 ** 3 / 3.0) / NOISY.mass
-            mus = x0s[None, :] + p0s[:, None] * win.t1 / NOISY.mass
-            ladders = hi._window_ladders(
-                np.min(mus, axis=1) - 9.0 * s_q, p0s, s_q,
-                NOISY.mass, NOISY.hbar, win.width,
-            )
+            ladders = _intermediate_ladders(st, win, NOISY)
             assert len(ladders) == len(ref_ladders) == 71
             for lad, ref in zip(ladders, ref_ladders):
                 np.testing.assert_array_equal(lad, ref)
