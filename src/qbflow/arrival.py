@@ -299,6 +299,33 @@ def _whole_steps(name: str, t: float, eps: float) -> int:
     return round(k)
 
 
+# Cells of zeros that the shear's mirror prefilter needs at a grid end to
+# start as on a longer axis: its start weights |sqrt(3) - 2|^k fall below
+# 2^-53 from k = 28 on.
+_PREFILTER_CELLS = math.ceil(53.0 * math.log(2.0) / -math.log(2.0 - math.sqrt(3.0)))
+
+
+def _march_crop(w: PhaseSpaceGrid, eps: float, params: PhysParams, first: int) -> int:
+    """First q column a march step must hold, ``first`` being the first
+    column the truncation keeps; at most 0 when the step needs the whole axis.
+
+    Left of ``first`` the grid starts every step at 0.  The margin is what
+    one step reaches from there, plus the zeros the second shear's
+    prefilter still needs beyond that reach:
+
+    * the two shears by eps/2m together move a row by eps |p| / m,
+      eps max|p| / (m dq) cells at most;
+    * the q blur of variance D eps^3 / 6m^2 reaches ``_gauss1d``'s kernel
+      radius int(8 sigma + 0.5), sigma = sqrt(D eps^3 / 6m^2) / dq;
+    * a shifted row reads its spline from 2 cells beyond its source;
+    * ``_PREFILTER_CELLS`` (28) zeros at the crop edge.
+    """
+    dq, m = w.q.step, params.mass
+    reach = math.ceil(eps * max(abs(w.p.lo), abs(w.p.hi)) / (m * dq))
+    sigma = math.sqrt(params.D * eps ** 3 / (6.0 * m * m)) / dq
+    return first - (reach + int(8.0 * sigma + 0.5) + 2 + _PREFILTER_CELLS)
+
+
 def restricted_march(
     w: PhaseSpaceGrid, t: float, eps: float, params: PhysParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,11 +340,23 @@ def restricted_march(
     time"; passing it bounds no error of the march.  The check integrates
     the masked grid again for its starting mass, the norm just taken: one
     trapezoid, about 0.5% of a 256² or 512² step on a 2-core x86 host.
+
+    Each step runs only on the q columns it can reach: from a margin left
+    of the first kept column (:func:`_march_crop`: one step's shear reach,
+    the q blur's kernel radius, 2 spline cells and 28 prefilter zeros) to
+    the right end, on the same p axis.  Everything left of that edge is 0
+    when a step starts and stays out of its reach, so norms, currents and
+    the mass check agree with a whole-grid march to round-off.  When the
+    margin covers the whole left part, the whole grid is stepped.
     """
     steps = _whole_steps("t", t, eps)
     q_pts = w.q.points
     mask = (q_pts > 0.0).astype(float)
     mask[np.isclose(q_pts, 0.0, atol=1e-12 * max(1.0, abs(w.q.hi)))] = 0.5
+    j0 = _march_crop(w, eps, params, int(np.argmax(mask > 0.0)))
+    if j0 > 0:
+        w = PhaseSpaceGrid(w.p, Axis(q_pts[j0], w.q.hi, w.q.n - j0), w.values[:, j0:])
+        mask = mask[j0:]
     w = w.with_values(w.values * mask[None, :])
     norms = [w.integrate()]
     currents = [current_from_wigner(w, params)]
@@ -327,6 +366,18 @@ def restricted_march(
         np.multiply(w.values, mask, out=w.values)  # the step returned a fresh grid
         norms.append(w.integrate())
     return np.array(norms), np.array(currents)
+
+
+def _march_grid(state: GaussianMixtureState, t: float, params: PhysParams,
+                n: int) -> PhaseSpaceGrid:
+    """The state's Wigner function on the march's n² grid: the default axes
+    for time t, with q reaching 4 evolved widths left of the origin and at
+    least 1 right of it."""
+    pax, qax = default_axes(state, params, t_max=t, n=n)
+    spread = qbm_covariance(t, params)
+    _, cov0 = moments(state)
+    q_lo = min(qax.lo, -4.0 * math.sqrt(cov0.qq + spread.qq))
+    return wigner_grid_from_state(state, pax, Axis(q_lo, max(qax.hi, 1.0), n))
 
 
 def arrival_probability_stochastic(
@@ -347,6 +398,12 @@ def arrival_probability_stochastic(
     march of over ``_MARCH_STEPS_MAX`` steps, raises ``ValueError`` before
     any grid is built.
 
+    Each march step runs only on the q columns it can reach (see
+    :func:`restricted_march`): from a margin left of the origin, one step's
+    shear reach + the q blur's kernel radius + 2 spline cells + 28
+    prefilter zeros, to the right end.  On the n = 256 and 512 grids of the
+    benchmark's march configs that is about 180 and 330 of the n columns.
+
     The march's mass guard (see :func:`restricted_march`) is only a floor:
     it refuses a grid that leaks mass or is far too coarse for the state,
     but a grid that passes it can still be too coarse for the answer.  For
@@ -360,12 +417,8 @@ def arrival_probability_stochastic(
         raise ValueError(f"n must be an integer in [{_GRID_N_MIN}, {_GRID_N_MAX}], got {n!r}")
     k1 = _whole_steps("t1", interval.t1, eps)
     _whole_steps("t2", interval.t2, eps)
-    pax, qax = default_axes(state, params, t_max=interval.t2, n=n)
-    spread = qbm_covariance(interval.t2, params)
-    _, cov0 = moments(state)
-    q_lo = min(qax.lo, -4.0 * math.sqrt(cov0.qq + spread.qq))  # 4 evolved widths
-    w = wigner_grid_from_state(state, pax, Axis(q_lo, max(qax.hi, 1.0), n))
-    norms, currents = restricted_march(w, interval.t2, eps, params)
+    norms, currents = restricted_march(_march_grid(state, interval.t2, params, n),
+                                       interval.t2, eps, params)
     return StochasticArrival(
         norm_loss=float(norms[k1] - norms[-1]),
         boundary_flux=float(np.trapezoid(currents[k1:], dx=eps)), final_norm=float(norms[-1]),

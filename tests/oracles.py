@@ -2,8 +2,9 @@
 
 None of these is used by qbflow itself: each recomputes a library quantity
 (arrival current, master-equation right-hand sides and grid currents, Wigner
-transform and evolution, the Wigner march's Gaussian blur, grid marginals and
-traces, density-matrix blocks, linear crossing probabilities) through
+transform and evolution, the Wigner march's Gaussian blur, the restricted
+march on the whole grid, grid marginals and traces, density-matrix blocks,
+linear crossing probabilities) through
 different numerics, so agreement is a check of the engine.  The Gaussian
 admissibility test pins the positivity time to its closed form.  The two
 line reductions ``flux_density`` and ``position_density_gradient`` are the
@@ -21,7 +22,7 @@ import os
 import numpy as np
 from scipy import ndimage
 
-from qbflow.arrival import _split_covariance
+from qbflow.arrival import _split_covariance, current_from_wigner
 from qbflow.core_model import PhysParams, checked_schedule
 from qbflow.gaussian_engine import (
     Cov2,
@@ -34,7 +35,13 @@ from qbflow.gaussian_engine import (
     moments,
     qbm_covariance_comoving,
 )
-from qbflow.grid_engine import Axis, DensityMatrixGrid, PhaseSpaceGrid, default_axes
+from qbflow.grid_engine import (
+    Axis,
+    DensityMatrixGrid,
+    PhaseSpaceGrid,
+    default_axes,
+    propagate_wigner_qbm,
+)
 from qbflow.histories import survival_probability
 
 
@@ -373,6 +380,29 @@ def propagate_wigner_direct(w: PhaseSpaceGrid, t: float, params: PhysParams) -> 
         )
         out += norm * np.einsum("ijl,l->ij", kern, src[k0])
     return w.with_values(out)
+
+
+def full_grid_march(
+    w: PhaseSpaceGrid, t: float, eps: float, params: PhysParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``arrival.restricted_march`` with every step on the whole grid.
+
+    The same truncation (0 on q < 0, 1/2 on a node at q = 0), the same
+    norms after each truncation and currents before it, but no column is
+    cropped, however far it lies from the kept half.
+    """
+    steps = round(t / eps)
+    q_pts = w.q.points
+    mask = (q_pts > 0.0).astype(float)
+    mask[np.isclose(q_pts, 0.0, atol=1e-12 * max(1.0, abs(w.q.hi)))] = 0.5
+    w = w.with_values(w.values * mask[None, :])
+    norms, currents = [w.integrate()], [current_from_wigner(w, params)]
+    for _ in range(steps):
+        w = propagate_wigner_qbm(w, eps, params)
+        currents.append(current_from_wigner(w, params))
+        w = w.with_values(w.values * mask[None, :])
+        norms.append(w.integrate())
+    return np.array(norms), np.array(currents)
 
 
 def gauss1d_ndimage(values: np.ndarray, var: float, step: float, axis: int) -> np.ndarray:

@@ -22,7 +22,13 @@ from qbflow.core_model import Interval, PhysParams
 from qbflow import arrival as ar
 from qbflow import gaussian_engine as ge
 from qbflow import grid_engine as gr
-from oracles import flux_density, position_density_gradient, povm_F_expectation, q_function_current
+from oracles import (
+    flux_density,
+    full_grid_march,
+    position_density_gradient,
+    povm_F_expectation,
+    q_function_current,
+)
 
 
 PAR = PhysParams(D=2.0)
@@ -324,6 +330,65 @@ class TestStochasticRoute:
         monkeypatch.setattr(ar, "propagate_wigner_qbm", counted)
         ar.arrival_probability_stochastic(self.STATE, self.IV, self.PAR, eps=0.1, n=32)
         assert calls == [0.1] * 15  # t2 / eps = 1.5 / 0.1 steps
+
+
+def _stepped_widths(monkeypatch):
+    """A list that fills with the q columns of every grid the march steps."""
+    widths = []
+
+    def recorded(w, t, params):
+        widths.append(w.q.n)
+        return gr.propagate_wigner_qbm(w, t, params)
+
+    monkeypatch.setattr(ar, "propagate_wigner_qbm", recorded)
+    return widths
+
+
+class TestMarchCrop:
+    """The march steps only the columns it can reach, with the numbers of a
+    march over the whole grid."""
+
+    CASES = {
+        # criterion 10's march
+        "criterion-10": lambda: (ar._march_grid(LEFT_GAUSS, 1.0, PAR, 256), 1.0, 0.0125, PAR),
+        # the seed-0 benchmark march m2
+        "512-squared": lambda: (
+            ar._march_grid(ge.make_gaussian_state(p0=-9.280884, q0=6.876581, sigma=0.950148),
+                           1.0, PAR, 512), 1.0, 0.0125, PAR),
+        # q node 128 sits on 0, the mask's half-weight node
+        "odd-n-node-on-origin": lambda: (gr.wigner_grid_from_state(
+            ge.make_gaussian_state(p0=-4.0, q0=4.0, sigma=1.0), gr.Axis(-10.0, 10.0, 257),
+            gr.Axis(-12.0, 12.0, 257)), 1.5, 0.05, PhysParams(D=0.5)),
+        "right-mover": lambda: (gr.wigner_grid_from_state(
+            ge.make_gaussian_state(p0=3.0, q0=1.0, sigma=1.0), gr.Axis(-9.0, 15.0, 256),
+            gr.Axis(-15.0, 25.0, 256)), 1.5, 0.05, PhysParams(D=0.5)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_whole_grid_march(self, case, monkeypatch):
+        w, t, eps, params = self.CASES[case]()
+        widths = _stepped_widths(monkeypatch)
+        norms, currents = ar.restricted_march(w, t, eps, params)
+        ref_norms, ref_currents = full_grid_march(w, t, eps, params)
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(currents, ref_currents, rtol=1e-12, atol=0.0)
+        assert len(widths) == round(t / eps) and max(widths) < w.q.n
+
+    def test_no_crop_when_the_reach_covers_the_left_part(self, monkeypatch):
+        # 16 columns left of the origin, against a margin of 5 cells of
+        # reach (0.1 * 16 / 0.38, rounded up) + 0 of blur + 2 + 28
+        w = gr.wigner_grid_from_state(LEFT_GAUSS, gr.Axis(-16.0, -4.0, 64),
+                                      gr.Axis(-6.0, 18.0, 64))
+        widths = _stepped_widths(monkeypatch)
+        ar.restricted_march(w, 0.2, 0.1, PAR)
+        assert widths == [64, 64]
+
+    def test_no_crop_when_the_axis_misses_the_origin(self, monkeypatch):
+        w = gr.wigner_grid_from_state(ge.make_gaussian_state(p0=2.0, q0=8.0, sigma=1.0),
+                                      gr.Axis(-8.0, 12.0, 64), gr.Axis(0.0, 24.0, 128))
+        widths = _stepped_widths(monkeypatch)
+        ar.restricted_march(w, 0.2, 0.1, PhysParams(D=0.5))
+        assert widths == [128, 128]
 
 
 # ---------------------------------------------------------------------------
